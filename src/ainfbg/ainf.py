@@ -200,14 +200,23 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
 
 def enumerate_words(model: AInfinityAlgebra, n: int,
                     exclude: Iterable[str] = (),
-                    level: str = "identity") -> Iterator[tuple[str, ...]]:
-    """All length-n basis words whose output degree lands in-window.
+                    level: str = "identity",
+                    targets: Iterable[tuple[int, int]] | None = None
+                    ) -> Iterator[tuple[str, ...]]:
+    """All length-n basis words whose output bidegree is a target.
 
-    With level="identity" the budgeted degree is (sum of inputs) + n - 3,
-    where the arity-n identity's terms live; with level="operation" it is
-    (sum of inputs) + n - 2, where m_n itself lands.  Words are enumerated
-    with a degree budget so the sweep scales with the window, not with the
-    full tuple count.
+    With level="identity" the output bidegree is (sum of inputs) shifted
+    by n - 3 in s, where the arity-n identity's terms live; with
+    level="operation" the shift is n - 2, where m_n itself lands.  The
+    targets are (s, w) output bidegrees; those outside the window are
+    ignored, and None means every in-window output bidegree.  Words come
+    in lexicographic order of the letters sorted by (-s, label), so a
+    target set only filters the default list.
+
+    A prefix is extended only while some completion of the remaining
+    letters lands on a target, decided on both coordinates by the (s, w)
+    sums that prefixes of each length can reach, so the work scales with
+    the words yielded, not with the full tuple count.
     """
     shift = {"identity": n - 3, "operation": n - 2}[level]
     lo, hi = model.space.window
@@ -215,27 +224,40 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
     for bd in model.space.bidegrees():
         for lab in model.space.labels(bd):
             if lab not in exclude:
-                letters.append((lab, bd.s))
+                letters.append((lab, bd.s, bd.w))
     letters.sort(key=lambda ls: (-ls[1], ls[0]))
     if not letters:
         return
-    smin = min(s for _, s in letters)
-    smax = max(s for _, s in letters)
+    steps = {(s, w) for _, s, w in letters}
 
-    def rec(prefix: list[str], ssum: int, k: int) -> Iterator[tuple[str, ...]]:
+    # reach[k]: the input (s, w) sums of length-k prefixes
+    reach = [{(0, 0)}]
+    for _ in range(n):
+        reach.append({(s + ds, w + dw) for s, w in reach[-1]
+                      for ds, dw in steps})
+    if targets is None:
+        goal = {(s, w) for s, w in reach[n] if lo <= s + shift <= hi}
+    else:
+        goal = {(s - shift, w) for s, w in targets if lo <= s <= hi}
+    # live[k]: the length-k prefix sums that some completion takes to a goal
+    live = [set() for _ in range(n + 1)]
+    live[n] = reach[n] & goal
+    for k in range(n - 1, -1, -1):
+        live[k] = {(s, w) for s, w in reach[k]
+                   if any((s + ds, w + dw) in live[k + 1] for ds, dw in steps)}
+
+    def rec(prefix: list[str], s0: int, w0: int) -> Iterator[tuple[str, ...]]:
+        k = len(prefix)
         if k == n:
-            if lo <= ssum + shift <= hi:
-                yield tuple(prefix)
+            yield tuple(prefix)
             return
-        rest = n - k
-        for lab, s in letters:
-            best = ssum + s + (rest - 1) * smax + shift
-            worst = ssum + s + (rest - 1) * smin + shift
-            if best < lo or worst > hi:
-                continue
-            yield from rec(prefix + [lab], ssum + s, k + 1)
+        ahead = live[k + 1]
+        for lab, s, w in letters:
+            if (s0 + s, w0 + w) in ahead:
+                yield from rec(prefix + [lab], s0 + s, w0 + w)
 
-    yield from rec([], 0, 0)
+    if (0, 0) in live[0]:
+        yield from rec([], 0, 0)
 
 
 def stasheff_defect(model: AInfinityAlgebra, n: int,

@@ -17,9 +17,10 @@ byte-identical output; coefficients are always printed as canonical
 residues in [0, p).  The heavy commands (model, transfer, loops, verify)
 cache their documents under --cache-dir (default: $AINF_CACHE_DIR or
 .cache/), keyed by a hash of (command, resolved parameters,
-format_version); a cached document whose embedded content hash does not
-match is discarded and rebuilt.  All file writes go through a temporary
-file and an atomic rename.
+format_version, package version, digest of the package sources), so a
+document made by other code is never replayed; a cached document whose
+embedded content hash does not match is discarded and rebuilt.  All file
+writes go through a temporary file and an atomic rename.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 3 truncation-window error.
@@ -28,12 +29,15 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Callable
 
+from . import __version__
 from .ainf import (
     AInfinityAlgebra,
     ShapeMismatch,
@@ -322,9 +326,20 @@ def _cache_dir(args) -> str:
     return os.environ.get("AINF_CACHE_DIR", ".cache")
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's source files, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, parameters: dict) -> str:
     return _hash_payload({"command": command, "parameters": parameters,
-                          "format_version": FORMAT_VERSION})
+                          "format_version": FORMAT_VERSION,
+                          "version": __version__,
+                          "source": _source_digest()})
 
 
 def _cache_load(path: str) -> dict | None:

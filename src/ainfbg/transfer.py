@@ -106,6 +106,12 @@ class MerkulovTransfer:
     degrees below it so every inner evaluation of a published word stays
     in the trusted range (unit letters spend arity without spending
     degree, which is what makes the worst case that deep).
+
+    An explicit `publish` is taken to be gated (see `check_pattern`): an
+    absent block inside its window is a zero space, so the tables only
+    evaluate words whose output bidegree carries a block.  The default,
+    the whole homology, is ungated; there every in-window word is
+    evaluated and an empty block certifies nothing.
     """
 
     def __init__(self, con: Contraction, arity_bound: int,
@@ -116,6 +122,7 @@ class MerkulovTransfer:
         self.arity_bound = arity_bound
         self.conventions = conventions or TransferConventions()
         self.publish = publish if publish is not None else con.homology
+        self._targets = set(publish.blocks) if publish is not None else None
         self._lam: dict[tuple[str, ...], Vector] = {}
         self._ghat: dict[tuple[str, ...], Vector] = {}
 
@@ -182,16 +189,20 @@ class MerkulovTransfer:
         return self.con.project(self.lam(word))
 
     def table(self, n: int) -> tuple[MultiOp, list[tuple[str, ...]]]:
-        """Sweep all arity-n published words with in-window output.
+        """Sweep the arity-n published words that can be nonzero.
 
-        Returns the sparse table and the words whose evaluation left the
-        window (unknown, not zero); the memo is shared across arities.
+        With a gated `publish` these are the words whose output bidegree
+        carries a published block (every other word is zero by grading);
+        otherwise every word with in-window output.  Returns the sparse
+        table and the words whose evaluation left the window (unknown,
+        not zero); the memo is shared across arities.
         """
         skeleton = AInfinityAlgebra(space=self.publish, ops={},
                                     arity_bound=self.arity_bound)
         out: MultiOp = {}
         truncated: list[tuple[str, ...]] = []
-        for word in enumerate_words(skeleton, n, level="operation"):
+        for word in enumerate_words(skeleton, n, level="operation",
+                                    targets=self._targets):
             try:
                 val = self.op(word)
             except TruncationExceeded:
@@ -234,7 +245,9 @@ def check_pattern(hom: GradedVectorSpace, expected: GradedVectorSpace,
     This is the gate between the truncated computation and everything
     downstream: inside the compared range the computed homology must be
     exactly the predicted pattern, so that renaming classes to monomials
-    is meaningful and absent blocks really mean zero.
+    is meaningful and absent blocks really mean zero.  Only a space gated
+    here may be handed to `MerkulovTransfer` as `publish`, which skips
+    every word whose output lands on an absent block.
     """
     lo = max(hom.window[0], expected.window[0])
     hi = min(hom.window[1], expected.window[1])

@@ -7,10 +7,12 @@ m_3(x^{j1} t, x^{j2} t, x^{j3} t) = -x^(2 + j1+j2+j3).  The classification
 oracle enumerates raw bidegree arithmetic and nothing else.
 """
 
+import functools
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfbg.ainf import (
     AdmissibleOp,
@@ -18,6 +20,7 @@ from ainfbg.ainf import (
     HypothesisParams,
     ShapeMismatch,
     classify_admissible,
+    enumerate_words,
     epsilon_sign,
     koszul_apply,
     monomial_label,
@@ -27,6 +30,7 @@ from ainfbg.ainf import (
     strict_unitality_defects,
 )
 from ainfbg.glin import Bidegree, GradedVectorSpace
+from ainfbg.grp import GroupParams, expected_minimal_model
 
 from toymodels import HP, SCALE, WINDOW, build_toy_model, toy_monomials
 
@@ -299,3 +303,92 @@ def test_unit_free_sweep_agrees_with_full_sweep():
     free_w = stasheff_defect(wrong, 4,
                              words=enumerate_words(wrong, 4, exclude=("1",)))
     assert (not full_w.ok()) == (not free_w.ok())
+
+
+# ---------------------------------------------------------------------------
+# the grading-aware word enumerator
+# ---------------------------------------------------------------------------
+
+PUBLISHED = [(3, 1, 2), (5, 1, 2)]
+LEVEL_SHIFT = {"identity": 3, "operation": 2}
+
+
+def s_only_words(model, n, exclude=(), level="identity"):
+    """Oracle: the enumerator that prunes prefixes on the degree s alone,
+    by the extreme letter degrees, and filters complete words by window."""
+    shift = n - LEVEL_SHIFT[level]
+    lo, hi = model.space.window
+    letters = sorted(((lab, bd.s) for bd in model.space.bidegrees()
+                      for lab in model.space.labels(bd) if lab not in exclude),
+                     key=lambda ls: (-ls[1], ls[0]))
+    if not letters:
+        return []
+    smin = min(s for _, s in letters)
+    smax = max(s for _, s in letters)
+    out = []
+
+    def rec(prefix, ssum):
+        rest = n - len(prefix)
+        if rest == 0:
+            if lo <= ssum + shift <= hi:
+                out.append(tuple(prefix))
+            return
+        for lab, s in letters:
+            if (ssum + s + (rest - 1) * smax + shift < lo
+                    or ssum + s + (rest - 1) * smin + shift > hi):
+                continue
+            rec(prefix + [lab], ssum + s)
+
+    rec([], 0)
+    return out
+
+
+@functools.cache
+def published_model(pnq):
+    """The closed-form model on the published window of the pipeline,
+    which is what the pattern gate pins the published homology to."""
+    params = GroupParams(*pnq)
+    return expected_minimal_model(params, window=params.model_window(),
+                                  arity_bound=params.default_arity_bound())
+
+
+@functools.cache
+def default_words(pnq, n, level):
+    return list(enumerate_words(published_model(pnq), n, level=level))
+
+
+def output_bidegree(model, word, level):
+    shift = len(word) - LEVEL_SHIFT[level]
+    bds = [model.space.bidegree_of(lab) for lab in word]
+    return Bidegree(sum(bd.s for bd in bds) + shift, sum(bd.w for bd in bds))
+
+
+@pytest.mark.parametrize("pnq", PUBLISHED)
+@pytest.mark.parametrize("level", ["identity", "operation"])
+def test_default_enumeration_matches_the_s_only_oracle(pnq, level):
+    model = published_model(pnq)
+    for n in range(2, model.arity_bound + 1):
+        assert default_words(pnq, n, level) == s_only_words(model, n,
+                                                            level=level)
+        assert (list(enumerate_words(model, n, exclude=("1",), level=level))
+                == s_only_words(model, n, exclude=("1",), level=level))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_targets_filter_the_default_enumeration(data):
+    pnq = data.draw(st.sampled_from(PUBLISHED))
+    level = data.draw(st.sampled_from(["identity", "operation"]))
+    model = published_model(pnq)
+    n = data.draw(st.integers(2, model.arity_bound))
+    words = default_words(pnq, n, level)
+    lo, hi = model.space.window
+    # every bidegree a word lands on, the published blocks, and two
+    # bidegrees outside the window (which the enumerator must ignore)
+    candidates = sorted({output_bidegree(model, w, level) for w in words}
+                        | set(model.space.blocks)
+                        | {Bidegree(lo - 1, 0), Bidegree(hi + 1, 0)})
+    targets = data.draw(st.sets(st.sampled_from(candidates)))
+    got = list(enumerate_words(model, n, level=level, targets=targets))
+    assert got == [w for w in words
+                   if output_bidegree(model, w, level) in targets]

@@ -178,6 +178,19 @@ def test_cache_hit_and_corruption_rebuild(capsys, tmp_path):
     assert entry.read_text() == cached_bytes
 
 
+def test_cache_misses_after_a_source_change(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("verify", 3, 1, 1, "--json", "--cache-dir", cache)
+    first = run_cli(capsys, *args)
+    (old_entry,) = cache.glob("verify-*.json")
+
+    monkeypatch.setattr("ainfbg.cli._source_digest", lambda: "edited sources")
+    second = run_cli(capsys, *args)
+    assert second == first
+    entries = set(cache.glob("verify-*.json"))
+    assert len(entries) == 2 and old_entry in entries
+
+
 # ---------------------------------------------------------------------------
 # the remaining subcommands
 # ---------------------------------------------------------------------------

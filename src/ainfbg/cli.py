@@ -48,15 +48,10 @@ from .ainf import (
     stasheff_defect,
     strict_unitality_defects,
 )
-from .dga import massey_power
+from .dga import CertificationError, massey_power
 from .glin import Bidegree, GradedVectorSpace, TruncationExceeded
 from .grp import LOOP_GENERATORS, GroupParams, build_end_dga
-from .koszul import (
-    loop_minimal_model,
-    loop_word_count,
-    massey_versus_loop_transfer,
-    poincare_roundtrip,
-)
+from .koszul import loop_minimal_model, loop_word_count, poincare_roundtrip
 from .transfer import (
     PatternMismatch,
     compare_models,
@@ -429,10 +424,7 @@ def _cochain_computation(params: GroupParams, args):
 
 def _transfer_parameters(params: GroupParams, args) -> dict:
     arity = args.arity or params.default_arity_bound()
-    window = _window(args)
-    if window is None:
-        pub_lo, pub_hi = params.model_window()
-        window = (pub_lo - (arity - 1), pub_hi + 1)
+    window = _window(args) or params.cochain_window(arity)
     return {"p": params.p, "n": params.n, "q": params.q,
             "gamma": params.gamma, "window": list(window), "arity": arity}
 
@@ -489,18 +481,19 @@ def cmd_check_stasheff(args) -> tuple[dict, int]:
     return doc, 0 if doc["overall"] == "pass" else 1
 
 
-def _massey_records(comp, ell: int, con, cls: str, target: str,
-                    compare, tag: str) -> list[dict]:
+def _massey_records(comp, tag: str) -> list[dict]:
     """Below-order vanishing plus the ell-fold ratio cross-check."""
-    p = comp.params.p
+    p, ell = comp.params.p, comp.hp.ell
+    cls = monomial_label(0, 1, comp.names)
+    target = monomial_label(comp.hp.h, 0, comp.names)
     records = []
     for i in range(3, ell):
-        rep = massey_power(con, cls, i)
+        rep = massey_power(comp.con, cls, i)
         got = (format_vector(rep.value, p) if rep.defined
                else f"obstructed at stage {rep.obstruction_stage}")
         records.append(_record(
             f"{tag} {i}-fold Massey power of {cls}", "0", got))
-    result = compare(comp, nfold=ell)
+    result = massey_versus_transfer(comp, nfold=ell)
     ratio = (-epsilon_sign(ell)) % p
     name = f"{tag} {ell}-fold Massey power vs transferred coefficient"
     expected = f"massey = {ratio} * transfer"
@@ -525,9 +518,7 @@ def cmd_massey(args) -> tuple[dict, int]:
     params = _resolve_group(args)
     parameters = _transfer_parameters(params, args)
     comp = _cochain_computation(params, args)
-    records = _massey_records(comp, params.pn, comp.con,
-                              monomial_label(0, 1), monomial_label(params.h, 0),
-                              massey_versus_transfer, "cochain")
+    records = _massey_records(comp, "cochain")
     doc = report_document("massey-report", "massey", params, parameters,
                           records)
     return doc, 0 if doc["overall"] == "pass" else 1
@@ -567,7 +558,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 def _loop_parameters(params: GroupParams, args) -> dict:
     arity = args.arity or params.loop_arity_bound()
-    window = _window(args) or (0, params.loop_window_hi())
+    window = _window(args) or params.loop_window()
     return {"p": params.p, "n": params.n, "q": params.q,
             "gamma": params.gamma, "window": list(window), "arity": arity}
 
@@ -626,8 +617,7 @@ def _verify_cochain(params: GroupParams, args) -> list[dict]:
     records.append(_record(f"m_{ell}(t,...,t) normalized",
                            expected_family, got_family))
     records.extend(_sweep_records(comp.model, "cochain"))
-    records.extend(_massey_records(comp, ell, comp.con, monomial_label(0, 1),
-                                   x_h, massey_versus_transfer, "cochain"))
+    records.extend(_massey_records(comp, "cochain"))
     _, class_records = _classification(params, params.pn + 1, 2)
     records.extend(class_records)
     return records
@@ -679,8 +669,7 @@ def _verify_loops(params: GroupParams, args) -> list[dict]:
             f"m_{dual.ell}(xi,...,xi) normalized",
             f"{epsilon_sign(dual.ell) % p}*{tau_pn}", got))
     records.extend(_sweep_records(comp.model, "loop"))
-    records.extend(_massey_records(comp, dual.ell, comp.con, xi, tau_pn,
-                                   massey_versus_loop_transfer, "loop"))
+    records.extend(_massey_records(comp, "loop"))
     trip = poincare_roundtrip(comp)
     records.append(_record(
         "cobar of the loop model recovers the cochain pattern",
@@ -693,7 +682,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     params = _resolve_group(args)
     parameters = _transfer_parameters(params, args)
     if params.q > 1:
-        parameters["loop_window"] = [0, params.loop_window_hi()]
+        parameters["loop_window"] = list(params.loop_window())
         parameters["loop_arity"] = params.loop_arity_bound()
 
     def build() -> dict:
@@ -765,16 +754,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
-    except ParameterError as exc:
-        print(f"ainfbg: parameter error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"ainfbg: parameter error: {exc}", file=sys.stderr)
         return 2
     except TruncationExceeded as exc:
         print(f"ainfbg: truncation-window error: {exc}", file=sys.stderr)
         return 3
-    except (PatternMismatch, ShapeMismatch) as exc:
+    except (PatternMismatch, ShapeMismatch, CertificationError) as exc:
         print(f"ainfbg: verification failure: {exc}", file=sys.stderr)
         return 1
     rendering = canonical_json(doc) if args.json else render_text(doc)

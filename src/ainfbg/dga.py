@@ -36,6 +36,7 @@ from .glin import (
 )
 
 __all__ = [
+    "CertificationError",
     "DGAlgebra",
     "ValidationReport",
     "validate_dga",
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 Vector = dict[str, int]
+
+
+class CertificationError(Exception):
+    """An exact structure identity failed: the data cannot be trusted."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,8 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
         if space.bidegree_of(lab).s < d2_min_s:
             continue
         dd = dga.d(dga.d({lab: 1}))
-        assert not dd, f"d^2 != 0 on {lab!r}: {dd}"
+        if dd:
+            raise CertificationError(f"d^2 != 0 on {lab!r}: {dd}")
         rep.d_squared_checked += 1
 
     rng = np.random.default_rng(seed)
@@ -173,7 +179,8 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
                        _scale(dga.mult({a: 1}, dga.d({b: 1})), sign, p), p)
         except TruncationExceeded:
             continue
-        assert lhs == rhs, f"Leibniz fails on ({a!r}, {b!r})"
+        if lhs != rhs:
+            raise CertificationError(f"Leibniz fails on ({a!r}, {b!r})")
         rep.leibniz_checked += 1
 
     for a, b, c in tuples(3, triple_sample):
@@ -182,12 +189,16 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
             right = dga.mult({a: 1}, dga.products(b, c))
         except TruncationExceeded:
             continue
-        assert left == right, f"associativity fails on ({a!r},{b!r},{c!r})"
+        if left != right:
+            raise CertificationError(
+                f"associativity fails on ({a!r},{b!r},{c!r})")
         rep.assoc_checked += 1
 
     for lab in labels:
-        assert dga.mult(dga.unit, {lab: 1}) == {lab: 1}, f"left unit on {lab!r}"
-        assert dga.mult({lab: 1}, dga.unit) == {lab: 1}, f"right unit on {lab!r}"
+        if dga.mult(dga.unit, {lab: 1}) != {lab: 1}:
+            raise CertificationError(f"left unit on {lab!r}")
+        if dga.mult({lab: 1}, dga.unit) != {lab: 1}:
+            raise CertificationError(f"right unit on {lab!r}")
         rep.unit_checked += 1
     return rep
 
@@ -294,14 +305,15 @@ class Contraction:
                            s_range=self.s_range, trusted=set(self.trusted))
 
 
-def contraction(dga: DGAlgebra, *, s_range: tuple[int, int] | None = None,
-                h_prefix: str = "h") -> Contraction:
+def contraction(dga: DGAlgebra, *,
+                s_range: tuple[int, int] | None = None) -> Contraction:
     """Split the complex per bidegree and assemble the retraction maps.
 
     The usable range defaults to one degree inside the window at the floor
     (where d is not representable) and one at the ceiling (where incoming
     boundaries are unknown).  Every structure identity that is checkable in
-    range is asserted exactly before returning.
+    range is verified exactly before returning; a failure raises
+    CertificationError.
     """
     space = dga.space
     p = dga.prime
@@ -330,8 +342,9 @@ def contraction(dga: DGAlgebra, *, s_range: tuple[int, int] | None = None,
             d_in = np.zeros((n, 0), dtype=np.int64)
         pd_in = row_reduce(d_in.T, p)
         b_rows = pd_in.rref[:pd_in.rank].reshape(pd_in.rank, n)
-        assert b_rows.size == 0 or not np.any((d_out @ b_rows.T) % p), \
-            f"boundaries at {bd} are not cycles (d^2 != 0?)"
+        if np.any((d_out @ b_rows.T) % p):
+            raise CertificationError(
+                f"boundaries at {bd} are not cycles (d^2 != 0?)")
 
         if bd.s > hi:
             # ceiling + 1: only the cycle complement is trustworthy here,
@@ -351,14 +364,15 @@ def contraction(dga: DGAlgebra, *, s_range: tuple[int, int] | None = None,
         c_idx = greedy_extend(z_rows, np.eye(n, dtype=np.int64), p)
         c_rows = np.eye(n, dtype=np.int64)[c_idx]
         nb, nh, nc = len(b_rows), len(h_rows), len(c_rows)
-        assert nb + nh == len(z_rows) and nb + nh + nc == n
+        if nb + nh != len(z_rows) or nb + nh + nc != n:
+            raise CertificationError(f"splitting dimensions disagree at {bd}")
 
         stacked = np.vstack([b_rows, h_rows, c_rows]) if n else \
             np.zeros((0, 0), dtype=np.int64)
         coords = invert(stacked, p).T if n else stacked
         splits[bd] = _BlockSplit(
             labels=labels,
-            h_labels=[f"{h_prefix}{bd.s}_{bd.w}_{k}" for k in range(nh)],
+            h_labels=[f"h{bd.s}_{bd.w}_{k}" for k in range(nh)],
             f1=h_rows.T.copy(), pi=coords[nb:nb + nh].copy(),
             p_b=coords[:nb].copy(), b_rows=b_rows, c_rows=c_rows)
 
@@ -376,12 +390,15 @@ def contraction(dga: DGAlgebra, *, s_range: tuple[int, int] | None = None,
             continue
         d_in = dga.diff_block(above)
         dc = (d_in @ sp_up.c_rows.T) % p          # n x c, c = dim C above
-        assert dc.shape[1] == nb, "complement above does not match boundaries"
+        if dc.shape[1] != nb:
+            raise CertificationError(
+                f"complement above {bd} does not match its boundaries")
         pd_b = row_reduce(sp.b_rows.T, p)
         x = np.zeros((nb, nb), dtype=np.int64)
         for j in range(nb):
             col = solve(pd_b, dc[:, j])
-            assert col is not None, "boundary not in boundary basis"
+            if col is None:
+                raise CertificationError(f"boundary at {bd} not in its basis")
             x[:, j] = col
         sp.g = (sp_up.c_rows.T @ invert(x, p) @ sp.p_b) % p
 
@@ -399,14 +416,16 @@ def contraction(dga: DGAlgebra, *, s_range: tuple[int, int] | None = None,
             continue
         n = len(sp.labels)
         nh = len(sp.h_labels)
-        assert np.all((sp.pi @ sp.f1) % p == eye(nh, dtype=np.int64))
-        assert not np.any((sp.g @ sp.f1) % p), f"G f1 != 0 at {bd}"
+        if np.any((sp.pi @ sp.f1) % p != eye(nh, dtype=np.int64)):
+            raise CertificationError(f"pi f1 != id at {bd}")
+        if np.any((sp.g @ sp.f1) % p):
+            raise CertificationError(f"G f1 != 0 at {bd}")
         sp_up = splits.get(Bidegree(bd.s + 1, bd.w))
         if sp_up is not None:
-            if sp_up.pi.shape[0]:
-                assert not np.any((sp_up.pi @ sp.g) % p), f"pi G != 0 at {bd}"
-            if sp_up.g is not None:
-                assert not np.any((sp_up.g @ sp.g) % p), f"G G != 0 at {bd}"
+            if sp_up.pi.shape[0] and np.any((sp_up.pi @ sp.g) % p):
+                raise CertificationError(f"pi G != 0 at {bd}")
+            if sp_up.g is not None and np.any((sp_up.g @ sp.g) % p):
+                raise CertificationError(f"G G != 0 at {bd}")
         below = Bidegree(bd.s - 1, bd.w)
         sp_dn = splits.get(below)
         if bd.s - 1 < lo or (space.dim(below) and sp_dn is None):
@@ -417,8 +436,8 @@ def contraction(dga: DGAlgebra, *, s_range: tuple[int, int] | None = None,
             and sp.g.shape[0] else np.zeros((n, sp.g.shape[0]), dtype=np.int64)
         dg = (d_up @ sp.g) % p
         ident = (dg + gd + sp.f1 @ sp.pi) % p
-        assert np.all(ident == eye(n, dtype=np.int64)), \
-            f"homotopy identity fails at {bd}"
+        if np.any(ident != eye(n, dtype=np.int64)):
+            raise CertificationError(f"homotopy identity fails at {bd}")
         con.trusted.add(bd)
     return con
 
@@ -486,8 +505,9 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
         z: Vector = {}
         for k in range(1, m):
             z = _add(z, dga.mult(bar(alphas[k]), alphas[m - k]), p)
-        if z:
-            assert not dga.d(z), f"staircase sum at stage {m} is not a cycle"
+        if z and dga.d(z):
+            raise CertificationError(
+                f"staircase sum at stage {m} is not a cycle")
         if m == nfold:
             orientation = MASSEY_OUT_SIGN * (-1) ** (nfold * (nfold - 1) // 2 % 2)
             value = _scale(con.project(z), orientation, p)
@@ -532,7 +552,8 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     """
     from .ainf import AInfinityAlgebra  # deferred: avoid import cycle
 
-    assert isinstance(model, AInfinityAlgebra)
+    if not isinstance(model, AInfinityAlgebra):
+        raise TypeError(f"cobar needs an AInfinityAlgebra, got {type(model)}")
     space = model.space
     p = space.prime
     if model.unit is None:

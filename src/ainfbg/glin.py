@@ -25,7 +25,6 @@ __all__ = [
     "TruncationExceeded",
     "Bidegree",
     "GradedVectorSpace",
-    "GradedMap",
     "inverse_table",
     "is_prime",
     "row_reduce",
@@ -33,7 +32,6 @@ __all__ = [
     "solve",
     "invert",
     "greedy_extend",
-    "choose_complement",
     "PivotData",
 ]
 
@@ -183,72 +181,17 @@ def greedy_extend(basis: np.ndarray, candidates: np.ndarray, p: int) -> list[int
 
     Scans candidates in order and keeps each row that increases the rank,
     stopping once the combined span fills the ambient space.  Returns the
-    kept candidate indices.
+    kept candidate indices: the pivot columns of [basis; candidates]^T that
+    fall on candidates.
     """
     candidates = _as_matrix(candidates, p)
-    n = candidates.shape[1]
-    basis = np.array(basis, dtype=np.int64).reshape(-1, n) % p
-    inv = inverse_table(p)
-    # mutually reduced rows: each row is zero at every other row's lead column
-    rows: list[np.ndarray] = []
-    for r in basis:
-        v = _reduce_against(rows, r, p)
-        if np.any(v):
-            _append_reduced(rows, v, p, inv)
-    chosen: list[int] = []
-    for idx in range(candidates.shape[0]):
-        if len(rows) == n:
-            break
-        v = _reduce_against(rows, candidates[idx], p)
-        if np.any(v):
-            _append_reduced(rows, v, p, inv)
-            chosen.append(idx)
-    return chosen
-
-
-def _normalize_row(v: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    c = int(np.argmax(v != 0))
-    return (v * inv[v[c]]) % p
-
-
-def _reduce_against(rows: list[np.ndarray], v: np.ndarray, p: int) -> np.ndarray:
-    # single pass is exact because rows are kept mutually reduced
-    v = np.array(v, dtype=np.int64) % p
-    for r in rows:
-        c = int(np.argmax(r != 0))
-        if v[c]:
-            v = (v - v[c] * r) % p
-    return v
-
-
-def _append_reduced(rows: list[np.ndarray], v: np.ndarray, p: int, inv: np.ndarray) -> None:
-    v = _normalize_row(v, p, inv)
-    c = int(np.argmax(v != 0))
-    for i, r in enumerate(rows):
-        if r[c]:
-            rows[i] = (r - r[c] * v) % p
-    rows.append(v)
-
-
-def choose_complement(W, ambient_dim: int, p: int, order: list[int] | None = None) -> tuple[np.ndarray, list[int]]:
-    """Standard-basis complement of the span of W inside F_p^ambient_dim.
-
-    Greedy: walk the standard basis in the given order (default 0..n-1) and
-    keep the vectors that grow the span.  Returns (rows, indices); the rows
-    together with a basis of W span the ambient space.
-    """
-    W = np.array(W, dtype=np.int64).reshape(-1, ambient_dim) % p
-    if order is None:
-        order = list(range(ambient_dim))
-    eye = np.eye(ambient_dim, dtype=np.int64)
-    candidates = eye[order]
-    chosen = greedy_extend(W, candidates, p)
-    idx = [order[k] for k in chosen]
-    return eye[idx], idx
+    basis = np.array(basis, dtype=np.int64).reshape(-1, candidates.shape[1])
+    pivots = row_reduce(np.vstack([basis, candidates]).T, p).pivot_cols
+    return [c - len(basis) for c in pivots if c >= len(basis)]
 
 
 # ---------------------------------------------------------------------------
-# bigraded spaces and maps
+# bigraded spaces
 # ---------------------------------------------------------------------------
 
 class Bidegree(NamedTuple):
@@ -356,43 +299,3 @@ class GradedVectorSpace:
         labels = self.labels(bd)
         return {labels[i]: int(c % self.prime)
                 for i, c in enumerate(arr) if c % self.prime}
-
-
-@dataclass
-class GradedMap:
-    """Degree-homogeneous linear map between graded spaces, stored blockwise.
-
-    blocks[bd] maps the source block at bd to the target block at bd+shift;
-    missing blocks are zero when both endpoints are in-window.
-    """
-
-    source: GradedVectorSpace
-    target: GradedVectorSpace
-    shift: tuple[int, int]
-    blocks: dict[Bidegree, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for bd, M in list(self.blocks.items()):
-            bd = Bidegree(*bd)
-            out = bd + self.shift
-            expect = (self.target.dim(out), self.source.dim(bd))
-            if M.shape != expect:
-                raise ValueError(
-                    f"block {bd}: shape {M.shape}, expected {expect}")
-            self.blocks[bd] = M % self.source.prime
-
-    def block(self, bd) -> np.ndarray:
-        bd = Bidegree(*bd)
-        out = bd + self.shift
-        M = self.blocks.get(bd)
-        if M is None:
-            M = np.zeros((self.target.dim(out), self.source.dim(bd)),
-                         dtype=np.int64)
-        return M
-
-    def apply(self, bd, vec: dict[str, int]) -> tuple[Bidegree, dict[str, int]]:
-        bd = Bidegree(*bd)
-        out = bd + self.shift
-        arr = self.source.to_array(bd, vec)
-        res = (self.block(bd) @ arr) % self.source.prime
-        return out, self.target.to_dict(out, res)

@@ -154,6 +154,12 @@ class GroupParams:
     def default_arity_bound(self) -> int:
         return self.pn + 1
 
+    def cochain_window(self, arity_bound: int) -> tuple[int, int]:
+        """Chain-level window of the cochain pipeline: model_window() with
+        arity_bound - 1 degrees of slack below and one above."""
+        lo, hi = self.model_window()
+        return (lo - (arity_bound - 1), hi + 1)
+
     def loop_window_hi(self) -> int:
         """Word-degree ceiling for the loop-side cobar computation.
 
@@ -165,6 +171,10 @@ class GroupParams:
         """
         pub = (2 * self.q - 2) * self.pn + 2 * (2 * self.q - 1) + 1
         return pub + self.loop_arity_bound() - 1
+
+    def loop_window(self) -> tuple[int, int]:
+        """Word-degree window of the loop pipeline's cobar algebra."""
+        return (0, self.loop_window_hi())
 
     def loop_model_window(self) -> tuple[int, int]:
         return (0, self.loop_window_hi() - 1)
@@ -208,7 +218,7 @@ class GroupAlgebra:
         acc = v.copy()
         for r in range(q):
             U = (U + pow(pow(gamma, r, p), -1, p) * acc) % p
-            acc = self._act_raw(acc)
+            acc = self.act(acc)
         U = U * pow(q, -1, p) % p
         self.U = U
 
@@ -246,9 +256,6 @@ class GroupAlgebra:
 
     def act(self, u: np.ndarray) -> np.ndarray:
         """The order-q automorphism g -> g^gamma on coefficient vectors."""
-        return self._act_raw(u)
-
-    def _act_raw(self, u: np.ndarray) -> np.ndarray:
         m = self.params.pn
         out = np.zeros(m, dtype=np.int64)
         for i in range(m):

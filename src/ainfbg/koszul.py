@@ -8,8 +8,9 @@ is exterior, and the degree parameters h and p^n trade places, so the
 loop model satisfies the same bigraded hypothesis with the roles of the
 generators reversed (the dual parameters again obey h'a' - l'b' = 1).
 
-The pipeline mirrors the cochain side: cobar -> retraction -> pattern
-gate against the closed-form ring -> homotopy transfer -> normalization.
+The pipeline is the cochain side's (`transfer.transfer_pipeline`) run
+on the cobar algebra: retraction -> pattern gate against the closed-form
+ring -> homotopy transfer -> normalization.
 Generically the result is k[tau] (x) Lambda(xi) with one arity-h family
 m_h(xi, ..., xi) = epsilon(h) tau^(p^n); in the single exceptional case
 h = 2 the family lands in the product itself and the ring is
@@ -23,17 +24,13 @@ pipeline end to end (its window must reach the same depth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ainf import (
-    AInfinityAlgebra,
-    NormalizedModel,
-    epsilon_sign,
-    monomial_label,
-    normalize_generators,
-)
-from .dga import Contraction, DGAlgebra, cobar, contraction, massey_power, reorder_blocks
-from .glin import TruncationExceeded
+from .ainf import AInfinityAlgebra
+from .dga import cobar, contraction
+# unused here, but the benchmark's tracer rebinds these names in this module
+from .ainf import normalize_generators  # noqa: F401
+from .dga import massey_power  # noqa: F401
 from .grp import (
     LOOP_GENERATORS,
     GroupParams,
@@ -41,45 +38,24 @@ from .grp import (
     expected_minimal_model,
 )
 from .transfer import (
-    MasseyComparison,
-    MerkulovTransfer,
-    PatternMismatch,
+    Computation,
     TransferConventions,
     check_pattern,
-    pattern_renaming,
+    massey_versus_transfer,
+    transfer_pipeline,
 )
 
 __all__ = [
-    "LoopComputation",
     "cochain_window_for_loops",
+    "loop_word_count",
     "loop_minimal_model",
     "massey_versus_loop_transfer",
     "RoundTrip",
     "poincare_roundtrip",
 ]
 
-
-@dataclass
-class LoopComputation:
-    """Everything produced on the way to a transferred loop model."""
-
-    params: GroupParams
-    cochain: AInfinityAlgebra   # the model fed to cobar
-    dga: DGAlgebra              # its cobar algebra
-    con: Contraction            # homology labels renamed to tau/xi monomials
-    transfer: MerkulovTransfer
-    model: AInfinityAlgebra     # monomial labels, machine coefficients
-    truncated: dict[int, list] = field(default_factory=dict)
-
-    def normalized(self) -> NormalizedModel:
-        return normalize_generators(self.model, self.params.hp.loop_dual(),
-                                    names=LOOP_GENERATORS)
-
-    def expected(self) -> AInfinityAlgebra:
-        """Closed-form loop model over the same published window."""
-        return expected_loop_model(self.params,
-                                   window=self.model.space.window,
-                                   arity_bound=self.transfer.arity_bound)
+# the loop side's Massey cross-check is the shared one
+massey_versus_loop_transfer = massey_versus_transfer
 
 
 def cochain_window_for_loops(params: GroupParams, s_hi: int) -> tuple[int, int]:
@@ -99,7 +75,7 @@ def loop_word_count(params: GroupParams, window: tuple[int, int] | None = None) 
     """
     if params.q == 1:
         raise ValueError("the loop pipeline needs q >= 2")
-    s_hi = window[1] if window is not None else params.loop_window_hi()
+    s_hi = (window or params.loop_window())[1]
     cochain = expected_minimal_model(
         params, window=cochain_window_for_loops(params, s_hi))
     dga = cobar(cochain, s_hi)
@@ -111,8 +87,8 @@ def loop_minimal_model(params: GroupParams, *,
                        window: tuple[int, int] | None = None,
                        arity_bound: int | None = None,
                        reorder=None,
-                       conventions: TransferConventions | None = None,
-                       require_complete: bool = True) -> LoopComputation:
+                       conventions: TransferConventions | None = None
+                       ) -> Computation:
     """Cobar of the cochain model -> retraction -> gate -> loop model.
 
     The published window (0, s_hi - arity_bound + 1) sits arity_bound - 1
@@ -129,12 +105,9 @@ def loop_minimal_model(params: GroupParams, *,
             "bounded degree would be arbitrarily long")
     if arity_bound is None:
         arity_bound = params.loop_arity_bound()
-    if window is None:
-        s_hi = params.loop_window_hi()
-    else:
-        lo, s_hi = window
-        if lo != 0:
-            raise ValueError(f"loop window must start at 0, got {window}")
+    lo, s_hi = window or params.loop_window()
+    if lo != 0:
+        raise ValueError(f"loop window must start at 0, got {window}")
     pub_hi = s_hi - (arity_bound - 1)
     if pub_hi < 0:
         raise ValueError(f"window (0, {s_hi}) too small for arity "
@@ -147,63 +120,11 @@ def loop_minimal_model(params: GroupParams, *,
             f"cochain model window {cochain.space.window} too shallow for "
             f"loop degree {s_hi}; its floor must reach {-(s_hi + 1)}")
     dga = cobar(cochain, s_hi, name=f"cobar({params.label()})")
-    if reorder is not None:
-        dga = reorder_blocks(dga, reorder)
-    con = contraction(dga)
     expected = expected_loop_model(params, window=(0, pub_hi),
                                    arity_bound=arity_bound)
-    check_pattern(con.homology, expected.space, s_range=(0, pub_hi))
-    published = con.homology.restricted((0, pub_hi))
-    con = con.renamed(pattern_renaming(published, expected.space))
-    if con.include({"1": 1}) != dga.unit:
-        raise PatternMismatch(
-            "the class at bidegree (0, 0) is not represented by the empty "
-            "word of the cobar algebra")
-    transfer = MerkulovTransfer(
-        con, arity_bound, conventions,
-        publish=con.homology.restricted((0, pub_hi)))
-    model, truncated = transfer.minimal_model(
-        unit="1", internal_scale=params.internal_scale)
-    if truncated and require_complete:
-        counts = {n: len(ws) for n, ws in truncated.items()}
-        raise TruncationExceeded(
-            f"loop operation tables incomplete (words lost per arity: "
-            f"{counts}); enlarge the window")
-    return LoopComputation(params=params, cochain=cochain, dga=dga, con=con,
-                           transfer=transfer, model=model, truncated=truncated)
-
-
-def massey_versus_loop_transfer(comp: LoopComputation,
-                                nfold: int | None = None) -> MasseyComparison:
-    """The n-fold Massey power of xi against the transferred coefficient.
-
-    Both numbers are read in the same machine basis, so their ratio is
-    independent of every splitting and rescaling choice; the content is
-    massey == -epsilon(n) * transfer, coefficient-wise on tau^(p^n).
-    In the exceptional h = 2 case the 2-fold power is the plain square
-    and the relation still holds with epsilon(2) = -1.
-    """
-    params = comp.params
-    p = params.p
-    dual = params.hp.loop_dual()
-    ell = dual.ell if nfold is None else nfold
-    xi = monomial_label(0, 1, LOOP_GENERATORS)
-    target = monomial_label(dual.h, 0, LOOP_GENERATORS)
-
-    report = massey_power(comp.con, xi, ell)
-    c_massey = report.value.get(target, 0) if report.defined else 0
-    extra = set(report.value) - {target}
-    if extra:
-        raise AssertionError(f"Massey power has parts off the tau-line: {extra}")
-
-    word = (xi,) * ell
-    c_transfer = comp.model.op_value(ell, word).get(target, 0)
-    expected_ratio = (-epsilon_sign(ell)) % p
-    holds = (report.defined and c_transfer != 0
-             and c_massey == (expected_ratio * c_transfer) % p)
-    return MasseyComparison(report=report, c_massey=c_massey,
-                            c_transfer=c_transfer,
-                            expected_ratio=expected_ratio, holds=holds)
+    return transfer_pipeline(params, dga, expected, params.hp.loop_dual(),
+                             LOOP_GENERATORS, reorder=reorder,
+                             conventions=conventions)
 
 
 @dataclass
@@ -214,7 +135,7 @@ class RoundTrip:
     blocks_checked: int
 
 
-def poincare_roundtrip(comp: LoopComputation) -> RoundTrip:
+def poincare_roundtrip(comp: Computation) -> RoundTrip:
     """Cobar the normalized loop model back down and gate its homology
     against the cochain monomial pattern, dimension by dimension.
 

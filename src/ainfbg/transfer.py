@@ -16,15 +16,16 @@ factor's operator degree t - 1 moving past the first s inputs is the
 Koszul factor written out.  Evaluations are memoized per contiguous
 subword, so sweeping all words of a given arity shares almost all work.
 
-The module also houses the cochain-side pipeline: endomorphism DGA ->
-retraction -> pattern gate -> transfer -> canonical renaming, plus the
-comparison helpers the verification commands and tests are built from.
+The module also houses the pipeline both sides share: retraction ->
+pattern gate -> canonical renaming -> transfer, its cochain-side entry
+point (the endomorphism DGA), and the comparison helpers the
+verification commands and tests are built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 from .ainf import (
     AInfinityAlgebra,
@@ -33,10 +34,19 @@ from .ainf import (
     NormalizedModel,
     enumerate_words,
     epsilon_sign,
+    monomial_label,
     normalize_generators,
 )
-from .dga import Contraction, DGAlgebra, MasseyReport, contraction, massey_power
-from .glin import Bidegree, GradedVectorSpace, TruncationExceeded
+from .dga import (
+    CertificationError,
+    Contraction,
+    DGAlgebra,
+    MasseyReport,
+    contraction,
+    massey_power,
+    reorder_blocks,
+)
+from .glin import GradedVectorSpace, TruncationExceeded
 from .grp import GroupParams, build_end_dga, expected_minimal_model
 
 __all__ = [
@@ -46,7 +56,8 @@ __all__ = [
     "PatternMismatch",
     "check_pattern",
     "pattern_renaming",
-    "GroupComputation",
+    "Computation",
+    "transfer_pipeline",
     "group_minimal_model",
     "compare_models",
     "MasseyComparison",
@@ -278,38 +289,78 @@ def pattern_renaming(hom: GradedVectorSpace,
 
 
 # ---------------------------------------------------------------------------
-# the cochain-side pipeline
+# the pipeline shared by both sides
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GroupComputation:
+class Computation:
     """Everything produced on the way to a transferred minimal model."""
 
     params: GroupParams
-    dga: DGAlgebra
+    hp: HypothesisParams        # the shape the model is normalized to
+    names: tuple[str, str]      # polynomial and exterior generator names
     con: Contraction            # homology labels renamed to monomials
     transfer: MerkulovTransfer
     model: AInfinityAlgebra     # monomial labels, machine coefficients
-    truncated: dict[int, list] = field(default_factory=dict)
+    closed_form: AInfinityAlgebra  # the gate's closed-form model
+    truncated: dict[int, list]  # words lost per arity (always empty)
 
     def normalized(self) -> NormalizedModel:
-        return normalize_generators(self.model, self.params.hp)
+        return normalize_generators(self.model, self.hp, names=self.names)
 
     def expected(self) -> AInfinityAlgebra:
         """Closed-form model over the same published window."""
-        return expected_minimal_model(self.params,
-                                      window=self.model.space.window,
-                                      arity_bound=self.transfer.arity_bound)
+        return self.closed_form
+
+
+def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
+                      expected: AInfinityAlgebra, hp: HypothesisParams,
+                      names: tuple[str, str], *,
+                      reorder: Callable | None = None,
+                      conventions: TransferConventions | None = None
+                      ) -> Computation:
+    """Retraction -> gate -> renaming -> transferred minimal model.
+
+    `expected` is the closed-form model over the published window: the
+    homology of `dga` must match its pattern there, its classes are then
+    renamed to the expected monomials, and the operation tables are read
+    off on that window up to `expected.arity_bound`.  The caller's chain
+    window must leave enough slack around the published one that no
+    published word leaves the retraction's trusted range; an operation
+    table missing a word would be read downstream as zero, so truncation
+    is an error (enlarge the window instead).
+    """
+    if reorder is not None:
+        dga = reorder_blocks(dga, reorder)
+    con = contraction(dga)
+    window = expected.space.window
+    check_pattern(con.homology, expected.space, s_range=window)
+    published = con.homology.restricted(window)
+    con = con.renamed(pattern_renaming(published, expected.space))
+    if con.include({expected.unit: 1}) != dga.unit:
+        raise PatternMismatch(
+            "the class at bidegree (0, 0) is not represented by the strict "
+            f"unit of {dga.name}")
+    transfer = MerkulovTransfer(con, expected.arity_bound, conventions,
+                                publish=con.homology.restricted(window))
+    model, truncated = transfer.minimal_model(
+        unit=expected.unit, internal_scale=expected.internal_scale)
+    if truncated:
+        counts = {n: len(ws) for n, ws in truncated.items()}
+        raise TruncationExceeded(
+            f"operation tables of {dga.name} incomplete (words lost per "
+            f"arity: {counts}); enlarge the window")
+    return Computation(params=params, hp=hp, names=names, con=con,
+                       transfer=transfer, model=model, closed_form=expected,
+                       truncated=truncated)
 
 
 def group_minimal_model(params: GroupParams, *,
                         window: tuple[int, int] | None = None,
-                        length: int | None = None,
                         arity_bound: int | None = None,
                         reorder: Callable | None = None,
-                        conventions: TransferConventions | None = None,
-                        require_complete: bool = True
-                        ) -> GroupComputation:
+                        conventions: TransferConventions | None = None
+                        ) -> Computation:
     """End-DGA -> retraction -> gate -> transferred minimal model.
 
     The published window (where operation tables are read off and the
@@ -319,47 +370,18 @@ def group_minimal_model(params: GroupParams, *,
     below it, so everything they touch is in the retraction's trusted
     range.  Below the published floor the homology may contain truncation
     junk; it is never renamed, enumerated, or read.
-
-    An operation table missing any in-window word would be read downstream
-    as zero, so by default a nonempty truncation list is an error (enlarge
-    the window instead).
     """
     if arity_bound is None:
         arity_bound = params.default_arity_bound()
-    if window is None:
-        pub_lo, pub_hi = params.model_window()
-        window = (pub_lo - (arity_bound - 1), pub_hi + 1)
-    else:
-        pub_lo, pub_hi = window[0] + (arity_bound - 1), window[1] - 1
-    if pub_lo > pub_hi:
+    window = window or params.cochain_window(arity_bound)
+    pub = (window[0] + (arity_bound - 1), window[1] - 1)
+    if pub[0] > pub[1]:
         raise ValueError(f"window {window} too small for arity {arity_bound}")
-    dga = build_end_dga(params, window=window, length=length)
-    if reorder is not None:
-        from .dga import reorder_blocks
-        dga = reorder_blocks(dga, reorder)
-    con = contraction(dga)
-    expected = expected_minimal_model(params, window=(pub_lo, pub_hi),
+    expected = expected_minimal_model(params, window=pub,
                                       arity_bound=arity_bound)
-    check_pattern(con.homology, expected.space, s_range=(pub_lo, pub_hi))
-    published = con.homology.restricted((pub_lo, pub_hi))
-    con = con.renamed(pattern_renaming(published, expected.space))
-    if con.include({"1": 1}) != dga.unit:
-        raise PatternMismatch(
-            "the class at bidegree (0, 0) is not represented by the strict "
-            "unit of the endomorphism algebra")
-    transfer = MerkulovTransfer(
-        con, arity_bound, conventions,
-        publish=con.homology.restricted((pub_lo, pub_hi)))
-    model, truncated = transfer.minimal_model(
-        unit="1", internal_scale=params.internal_scale)
-    if truncated and require_complete:
-        counts = {n: len(ws) for n, ws in truncated.items()}
-        raise TruncationExceeded(
-            f"operation tables incomplete (words lost per arity: {counts}); "
-            "enlarge the window")
-    return GroupComputation(params=params, dga=dga, con=con,
-                            transfer=transfer, model=model,
-                            truncated=truncated)
+    return transfer_pipeline(params, build_end_dga(params, window=window),
+                             expected, params.hp, ("x", "t"),
+                             reorder=reorder, conventions=conventions)
 
 
 # ---------------------------------------------------------------------------
@@ -403,23 +425,26 @@ class MasseyComparison:
     holds: bool
 
 
-def massey_versus_transfer(comp: GroupComputation,
+def massey_versus_transfer(comp: Computation,
                            nfold: int | None = None) -> MasseyComparison:
-    params = comp.params
-    p = params.p
-    ell = params.pn if nfold is None else nfold
-    hp = params.hp
-    from .ainf import monomial_label
-    t_lab = monomial_label(0, 1)
-    target = monomial_label(hp.h, 0)
+    """The nfold Massey power of the exterior generator against the
+    transferred coefficient on the target monomial (nfold defaults to
+    the family arity ell).  In the exceptional loop-side case ell = 2
+    the 2-fold power is the plain square and the relation still holds
+    with epsilon(2) = -1."""
+    p = comp.params.p
+    ell = comp.hp.ell if nfold is None else nfold
+    cls = monomial_label(0, 1, comp.names)
+    target = monomial_label(comp.hp.h, 0, comp.names)
 
-    report = massey_power(comp.con, t_lab, ell)
+    report = massey_power(comp.con, cls, ell)
     c_massey = report.value.get(target, 0) if report.defined else 0
     extra = set(report.value) - {target}
     if extra:
-        raise AssertionError(f"Massey power has parts off the x-line: {extra}")
+        raise CertificationError(
+            f"Massey power has parts off the {comp.names[0]}-line: {extra}")
 
-    word = (t_lab,) * ell
+    word = (cls,) * ell
     c_transfer = comp.model.op_value(ell, word).get(target, 0)
     expected_ratio = (-epsilon_sign(ell)) % p
     holds = (report.defined and c_transfer != 0

@@ -485,12 +485,12 @@ def test_criterion_5_property_suites(cochain_runs, loop_runs):
     # d^2 = 0, Leibniz, associativity, unitality on the cochain algebras
     # (exhaustive for the smallest, sampled for the larger ones) and on
     # the loop-side cobar algebra.
-    report = validate_dga(cochain_runs[(3, 1, 2)][0].dga)
+    report = validate_dga(cochain_runs[(3, 1, 2)][0].con.dga)
     assert report.d_squared_checked > 0 and report.leibniz_checked > 0
-    report = validate_dga(cochain_runs[(5, 1, 2)][0].dga,
+    report = validate_dga(cochain_runs[(5, 1, 2)][0].con.dga,
                           pair_sample=3000, triple_sample=1500)
     assert report.d_squared_checked > 0 and report.leibniz_checked > 0
-    report = validate_dga(loop_runs[(3, 1, 2)][0].dga,
+    report = validate_dga(loop_runs[(3, 1, 2)][0].con.dga,
                           pair_sample=2000, triple_sample=800)
     assert report.d_squared_checked > 0 and report.leibniz_checked > 0
 

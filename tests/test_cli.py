@@ -106,6 +106,19 @@ def test_truncation_window_exit_code(capsys):
     assert "truncation-window error" in err
 
 
+def test_certification_failure_exit_code(capsys, monkeypatch):
+    from ainfbg import cli
+    from ainfbg.dga import CertificationError
+
+    def uncertified(*args, **kwargs):
+        raise CertificationError("homotopy identity fails at (0, 0)")
+
+    monkeypatch.setattr(cli, "group_minimal_model", uncertified)
+    code, _, err = run_cli(capsys, "transfer", 3, 1, 2, "--no-cache")
+    assert code == 1
+    assert "verification failure" in err
+
+
 # ---------------------------------------------------------------------------
 # document serialization
 # ---------------------------------------------------------------------------

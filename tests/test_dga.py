@@ -6,9 +6,16 @@ degree-one exterior class for cyclic groups (equals minus the polynomial
 class); exhaustive d^2 = 0 for the cobar differential's sign rule.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ainfbg
 from ainfbg.dga import (
     DGAlgebra,
     cobar,
@@ -106,6 +113,41 @@ def test_contraction_out_of_range_raises():
         con.project(top)
     with pytest.raises(TruncationExceeded):
         con.homotopy(top)
+
+
+_CORRUPTED_DIFFERENTIAL = textwrap.dedent("""
+    import sys
+    from ainfbg.dga import CertificationError, DGAlgebra, contraction, validate_dga
+    from ainfbg.glin import Bidegree, GradedVectorSpace
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    # a2 -> a1 -> a0, so d^2(a2) = a0 != 0
+    space = GradedVectorSpace(prime=3, window=(-1, 3), blocks={
+        Bidegree(s, 0): [f"a{s}"] for s in range(3)})
+    diff = {"a2": {"a1": 1}, "a1": {"a0": 1}, "a0": {}}
+    dga = DGAlgebra(space=space, unit={}, products=lambda a, b: {},
+                    diff=lambda lab: diff[lab], name="corrupted")
+    for check in (validate_dga, contraction):
+        try:
+            check(dga)
+        except CertificationError as exc:
+            print(f"{check.__name__}: {exc}")
+        else:
+            sys.exit(f"{check.__name__} accepted d^2 != 0")
+""")
+
+
+def test_certification_survives_python_optimize():
+    """A corrupted differential fails certification even under -O, where
+    assert statements are stripped."""
+    src = str(Path(ainfbg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_DIFFERENTIAL],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr or run.stdout
+    assert "validate_dga: d^2 != 0 on 'a2'" in run.stdout
+    assert "contraction: boundaries at" in run.stdout
 
 
 def test_contraction_rejects_bad_range():

@@ -13,10 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from ainfbg.glin import (
     Bidegree,
-    GradedMap,
     GradedVectorSpace,
     TruncationExceeded,
-    choose_complement,
     greedy_extend,
     inverse_table,
     invert,
@@ -57,6 +55,50 @@ def oracle_rank(M, p):
                 if det_mod(M[np.ix_(ri, ci)], p) != 0:
                     return k
     return 0
+
+
+def reference_greedy_extend(basis, candidates, p):
+    """Incremental greedy extension, one candidate row at a time: the
+    reference for the pivot-column `greedy_extend`.  Rows are kept
+    mutually reduced, so reducing a candidate against them is one pass.
+    """
+    inv = inverse_table(p)
+    candidates = np.array(candidates, dtype=np.int64) % p
+    n = candidates.shape[1]
+    basis = np.array(basis, dtype=np.int64).reshape(-1, n) % p
+
+    def lead(v):
+        return int(np.argmax(v != 0))
+
+    def reduce_against(rows, v):
+        v = np.array(v, dtype=np.int64) % p
+        for r in rows:
+            if v[lead(r)]:
+                v = (v - v[lead(r)] * r) % p
+        return v
+
+    def append_reduced(rows, v):
+        v = (v * inv[v[lead(v)]]) % p
+        c = lead(v)
+        for i, r in enumerate(rows):
+            if r[c]:
+                rows[i] = (r - r[c] * v) % p
+        rows.append(v)
+
+    rows = []
+    for r in basis:
+        v = reduce_against(rows, r)
+        if np.any(v):
+            append_reduced(rows, v)
+    chosen = []
+    for idx in range(candidates.shape[0]):
+        if len(rows) == n:
+            break
+        v = reduce_against(rows, candidates[idx])
+        if np.any(v):
+            append_reduced(rows, v)
+            chosen.append(idx)
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +188,25 @@ def test_inverse_table():
 # ---------------------------------------------------------------------------
 
 def test_choose_complement_spans():
+    """Standard basis vectors chosen by greedy_extend complete a span."""
     rng = np.random.default_rng(7)
+    eye = np.eye(6, dtype=np.int64)
     for _ in range(10):
         p = 5
         W = rng.integers(0, p, size=(2, 6))
         wrank = rank_nullspace(W, p)[0]
-        comp, idx = choose_complement(W, 6, p)
+        idx = greedy_extend(W, eye, p)
         assert len(idx) == 6 - wrank
-        stacked = np.vstack([W % p, comp])
+        stacked = np.vstack([W % p, eye[idx]])
         assert rank_nullspace(stacked, p)[0] == 6
 
 
 def test_choose_complement_deterministic_and_order_sensitive():
     W = np.array([[1, 1, 0]])
-    c1, i1 = choose_complement(W, 3, 5)
-    c2, i2 = choose_complement(W, 3, 5)
-    assert i1 == i2 == [0, 2] or i1 == i2  # deterministic; greedy takes 0 first
-    _, i3 = choose_complement(W, 3, 5, order=[2, 1, 0])
-    assert i3[0] == 2
+    eye = np.eye(3, dtype=np.int64)
+    assert greedy_extend(W, eye, 5) == [0, 2]  # greedy takes e_0 first
+    order = [2, 1, 0]
+    assert [order[k] for k in greedy_extend(W, eye[order], 5)] == [2, 1]
 
 
 def test_greedy_extend_respects_existing_basis():
@@ -172,8 +215,47 @@ def test_greedy_extend_respects_existing_basis():
     assert greedy_extend(basis, cands, 3) == [2, 3]
 
 
+def test_greedy_extend_edge_cases_match_reference():
+    eye = np.eye(3, dtype=np.int64)
+    cases = [
+        (np.zeros((0, 3), dtype=np.int64), eye),            # empty basis
+        (np.array([[0, 0, 0], [1, 2, 0], [2, 4, 0]]), eye),  # zero, dependent
+        (eye, eye),                                           # already full
+        (np.array([[1, 0, 0]]), np.vstack([eye, eye])),       # fills early
+    ]
+    for basis, cands in cases:
+        assert greedy_extend(basis, cands, 5) == \
+            reference_greedy_extend(basis, cands, 5)
+    assert greedy_extend(np.zeros((0, 3)), eye, 5) == [0, 1, 2]
+    assert greedy_extend(eye, eye, 5) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 11]),
+       st.integers(1, 6), st.integers(0, 4), st.integers(0, 8),
+       st.integers(1, 6), st.booleans(), st.booleans())
+def test_greedy_extend_matches_incremental_reference(seed, p, n, nb, nc,
+                                                     cand_rank, degenerate,
+                                                     fill):
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, p, size=(nb, n))
+    if degenerate and nb:
+        # a zero row and a combination of the earlier rows
+        combo = (rng.integers(0, p, size=nb) @ basis) % p
+        basis = np.vstack([basis, np.zeros((1, n), dtype=np.int64), combo])
+    r = min(cand_rank, n)
+    cands = (rng.integers(0, p, size=(nc, r))
+             @ rng.integers(0, p, size=(r, n))) % p
+    if fill:
+        # the span fills before the candidate list ends
+        cands = np.vstack([cands, np.eye(n, dtype=np.int64),
+                           rng.integers(0, p, size=(2, n))])
+    assert greedy_extend(basis, cands, p) == \
+        reference_greedy_extend(basis, cands, p)
+
+
 # ---------------------------------------------------------------------------
-# graded spaces and maps
+# graded spaces
 # ---------------------------------------------------------------------------
 
 def _space():
@@ -203,17 +285,6 @@ def test_graded_space_rejects_duplicates_and_out_of_window():
         GradedVectorSpace(3, (-1, 0), {Bidegree(0, 0): ["u", "u"]})
     with pytest.raises(ValueError):
         GradedVectorSpace(3, (-1, 0), {Bidegree(1, 0): ["v"]})
-
-
-def test_graded_map_apply_and_truncation():
-    V = _space()
-    d = GradedMap(V, V, shift=(-1, 0),
-                  blocks={Bidegree(-1, 2): np.array([[1, 2]])})
-    out, vec = d.apply((-1, 2), {"a": 1, "b": 1})
-    assert out == Bidegree(-2, 2)
-    assert vec == {"c": 0} or vec == {}  # 1+2 == 0 mod 3
-    with pytest.raises(TruncationExceeded):
-        d.apply((-4, 2), {})  # target degree leaves the window
 
 
 def test_vector_converters_roundtrip():

@@ -19,6 +19,7 @@ way to probe how much of an answer is an artifact of choices.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -141,7 +142,19 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
     Exhaustive by default; pass sample sizes to spot-check large algebras.
     Degrees within two steps of the window floor are skipped for d^2 (the
     second differential is not representable there), and pairs or triples
-    whose products leave the window are skipped as unknowable.
+    whose products leave the window are skipped as unknowable: a triple
+    (a, b, c) is skipped iff ab, bc, some xc with x in ab, or some ay with
+    y in bc raises TruncationExceeded.
+
+    Exhaustive associativity (triple_sample None or at least n^3) reads
+    every product from a sparse table built with one `products` call per
+    ordered pair of basis labels.  It compares (ab)c with a(bc) only on
+    the triples where some side can be nonzero or leave the window; every
+    other triple has both sides zero and is counted without a visit.  The
+    count and the checked identity are those of trying every triple, and a
+    product naming a label outside the basis fails certification.
+    The sampled mode does not use the table: it draws its triples from the
+    seeded generator and checks each one with `mult`.
     """
     rep = ValidationReport()
     space = dga.space
@@ -183,16 +196,19 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
             raise CertificationError(f"Leibniz fails on ({a!r}, {b!r})")
         rep.leibniz_checked += 1
 
-    for a, b, c in tuples(3, triple_sample):
-        try:
-            left = dga.mult(dga.products(a, b), {c: 1})
-            right = dga.mult({a: 1}, dga.products(b, c))
-        except TruncationExceeded:
-            continue
-        if left != right:
-            raise CertificationError(
-                f"associativity fails on ({a!r},{b!r},{c!r})")
-        rep.assoc_checked += 1
+    if triple_sample is None or triple_sample >= len(labels) ** 3:
+        rep.assoc_checked = _associative_triples(dga, labels)
+    else:
+        for a, b, c in tuples(3, triple_sample):
+            try:
+                left = dga.mult(dga.products(a, b), {c: 1})
+                right = dga.mult({a: 1}, dga.products(b, c))
+            except TruncationExceeded:
+                continue
+            if left != right:
+                raise CertificationError(
+                    f"associativity fails on ({a!r},{b!r},{c!r})")
+            rep.assoc_checked += 1
 
     for lab in labels:
         if dga.mult(dga.unit, {lab: 1}) != {lab: 1}:
@@ -201,6 +217,80 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
             raise CertificationError(f"right unit on {lab!r}")
         rep.unit_checked += 1
     return rep
+
+
+def _associative_triples(dga: DGAlgebra, labels: list[str]) -> int:
+    """Number of triples of `labels` whose associativity is checkable.
+
+    Raises CertificationError on a triple where (ab)c != a(bc).
+    Only the nonzero products and the pairs whose product leaves the
+    window are stored; a pair absent from both is a zero product.
+    """
+    p = dga.prime
+    n = len(labels)
+    nonzero: dict[tuple[str, str], Vector] = {}
+    raised: set[tuple[str, str]] = set()
+    # right[x]: every c with xc nonzero or out of the window;
+    # left[y]: every a with ay nonzero or out of the window
+    right: dict[str, set[str]] = {lab: set() for lab in labels}
+    left: dict[str, set[str]] = {lab: set() for lab in labels}
+    for a in labels:
+        for b in labels:
+            try:
+                ab = dga.products(a, b)
+            except TruncationExceeded:
+                raised.add((a, b))
+            else:
+                if not ab:
+                    continue
+                nonzero[a, b] = ab
+            right[a].add(b)
+            left[b].add(a)
+    outside = {x for ab in nonzero.values() for x in ab} - right.keys()
+    if outside:
+        raise CertificationError(
+            f"products name labels outside the basis: {sorted(outside)}")
+
+    def table_mult(u: Vector, v: Vector) -> Vector | None:
+        """DGAlgebra.mult read from the table; None if a product raises."""
+        out: dict[str, int] = {}
+        for x, cx in u.items():
+            for y, cy in v.items():
+                if (x, y) in raised:
+                    return None
+                for z, cz in nonzero.get((x, y), {}).items():
+                    out[z] = (out.get(z, 0) + cx * cy * cz) % p
+        return {k: c for k, c in out.items() if c}
+
+    out_left = Counter(b for _, b in raised)
+    out_right = Counter(b for b, _ in raised)
+    count = 0
+    for b in labels:
+        # Count every triple whose outer products stay in the window, then
+        # take off those an inner product leaves it for.  Outside `visit`,
+        # ab = 0 or xc = 0 for every x in ab, and bc = 0 or ay = 0 for
+        # every y in bc, none of them raising: both sides are zero.
+        count += (n - out_left[b]) * (n - out_right[b])
+        visit: set[tuple[str, str]] = set()
+        for a in left[b]:
+            if ab := nonzero.get((a, b)):
+                cs = right[b].union(*(right[x] for x in ab))
+                visit.update((a, c) for c in cs)
+        for c in right[b]:
+            if bc := nonzero.get((b, c)):
+                visit.update((a, c) for a in set().union(
+                    *(left[y] for y in bc)))
+        for a, c in sorted(visit):
+            if (a, b) in raised or (b, c) in raised:
+                continue
+            lhs = table_mult(nonzero.get((a, b), {}), {c: 1})
+            rhs = table_mult({a: 1}, nonzero.get((b, c), {}))
+            if lhs is None or rhs is None:
+                count -= 1
+            elif lhs != rhs:
+                raise CertificationError(
+                    f"associativity fails on ({a!r},{b!r},{c!r})")
+    return count
 
 
 def _add(u: Vector, v: Vector, p: int) -> Vector:
@@ -325,6 +415,20 @@ def contraction(dga: DGAlgebra, *,
         raise ValueError(f"usable range {s_range} must sit strictly inside "
                          f"the window {space.window}")
 
+    # each differential block is built once per call and dropped with it
+    d_blocks: dict[Bidegree, np.ndarray] = {}
+
+    def diff_block(bd: Bidegree) -> np.ndarray:
+        if bd not in d_blocks:
+            d_blocks[bd] = dga.diff_block(bd)
+        return d_blocks[bd]
+
+    def certified_inverse(M: np.ndarray, what: str) -> np.ndarray:
+        try:
+            return invert(M, p)
+        except ValueError as exc:
+            raise CertificationError(f"{what}: {exc}") from exc
+
     splits: dict[Bidegree, _BlockSplit] = {}
     # pass 1: cycle/boundary/representative splittings
     for bd in sorted(space.blocks):
@@ -332,12 +436,12 @@ def contraction(dga: DGAlgebra, *,
             continue
         labels = space.labels(bd)
         n = len(labels)
-        d_out = dga.diff_block(bd)
+        d_out = diff_block(bd)
         _, z_rows, _ = rank_nullspace(d_out, p)
 
         above = Bidegree(bd.s + 1, bd.w)
         if bd.s <= hi and space.in_window(above.s) and space.dim(above):
-            d_in = dga.diff_block(above)
+            d_in = diff_block(above)
         else:
             d_in = np.zeros((n, 0), dtype=np.int64)
         pd_in = row_reduce(d_in.T, p)
@@ -369,7 +473,8 @@ def contraction(dga: DGAlgebra, *,
 
         stacked = np.vstack([b_rows, h_rows, c_rows]) if n else \
             np.zeros((0, 0), dtype=np.int64)
-        coords = invert(stacked, p).T if n else stacked
+        coords = certified_inverse(
+            stacked, f"splitting basis at {bd}").T if n else stacked
         splits[bd] = _BlockSplit(
             labels=labels,
             h_labels=[f"h{bd.s}_{bd.w}_{k}" for k in range(nh)],
@@ -388,7 +493,7 @@ def contraction(dga: DGAlgebra, *,
         if nb == 0 or sp_up is None:
             sp.g = np.zeros((n_up, n), dtype=np.int64)
             continue
-        d_in = dga.diff_block(above)
+        d_in = diff_block(above)
         dc = (d_in @ sp_up.c_rows.T) % p          # n x c, c = dim C above
         if dc.shape[1] != nb:
             raise CertificationError(
@@ -400,7 +505,8 @@ def contraction(dga: DGAlgebra, *,
             if col is None:
                 raise CertificationError(f"boundary at {bd} not in its basis")
             x[:, j] = col
-        sp.g = (sp_up.c_rows.T @ invert(x, p) @ sp.p_b) % p
+        x_inv = certified_inverse(x, f"boundary coordinates at {bd}")
+        sp.g = (sp_up.c_rows.T @ x_inv @ sp.p_b) % p
 
     # homology space over the usable range
     hom_blocks = {bd: sp.h_labels for bd, sp in splits.items()
@@ -430,9 +536,9 @@ def contraction(dga: DGAlgebra, *,
         sp_dn = splits.get(below)
         if bd.s - 1 < lo or (space.dim(below) and sp_dn is None):
             continue
-        d_out = dga.diff_block(bd)
+        d_out = diff_block(bd)
         gd = (sp_dn.g @ d_out) % p if sp_dn is not None else 0
-        d_up = dga.diff_block(Bidegree(bd.s + 1, bd.w)) if sp.g is not None \
+        d_up = diff_block(Bidegree(bd.s + 1, bd.w)) if sp.g is not None \
             and sp.g.shape[0] else np.zeros((n, sp.g.shape[0]), dtype=np.int64)
         dg = (d_up @ sp.g) % p
         ident = (dg + gd + sp.f1 @ sp.pi) % p

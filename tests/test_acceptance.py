@@ -486,7 +486,9 @@ def test_criterion_5_property_suites(cochain_runs, loop_runs):
     # (exhaustive for the smallest, sampled for the larger ones) and on
     # the loop-side cobar algebra.
     report = validate_dga(cochain_runs[(3, 1, 2)][0].con.dga)
-    assert report.d_squared_checked > 0 and report.leibniz_checked > 0
+    assert (report.d_squared_checked, report.leibniz_checked,
+            report.assoc_checked, report.unit_checked) == (
+                491, 252112, 137610247, 517)
     report = validate_dga(cochain_runs[(5, 1, 2)][0].con.dga,
                           pair_sample=3000, triple_sample=1500)
     assert report.d_squared_checked > 0 and report.leibniz_checked > 0

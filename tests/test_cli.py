@@ -119,6 +119,22 @@ def test_certification_failure_exit_code(capsys, monkeypatch):
     assert "verification failure" in err
 
 
+def test_singular_block_in_contraction_is_a_certification_failure(
+        capsys, monkeypatch):
+    """`invert` raises ValueError on a singular matrix; inside contraction
+    that is a failed certification (exit 1), not a parameter error."""
+    from ainfbg import dga
+
+    def singular(M, p):
+        raise ValueError("matrix of rank 0 < 1 is not invertible")
+
+    monkeypatch.setattr(dga, "invert", singular)
+    code, _, err = run_cli(capsys, "transfer", 3, 1, 2, "--no-cache")
+    assert code == 1
+    assert "verification failure" in err
+    assert "not invertible" in err
+
+
 # ---------------------------------------------------------------------------
 # document serialization
 # ---------------------------------------------------------------------------

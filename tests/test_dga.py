@@ -3,9 +3,13 @@
 Oracles: the Euler characteristic (independent of any splitting) for the
 contraction of random complexes; the classical p-fold Massey power of the
 degree-one exterior class for cyclic groups (equals minus the polynomial
-class); exhaustive d^2 = 0 for the cobar differential's sign rule.
+class); exhaustive d^2 = 0 for the cobar differential's sign rule; the
+one-triple-at-a-time loop for exhaustive associativity.
 """
 
+import ast
+import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -14,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 import ainfbg
 from ainfbg.dga import (
+    CertificationError,
     DGAlgebra,
     cobar,
     contraction,
@@ -304,3 +310,142 @@ def test_cobar_rejects_degree_zero_letters():
     model = expected_minimal_model(gp)
     with pytest.raises(ValueError):
         cobar(model, 8)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive associativity: the product table against the triple loop
+# ---------------------------------------------------------------------------
+
+def _labels(dga):
+    space = dga.space
+    return [lab for bd in space.bidegrees() for lab in space.labels(bd)]
+
+
+def reference_triple_check(dga, triples=None):
+    """Associativity tried one triple at a time, over every (a, b, c) or
+    over `triples`: the reference for the product-table engine behind
+    exhaustive `validate_dga`.  Returns the number of triples checked; a
+    triple is skipped when a product it needs leaves the window."""
+    if triples is None:
+        triples = itertools.product(_labels(dga), repeat=3)
+    checked = 0
+    for a, b, c in triples:
+        try:
+            left = dga.mult(dga.products(a, b), {c: 1})
+            right = dga.mult({a: 1}, dga.products(b, c))
+        except TruncationExceeded:
+            continue
+        if left != right:
+            raise CertificationError(
+                f"associativity fails on ({a!r},{b!r},{c!r})")
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("window, counts", [
+    ((-3, 1), (23, 935, 70392, 42)),
+    ((-8, 1), (113, 15373, 2630926, 139)),
+])
+def test_exhaustive_validation_counts_are_pinned(window, counts):
+    dga = build_end_dga(GroupParams(3, 1, 2), window=window)
+    rep = validate_dga(dga)
+    assert (rep.d_squared_checked, rep.leibniz_checked, rep.assoc_checked,
+            rep.unit_checked) == counts
+
+
+SMALL_ALGEBRAS = [("end", -2), ("end", -3), ("end", -4),
+                  ("toy cobar", 8), ("toy cobar", 10), ("(3,1,2) cobar", 8)]
+
+
+@functools.cache
+def small_algebra(kind, bound):
+    """A (3,1,2) end-DGA on the window (bound, 1), or a cobar algebra up to
+    word degree bound; with its non-unit labels and the pairs of them whose
+    product is nonzero."""
+    if kind == "end":
+        dga = build_end_dga(GroupParams(3, 1, 2), window=(bound, 1))
+    else:
+        model = build_toy_model() if kind == "toy cobar" else \
+            expected_minimal_model(GroupParams(3, 1, 2))
+        dga = cobar(model, bound)
+    free = [lab for lab in _labels(dga) if lab not in dga.unit]
+    nonzero = []
+    for a, b in itertools.product(free, repeat=2):
+        try:
+            if dga.products(a, b):
+                nonzero.append((a, b))
+        except TruncationExceeded:
+            pass
+    return dga, free, nonzero
+
+
+def with_product(dga, pair, product):
+    """The same algebra with products(*pair) replaced by product(*pair)."""
+    def products(a, b):
+        return product(a, b) if (a, b) == pair else dga.products(a, b)
+    return DGAlgebra(space=dga.space, unit=dga.unit, products=products,
+                     diff=dga.diff, name=dga.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_engine_matches_the_triple_loop(data):
+    """Exhaustive associativity gives the reference's count, or both
+    reject the algebra and the triple the table engine names fails under
+    the reference.  Mutations touch no unit label, so the unit check (and,
+    with no Leibniz pairs drawn, every other check) passes either way."""
+    algebra = data.draw(st.sampled_from(SMALL_ALGEBRAS))
+    dga, free, nonzero = small_algebra(*algebra)
+    p = dga.prime
+    kind = data.draw(st.sampled_from(["none", "scale", "redirect", "inner"]))
+    if kind != "none":
+        a, b = data.draw(st.sampled_from(nonzero))
+        ab = dga.products(a, b)
+    if kind == "scale":
+        dga = with_product(dga, (a, b), lambda *_: {
+            lab: 2 * c % p for lab, c in ab.items()})
+    elif kind == "redirect":
+        target = data.draw(st.sampled_from(
+            [lab for lab in _labels(dga) if lab not in ab]))
+        dga = with_product(dga, (a, b), lambda *_: {target: 1})
+    elif kind == "inner":
+        # (ab)c leaves the window while ab and bc stay in it
+        x = data.draw(st.sampled_from(sorted(ab)))
+        in_window = []
+        for c in free:
+            try:
+                dga.products(b, c)
+            except TruncationExceeded:
+                continue
+            in_window.append(c)
+        assume(x in free and in_window)
+        c = data.draw(st.sampled_from(in_window))
+
+        def leaves(*_):
+            raise TruncationExceeded("made to leave the window")
+
+        dga = with_product(dga, (x, c), leaves)
+        assert reference_triple_check(dga, [(a, b, c)]) == 0
+
+    try:
+        want = reference_triple_check(dga)
+    except CertificationError:
+        want = None
+    event(f"{kind} mutation, {'rejected' if want is None else 'accepted'}")
+    try:
+        got = validate_dga(dga, pair_sample=0).assoc_checked
+    except CertificationError as exc:
+        assert want is None, exc
+        named = ast.literal_eval(
+            str(exc).removeprefix("associativity fails on "))
+        with pytest.raises(CertificationError):
+            reference_triple_check(dga, [named])
+    else:
+        assert got == want
+
+
+def test_product_outside_the_basis_fails_certification():
+    dga, _, nonzero = small_algebra("end", -2)
+    dga = with_product(dga, nonzero[0], lambda *_: {"nowhere": 1})
+    with pytest.raises(CertificationError, match="outside the basis"):
+        validate_dga(dga, pair_sample=0)

@@ -32,9 +32,9 @@ from .glin import (
     greedy_extend,
     invert,
     rank_nullspace,
-    row_reduce,
-    solve,
 )
+# unused here, but the benchmark's tracer rebinds these names in this module
+from .glin import row_reduce, solve  # noqa: F401
 
 __all__ = [
     "CertificationError",
@@ -314,9 +314,6 @@ class _BlockSplit:
     h_labels: list[str]
     f1: np.ndarray            # dim A x dim H, columns are representatives
     pi: np.ndarray            # dim H x dim A
-    p_b: np.ndarray           # dim B x dim A, boundary coordinates
-    b_rows: np.ndarray        # dim B x dim A, basis of the boundary space
-    c_rows: np.ndarray        # dim C x dim A, complement of the cycles
     g: np.ndarray | None = None   # dim A_{s+1} x dim A
 
 
@@ -404,6 +401,18 @@ def contraction(dga: DGAlgebra, *,
     boundaries are unknown).  Every structure identity that is checkable in
     range is verified exactly before returning; a failure raises
     CertificationError.
+
+    Each block A_s takes three eliminations.  `rank_nullspace` of
+    d: A_s -> A_{s-1} gives the cycles Z and the pivot columns P_s of its
+    echelon form.  Every nullspace row ends at its free column, so the
+    unit vectors e_j, j in P_s, span the complement C of Z that a greedy
+    scan of the unit vectors would pick.  The columns d(e_j), j in
+    P_{s+1}, are a basis B of the boundaries; `greedy_extend(B, Z)` picks
+    the homology representatives H, and `invert([B; H; C])` gives the
+    coordinates that pi reads.  The homotopy is G(d e_j) = e_j for j in
+    P_{s+1} and zero on H + C, so G scatters the B coordinates onto the
+    rows P_{s+1}.  Every block product assumes n (p-1)^2 + 2p < 2^63 for
+    the largest block n; a DGA past that bound is a ValueError.
     """
     space = dga.space
     p = dga.prime
@@ -414,6 +423,11 @@ def contraction(dga: DGAlgebra, *,
     if lo <= lo_w or hi >= hi_w:
         raise ValueError(f"usable range {s_range} must sit strictly inside "
                          f"the window {space.window}")
+    largest = max(map(len, space.blocks.values()), default=0)
+    if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
+        raise ValueError(
+            f"p = {p} with a block of dimension {largest} leaves int64: "
+            f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
 
     # each differential block is built once per call and dropped with it
     d_blocks: dict[Bidegree, np.ndarray] = {}
@@ -423,90 +437,52 @@ def contraction(dga: DGAlgebra, *,
             d_blocks[bd] = dga.diff_block(bd)
         return d_blocks[bd]
 
-    def certified_inverse(M: np.ndarray, what: str) -> np.ndarray:
-        try:
-            return invert(M, p)
-        except ValueError as exc:
-            raise CertificationError(f"{what}: {exc}") from exc
+    # pass 0: one elimination of d per block gives cycles and pivot columns
+    blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi + 1]
+    cycles: dict[Bidegree, np.ndarray] = {}
+    pivots: dict[Bidegree, tuple[int, ...]] = {}
+    for bd in blocks:
+        _, cycles[bd], pivots[bd] = rank_nullspace(diff_block(bd), p)
 
+    # pass 1: splittings A = B + H + C and the homotopies
     splits: dict[Bidegree, _BlockSplit] = {}
-    # pass 1: cycle/boundary/representative splittings
-    for bd in sorted(space.blocks):
-        if not lo <= bd.s <= hi + 1:
-            continue
+    for bd in blocks:
         labels = space.labels(bd)
         n = len(labels)
-        d_out = diff_block(bd)
-        _, z_rows, _ = rank_nullspace(d_out, p)
-
-        above = Bidegree(bd.s + 1, bd.w)
-        if bd.s <= hi and space.in_window(above.s) and space.dim(above):
-            d_in = diff_block(above)
-        else:
-            d_in = np.zeros((n, 0), dtype=np.int64)
-        pd_in = row_reduce(d_in.T, p)
-        b_rows = pd_in.rref[:pd_in.rank].reshape(pd_in.rank, n)
-        if np.any((d_out @ b_rows.T) % p):
-            raise CertificationError(
-                f"boundaries at {bd} are not cycles (d^2 != 0?)")
-
+        z_rows = cycles.pop(bd)
         if bd.s > hi:
-            # ceiling + 1: only the cycle complement is trustworthy here,
-            # and it is all the degree below needs to build its homotopy.
-            c_idx = greedy_extend(z_rows, np.eye(n, dtype=np.int64), p)
-            c_rows = np.eye(n, dtype=np.int64)[c_idx]
+            # ceiling + 1: only the pivot columns are trustworthy here, and
+            # they are all the degree below needs to build its homotopy.
             splits[bd] = _BlockSplit(
                 labels=labels, h_labels=[],
                 f1=np.zeros((n, 0), dtype=np.int64),
-                pi=np.zeros((0, n), dtype=np.int64),
-                p_b=np.zeros((0, n), dtype=np.int64),
-                b_rows=np.zeros((0, n), dtype=np.int64), c_rows=c_rows)
+                pi=np.zeros((0, n), dtype=np.int64))
             continue
 
-        h_idx = greedy_extend(b_rows, z_rows, p)
-        h_rows = z_rows[h_idx]
-        c_idx = greedy_extend(z_rows, np.eye(n, dtype=np.int64), p)
-        c_rows = np.eye(n, dtype=np.int64)[c_idx]
+        above = Bidegree(bd.s + 1, bd.w)
+        up = list(pivots.get(above, ()))
+        b_rows = diff_block(above)[:, up].T if up else \
+            np.zeros((0, n), dtype=np.int64)
+        if np.any((diff_block(bd) @ b_rows.T) % p):
+            raise CertificationError(
+                f"boundaries at {bd} are not cycles (d^2 != 0?)")
+        h_rows = z_rows[greedy_extend(b_rows, z_rows, p)]
+        c_rows = np.eye(n, dtype=np.int64)[list(pivots[bd])]
         nb, nh, nc = len(b_rows), len(h_rows), len(c_rows)
         if nb + nh != len(z_rows) or nb + nh + nc != n:
             raise CertificationError(f"splitting dimensions disagree at {bd}")
 
-        stacked = np.vstack([b_rows, h_rows, c_rows]) if n else \
-            np.zeros((0, 0), dtype=np.int64)
-        coords = certified_inverse(
-            stacked, f"splitting basis at {bd}").T if n else stacked
+        try:
+            coords = invert(np.vstack([b_rows, h_rows, c_rows]), p).T
+        except ValueError as exc:
+            raise CertificationError(
+                f"splitting basis at {bd}: {exc}") from exc
+        g = np.zeros((space.dim(above), n), dtype=np.int64)
+        g[up] = coords[:nb]
         splits[bd] = _BlockSplit(
             labels=labels,
             h_labels=[f"h{bd.s}_{bd.w}_{k}" for k in range(nh)],
-            f1=h_rows.T.copy(), pi=coords[nb:nb + nh].copy(),
-            p_b=coords[:nb].copy(), b_rows=b_rows, c_rows=c_rows)
-
-    # pass 2: homotopies G: A_s -> A_{s+1} sending boundaries back up
-    for bd, sp in splits.items():
-        if bd.s > hi:
-            continue
-        above = Bidegree(bd.s + 1, bd.w)
-        n = len(sp.labels)
-        nb = sp.b_rows.shape[0]
-        sp_up = splits.get(above)
-        n_up = len(sp_up.labels) if sp_up else 0
-        if nb == 0 or sp_up is None:
-            sp.g = np.zeros((n_up, n), dtype=np.int64)
-            continue
-        d_in = diff_block(above)
-        dc = (d_in @ sp_up.c_rows.T) % p          # n x c, c = dim C above
-        if dc.shape[1] != nb:
-            raise CertificationError(
-                f"complement above {bd} does not match its boundaries")
-        pd_b = row_reduce(sp.b_rows.T, p)
-        x = np.zeros((nb, nb), dtype=np.int64)
-        for j in range(nb):
-            col = solve(pd_b, dc[:, j])
-            if col is None:
-                raise CertificationError(f"boundary at {bd} not in its basis")
-            x[:, j] = col
-        x_inv = certified_inverse(x, f"boundary coordinates at {bd}")
-        sp.g = (sp_up.c_rows.T @ x_inv @ sp.p_b) % p
+            f1=h_rows.T.copy(), pi=coords[nb:nb + nh].copy(), g=g)
 
     # homology space over the usable range
     hom_blocks = {bd: sp.h_labels for bd, sp in splits.items()

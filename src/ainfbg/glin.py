@@ -11,6 +11,11 @@ Conventions:
   * a basis is a 2-D array whose *rows* are the basis vectors;
   * differentials lower homological degree s by one and preserve the
     internal degree w.
+
+All elimination runs through one kernel, `_eliminate`.  Only `row_reduce`
+builds a transform (it reduces [M | I]); `invert` and `solve` read that
+transform, while `rank_nullspace` and `greedy_extend` reduce M alone and
+need only its echelon form and pivot columns.
 """
 
 from __future__ import annotations
@@ -95,20 +100,20 @@ class PivotData:
         return len(self.pivot_cols)
 
 
-def row_reduce(M, p: int) -> PivotData:
-    """Reduced row echelon form with greedy left-to-right pivoting.
+def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
+    """Reduce A in place to reduced row echelon form on its first ncols
+    columns; returns the pivot columns.
 
-    Returns the rref R, an invertible transform T with T @ M == R mod p,
-    and the pivot columns.  The pivot rule (first nonzero entry in the
-    first unused column) is what keeps splittings deterministic.
+    A holds int64 entries in [0, p).  Row operations act on whole rows, so
+    columns past ncols are carried along without pivoting in them.  The
+    pivot rule (first nonzero entry in the first unused column) is what
+    keeps splittings deterministic.
     """
-    A = _as_matrix(M, p)
-    rows, cols = A.shape
-    T = np.eye(rows, dtype=np.int64)
+    rows = A.shape[0]
     inv = inverse_table(p)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
         if r == rows:
             break
         nz = np.nonzero(A[r:, c])[0]
@@ -117,37 +122,48 @@ def row_reduce(M, p: int) -> PivotData:
         pr = r + int(nz[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-            T[[r, pr]] = T[[pr, r]]
-        scale = inv[A[r, c]]
-        A[r] = (A[r] * scale) % p
-        T[r] = (T[r] * scale) % p
+        A[r] = (A[r] * inv[A[r, c]]) % p
         other = np.nonzero(A[:, c])[0]
         other = other[other != r]
         if other.size:
-            factors = A[other, c][:, None]
-            A[other] = (A[other] - factors * A[r]) % p
-            T[other] = (T[other] - factors * T[r]) % p
+            A[other] = (A[other] - A[other, c][:, None] * A[r]) % p
         pivots.append(c)
         r += 1
-    return PivotData(rref=A, transform=T, pivot_cols=tuple(pivots), prime=p)
+    return tuple(pivots)
 
 
-def rank_nullspace(M, p: int) -> tuple[int, np.ndarray, PivotData]:
-    """Rank and nullspace basis of M over F_p, plus solve data.
+def row_reduce(M, p: int) -> PivotData:
+    """Reduced row echelon form with greedy left-to-right pivoting.
+
+    Returns the rref R, an invertible transform T with T @ M == R mod p,
+    and the pivot columns; T is read off the right half of [M | I].
+    """
+    A = _as_matrix(M, p)
+    rows, cols = A.shape
+    A = np.hstack([A, np.eye(rows, dtype=np.int64)])
+    pivots = _eliminate(A, p, cols)
+    return PivotData(rref=A[:, :cols], transform=A[:, cols:],
+                     pivot_cols=pivots, prime=p)
+
+
+def rank_nullspace(M, p: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """Rank, nullspace basis and pivot columns of M over F_p.
 
     The nullspace basis rows are in the standard echelon form: one row per
     free column, with a 1 in that column and pivot-column entries filled in
-    by back substitution.  Deterministic for a fixed input.
+    by back substitution, so each row ends at its free column.  The pivot
+    columns are those of the echelon form of M.  Deterministic for a fixed
+    input.
     """
-    pd = row_reduce(M, p)
-    cols = pd.rref.shape[1]
-    free = [c for c in range(cols) if c not in pd.pivot_cols]
+    A = _as_matrix(M, p)
+    cols = A.shape[1]
+    pivots = _eliminate(A, p, cols)
+    free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pd.pivot_cols):
-            basis[k, pc] = (-pd.rref[r, fc]) % p
-    return pd.rank, basis, pd
+    basis[np.arange(len(free)), free] = 1
+    if pivots:
+        basis[:, pivots] = (-A[:len(pivots), free].T) % p
+    return len(pivots), basis, pivots
 
 
 def solve(pd: PivotData, b) -> np.ndarray | None:
@@ -186,7 +202,8 @@ def greedy_extend(basis: np.ndarray, candidates: np.ndarray, p: int) -> list[int
     """
     candidates = _as_matrix(candidates, p)
     basis = np.array(basis, dtype=np.int64).reshape(-1, candidates.shape[1])
-    pivots = row_reduce(np.vstack([basis, candidates]).T, p).pivot_cols
+    A = _as_matrix(np.vstack([basis, candidates]).T, p)
+    pivots = _eliminate(A, p, A.shape[1])
     return [c - len(basis) for c in pivots if c >= len(basis)]
 
 

@@ -150,6 +150,34 @@ def test_json_output_is_byte_deterministic(capsys):
     assert document_hash_ok(doc)
 
 
+# The full content hashes of the acceptance documents on the two smallest
+# tuples.  Any change to a split, a table, a sweep count or the document
+# format moves them; a change that must move them says so and updates this.
+ACCEPTANCE_HASHES = {
+    ("verify", (3, 1, 2)):
+        "18d461a57c4198cf730796bcd3d5d3212c020fc31128625301110c91eef23473",
+    ("transfer", (3, 1, 2)):
+        "7a468841ca224bf1e7b964da737d35b609b3ccbca3de3a27b99039d5edefcfb8",
+    ("loops", (3, 1, 2)):
+        "d61b9eb6a4375d5d2ed72401cdf21bf902ee69cabd883d6c62911729badb59b6",
+    ("verify", (5, 1, 2)):
+        "380f59f4ecc4a36fb4087ebb4cfbe9cb6efc4563ed97ba26f0b9508d74dcd577",
+    ("transfer", (5, 1, 2)):
+        "c7a6d5e6c553a01cd102d29a80be1f97df63c163fc1a0b6120defc4fbc32c260",
+    ("loops", (5, 1, 2)):
+        "293e3c7985cb82318a88cf339fe960e982f1416a66e03c24058db39cfa1d66eb",
+}
+
+
+def test_acceptance_content_hashes_are_pinned(capsys):
+    got = {}
+    for command, pnq in ACCEPTANCE_HASHES:
+        code, out, _ = run_cli(capsys, command, *pnq, "--json", "--no-cache")
+        assert code == 0, (command, pnq)
+        got[command, pnq] = json.loads(out)["provenance"]["content_hash"]
+    assert got == ACCEPTANCE_HASHES
+
+
 def test_model_document_round_trips(capsys):
     _, out, _ = run_cli(capsys, "transfer", 3, 1, 2, "--json", "--no-cache")
     doc = json.loads(out)

@@ -11,9 +11,11 @@ import ast
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,18 @@ from ainfbg.dga import (
     reorder_blocks,
     validate_dga,
 )
-from ainfbg.glin import Bidegree, GradedVectorSpace, TruncationExceeded
+from ainfbg.glin import (
+    Bidegree,
+    GradedVectorSpace,
+    TruncationExceeded,
+    greedy_extend,
+    invert,
+    rank_nullspace,
+    row_reduce,
+    solve,
+)
 from ainfbg.grp import GroupParams, build_end_dga, expected_minimal_model
+from ainfbg.koszul import cochain_window_for_loops
 
 from toymodels import build_toy_model
 
@@ -54,7 +66,6 @@ def random_complex(seed, p, dims):
             M = rng.integers(0, p, size=(dims[s - 1], dims[s]))
         else:
             # columns must be cycles of the previous differential
-            from ainfbg.glin import rank_nullspace
             _, null, _ = rank_nullspace(prev, p)
             coeff = rng.integers(0, p, size=(null.shape[0], dims[s]))
             M = (null.T @ coeff) % p
@@ -170,6 +181,191 @@ def test_contraction_reordered_same_dims():
     dims = {bd: len(v) for bd, v in con.homology.blocks.items()}
     dims_r = {bd: len(v) for bd, v in con_r.homology.blocks.items()}
     assert dims == dims_r
+
+
+# ---------------------------------------------------------------------------
+# the three-elimination splitting against the seven-elimination one
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _RefSplit:
+    labels: list
+    h_labels: list
+    f1: np.ndarray
+    pi: np.ndarray
+    p_b: np.ndarray
+    b_rows: np.ndarray
+    c_rows: np.ndarray
+    g: np.ndarray | None = None
+
+
+def reference_contraction(dga, s_range=None):
+    """Splittings and homotopies the long way, per block: the rref of the
+    incoming d for B, greedy complements of B in Z and of Z in the unit
+    vectors, and G from solving for boundary coordinates.  The reference
+    for `contraction`; returns (splits, trusted)."""
+    space = dga.space
+    p = dga.prime
+    lo_w, hi_w = space.window
+    lo, hi = s_range or (lo_w + 1, hi_w - 1)
+    splits = {}
+    for bd in sorted(space.blocks):
+        if not lo <= bd.s <= hi + 1:
+            continue
+        labels = space.labels(bd)
+        n = len(labels)
+        d_out = dga.diff_block(bd)
+        _, z_rows, _ = rank_nullspace(d_out, p)
+        above = Bidegree(bd.s + 1, bd.w)
+        if bd.s <= hi and space.in_window(above.s) and space.dim(above):
+            d_in = dga.diff_block(above)
+        else:
+            d_in = np.zeros((n, 0), dtype=np.int64)
+        pd_in = row_reduce(d_in.T, p)
+        b_rows = pd_in.rref[:pd_in.rank].reshape(pd_in.rank, n)
+        if np.any((d_out @ b_rows.T) % p):
+            raise CertificationError(f"boundaries at {bd} are not cycles")
+        c_idx = greedy_extend(z_rows, np.eye(n, dtype=np.int64), p)
+        c_rows = np.eye(n, dtype=np.int64)[c_idx]
+        if bd.s > hi:
+            splits[bd] = _RefSplit(
+                labels=labels, h_labels=[],
+                f1=np.zeros((n, 0), dtype=np.int64),
+                pi=np.zeros((0, n), dtype=np.int64),
+                p_b=np.zeros((0, n), dtype=np.int64),
+                b_rows=np.zeros((0, n), dtype=np.int64), c_rows=c_rows)
+            continue
+        h_rows = z_rows[greedy_extend(b_rows, z_rows, p)]
+        nb, nh = len(b_rows), len(h_rows)
+        assert nb + nh == len(z_rows) and nb + nh + len(c_rows) == n
+        coords = invert(np.vstack([b_rows, h_rows, c_rows]), p).T
+        splits[bd] = _RefSplit(
+            labels=labels,
+            h_labels=[f"h{bd.s}_{bd.w}_{k}" for k in range(nh)],
+            f1=h_rows.T.copy(), pi=coords[nb:nb + nh].copy(),
+            p_b=coords[:nb].copy(), b_rows=b_rows, c_rows=c_rows)
+
+    for bd, sp in splits.items():
+        if bd.s > hi:
+            continue
+        above = Bidegree(bd.s + 1, bd.w)
+        n = len(sp.labels)
+        nb = sp.b_rows.shape[0]
+        sp_up = splits.get(above)
+        n_up = len(sp_up.labels) if sp_up else 0
+        if nb == 0 or sp_up is None:
+            sp.g = np.zeros((n_up, n), dtype=np.int64)
+            continue
+        dc = (dga.diff_block(above) @ sp_up.c_rows.T) % p
+        assert dc.shape[1] == nb
+        pd_b = row_reduce(sp.b_rows.T, p)
+        x = np.zeros((nb, nb), dtype=np.int64)
+        for j in range(nb):
+            col = solve(pd_b, dc[:, j])
+            assert col is not None
+            x[:, j] = col
+        sp.g = (sp_up.c_rows.T @ invert(x, p) @ sp.p_b) % p
+
+    trusted = set()
+    for bd, sp in splits.items():
+        if bd.s > hi:
+            continue
+        n = len(sp.labels)
+        nh = len(sp.h_labels)
+        assert np.all((sp.pi @ sp.f1) % p == np.eye(nh, dtype=np.int64))
+        assert not np.any((sp.g @ sp.f1) % p)
+        sp_up = splits.get(Bidegree(bd.s + 1, bd.w))
+        if sp_up is not None:
+            assert not np.any((sp_up.pi @ sp.g) % p)
+            if sp_up.g is not None:
+                assert not np.any((sp_up.g @ sp.g) % p)
+        below = Bidegree(bd.s - 1, bd.w)
+        sp_dn = splits.get(below)
+        if bd.s - 1 < lo or (space.dim(below) and sp_dn is None):
+            continue
+        gd = (sp_dn.g @ dga.diff_block(bd)) % p if sp_dn is not None else 0
+        d_up = dga.diff_block(Bidegree(bd.s + 1, bd.w)) if sp.g.shape[0] \
+            else np.zeros((n, 0), dtype=np.int64)
+        ident = (((d_up @ sp.g) % p) + gd + sp.f1 @ sp.pi) % p
+        assert np.all(ident == np.eye(n, dtype=np.int64))
+        trusted.add(bd)
+    return splits, trusted
+
+
+def assert_matches_reference(dga):
+    con = contraction(dga)
+    splits, trusted = reference_contraction(dga)
+    assert list(con.splits) == list(splits)
+    for bd, ref in splits.items():
+        sp = con.splits[bd]
+        assert sp.labels == ref.labels and sp.h_labels == ref.h_labels, bd
+        for name in ("f1", "pi", "g"):
+            got, want = getattr(sp, name), getattr(ref, name)
+            if want is None:
+                assert got is None, (bd, name)
+            else:
+                assert got.shape == want.shape, (bd, name)
+                assert np.array_equal(got, want), (bd, name)
+    assert con.trusted == trusted
+
+
+def shuffled_blocks(dga, seed):
+    """A seeded shuffle inside each bidegree block."""
+    def key(bd, labels):
+        out = list(labels)
+        random.Random(f"{seed}/{bd.s}/{bd.w}").shuffle(out)
+        return out
+    return reorder_blocks(dga, key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 11]),
+       st.lists(st.integers(0, 7), min_size=4, max_size=7),
+       st.integers(1, 2**16))
+def test_contraction_matches_the_reference_on_random_complexes(seed, p, dims,
+                                                               order_seed):
+    dga, _ = random_complex(seed, p, dims)
+    assert_matches_reference(dga)
+    assert_matches_reference(shuffled_blocks(dga, order_seed))
+
+
+def _loop_cobar(pnq):
+    gp = GroupParams(*pnq)
+    _, s_hi = gp.loop_window()
+    cochain = expected_minimal_model(
+        gp, window=cochain_window_for_loops(gp, s_hi))
+    return cobar(cochain, s_hi)
+
+
+@pytest.mark.parametrize("order_seed", [0, 1])
+@pytest.mark.parametrize("build", [lambda: build_end_dga(GroupParams(3, 1, 2)),
+                                   lambda: _loop_cobar((3, 1, 2))],
+                         ids=["end(3,1,2)", "cobar(3,1,2)"])
+def test_contraction_matches_the_reference_on_the_pipeline_algebras(
+        build, order_seed):
+    dga = build()
+    if order_seed:
+        dga = shuffled_blocks(dga, order_seed)
+    assert_matches_reference(dga)
+
+
+def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
+    """At p = 2^31 - 1 a block of three already overflows int64 products;
+    the guard must fire before glin builds its O(p) table of inverses."""
+    import ainfbg.glin
+
+    def no_table(p):
+        raise AssertionError(f"inverse_table({p}) reached")
+
+    monkeypatch.setattr(ainfbg.glin, "inverse_table", no_table)
+    p = 2**31 - 1
+    space = GradedVectorSpace(prime=p, window=(-1, 1), blocks={
+        Bidegree(0, 0): ["a", "b", "c"]})
+    dga = DGAlgebra(space=space, unit={}, products=lambda a, b: {},
+                    diff=lambda lab: {}, name="wide prime")
+    with pytest.raises(ValueError, match=r"p = 2147483647 with a block of "
+                       r"dimension 3 .* < 2\^63 = 9223372036854775808"):
+        contraction(dga)
 
 
 # ---------------------------------------------------------------------------

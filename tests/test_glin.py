@@ -130,14 +130,44 @@ def test_rank_small_known_cases():
 def test_rank_nullspace_properties(seed, p, rows, cols):
     rng = np.random.default_rng(seed)
     M = rng.integers(0, p, size=(rows, cols))
-    rank, null, pd = rank_nullspace(M, p)
+    rank, null, _ = rank_nullspace(M, p)
     assert rank + len(null) == cols
     assert rank == rank_nullspace(M.T, p)[0]
     if len(null):
         assert np.all((M @ null.T) % p == 0)
         assert rank_nullspace(null, p)[0] == len(null)
     # transform certificate
+    pd = row_reduce(M, p)
     assert np.all((pd.transform @ (M % p)) % p == pd.rref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 11]),
+       st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from(["zero", "rank1", "full", "random"]))
+def test_pivot_columns_agree_with_the_cycle_complement(seed, p, rows, cols,
+                                                       kind):
+    """The pivot columns of M, read three ways, are one set: the third value
+    of rank_nullspace, the pivots of row_reduce, and the unit vectors that
+    greedily complete the nullspace (each nullspace row ends at its free
+    column).  `contraction` takes its cycle complement from this."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        M = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "rank1":
+        M = np.outer(rng.integers(1, p, size=rows), rng.integers(0, p, size=cols))
+    elif kind == "full":
+        k = min(rows, cols)
+        M = rng.integers(0, p, size=(rows, cols))
+        M[:k, :k] = np.triu(M[:k, :k], 1) + np.diag(rng.integers(1, p, size=k))
+        M = M[rng.permutation(rows)]
+    else:
+        M = rng.integers(0, p, size=(rows, cols))
+    rank, null, pivots = rank_nullspace(M, p)
+    if kind == "full":
+        assert rank == min(rows, cols)
+    assert pivots == row_reduce(M, p).pivot_cols
+    assert greedy_extend(null, np.eye(cols, dtype=np.int64), p) == list(pivots)
 
 
 @settings(max_examples=40, deadline=None)

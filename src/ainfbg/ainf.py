@@ -19,6 +19,7 @@ of rescaling two generators.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -34,6 +35,8 @@ __all__ = [
     "DefectReport",
     "HypothesisParams",
     "AdmissibleOp",
+    "AdmissibleShape",
+    "admissible_shapes",
     "classify_admissible",
     "normalize_generators",
     "monomial_label",
@@ -177,13 +180,56 @@ class DefectReport:
         return not self.nonzero
 
 
+def _q_leaves_window(window: tuple[int, int], q: int, qmin: int,
+                     qmax: int) -> bool:
+    """Whether a word's last letter closes a subword whose operation
+    output leaves the window.
+
+    With Q_k = (degree sum of the first k letters) + k, m on letters
+    i+1..j lands at Q_j - Q_i - 2, which is in the window exactly when
+    Q_j - Q_i lies in [lo + 2, hi + 2]; q is Q_j and qmin, qmax are the
+    extremes of the Q_i with i < j.
+    """
+    lo, hi = window
+    return q - qmax < lo + 2 or q - qmin > hi + 2
+
+
+def _subword_leaves_window(window: tuple[int, int], degrees: list[int]) -> bool:
+    """Whether m on some contiguous subword of a word with these letter
+    degrees lands outside the window."""
+    q = qmin = qmax = 0
+    for s in degrees:
+        q += s + 1
+        if _q_leaves_window(window, q, qmin, qmax):
+            return True
+        qmin, qmax = min(qmin, q), max(qmax, q)
+    return False
+
+
 def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict[str, int]:
-    """Left-hand side of the arity-n identity on one word."""
+    """Left-hand side of the arity-n identity on one word.
+
+    Every term lands in the identity output bidegree (the input sum,
+    shifted by n - 3 in s), because a table entry lies in its word's
+    output bidegree.  When that bidegree is in the window but carries no
+    block, the defect is zero by grading; only the inner operations on
+    contiguous subwords can still leave the window, which raises
+    TruncationExceeded exactly as evaluating them would.
+    """
     n = len(word)
     if n > model.arity_bound:
         raise ValueError(
             f"identity at arity {n} needs operations beyond bound "
             f"{model.arity_bound}")
+    degrees = [model.space.bidegree_of(lab) for lab in word]
+    out = Bidegree(sum(bd.s for bd in degrees) + n - 3,
+                   sum(bd.w for bd in degrees))
+    if model.space.in_window(out.s) and out not in model.space.blocks:
+        if _subword_leaves_window(model.space.window, [bd.s for bd in degrees]):
+            raise TruncationExceeded(
+                f"an operation on a subword of {word} leaves the window "
+                f"{model.space.window}")
+        return {}
     p = model.prime
     total: dict[str, int] = {}
     for s in range(1, n + 1):
@@ -260,18 +306,72 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
         yield from rec([], 0, 0)
 
 
+def _count_sweep(model: AInfinityAlgebra, n: int,
+                 exclude: Iterable[str]) -> tuple[int, int]:
+    """(checked, truncated) over the words of enumerate_words(model, n,
+    exclude), counted without listing them.
+
+    That word set and the truncation rule of _q_leaves_window both depend
+    on the letter degrees s alone, so a dynamic program over
+    (Q, min Q, max Q) of the prefixes that stay inside, plus Q of those
+    that already left, counts both; letters of one degree are one step
+    with a multiplicity.
+    """
+    window = model.space.window
+    lo, hi = window
+    steps = Counter(bd.s + 1 for bd in model.space.bidegrees()
+                    for lab in model.space.labels(bd) if lab not in exclude)
+    inside: Counter = Counter({(0, 0, 0): 1})
+    left: Counter = Counter()
+    for _ in range(n):
+        nxt_inside: Counter = Counter()
+        nxt_left: Counter = Counter()
+        for q, c in left.items():
+            for step, k in steps.items():
+                nxt_left[q + step] += c * k
+        for (q, qmin, qmax), c in inside.items():
+            for step, k in steps.items():
+                q2 = q + step
+                if _q_leaves_window(window, q2, qmin, qmax):
+                    nxt_left[q2] += c * k
+                else:
+                    nxt_inside[q2, min(qmin, q2), max(qmax, q2)] += c * k
+        inside, left = nxt_inside, nxt_left
+    # Q_n = (input degree sum) + n; the identity output sits at Q_n - 3
+    checked = sum(c for (q, _, _), c in inside.items() if lo <= q - 3 <= hi)
+    truncated = sum(c for q, c in left.items() if lo <= q - 3 <= hi)
+    return checked, truncated
+
+
 def stasheff_defect(model: AInfinityAlgebra, n: int,
-                    words: Iterable[tuple[str, ...]] | None = None) -> DefectReport:
+                    words: Iterable[tuple[str, ...]] | None = None, *,
+                    exclude: Iterable[str] = ()) -> DefectReport:
     """Sweep the arity-n Stasheff identity over basis words.
 
-    Words whose evaluation leaves the window are counted, not silently
+    Given `words`, each one is evaluated.  Otherwise the sweep covers
+    enumerate_words(model, n, exclude): every word over the basis labels
+    not in `exclude` whose identity output lies in the window.  Its
+    `checked` and `truncated` counts come from _count_sweep without
+    listing those words, and only the words whose identity output
+    bidegree carries a block of the model are evaluated, because every
+    other word has zero defect by grading.  Either way a word whose
+    evaluation leaves the window is counted as truncated, not silently
     treated as zero.
     """
+    if n > model.arity_bound:
+        raise ValueError(
+            f"identity at arity {n} needs operations beyond bound "
+            f"{model.arity_bound}")
+    exclude = frozenset(exclude)
+    if words is not None and exclude:
+        raise ValueError("exclude applies only to the enumerated words")
+    visit = words
     if words is None:
-        words = enumerate_words(model, n)
+        visit = enumerate_words(model, n, exclude=exclude,
+                                targets=set(model.space.blocks))
     checked = truncated = 0
     bad: dict[tuple[str, ...], dict[str, int]] = {}
-    for word in words:
+    for word in visit:
         try:
             defect = stasheff_word_defect(model, word)
         except TruncationExceeded:
@@ -280,6 +380,9 @@ def stasheff_defect(model: AInfinityAlgebra, n: int,
         checked += 1
         if defect:
             bad[word] = defect
+    if words is None:
+        # the visited words are the targeted few; count the whole sweep
+        checked, truncated = _count_sweep(model, n, exclude)
     return DefectReport(arity=n, checked=checked, truncated=truncated,
                         nonzero=bad)
 
@@ -368,9 +471,22 @@ class AdmissibleOp:
     target_exponent: int
 
 
-def classify_admissible(hp: HypothesisParams, max_arity: int,
-                        max_power: int) -> list[AdmissibleOp]:
-    """All monomial tuples (arity > 2) that can support a nonzero operation.
+@dataclass(frozen=True)
+class AdmissibleShape:
+    """The bidegree equations of one arity and t-exponent pattern.
+
+    power_excess is alpha, the input x-exponent sum minus the target's.
+    """
+
+    arity: int
+    exponents: tuple[int, ...]
+    target_exponent: int
+    power_excess: int
+
+
+def admissible_shapes(hp: HypothesisParams, max_arity: int) -> list[AdmissibleShape]:
+    """The (arity > 2, t-exponent pattern, target t-exponent) shapes that
+    can support a nonzero operation, sorted by arity and pattern.
 
     For inputs x^{j_r} t^{e_r} and candidate target x^j t^e, write
     alpha = sum(j_r) - j and beta = sum(e_r) - e.  An operation of arity i
@@ -381,11 +497,14 @@ def classify_admissible(hp: HypothesisParams, max_arity: int,
         2*a*alpha + (2*b+1)*beta = i - 2   (homological).
 
     Since gcd(h, ell) = 1 (from h*a - ell*b = 1), the first equation pins
-    beta to a multiple of ell; everything else is bookkeeping.
+    beta to a multiple of ell.  With ell > 2, beta = -1 is no multiple, so
+    beta >= 0 and alpha <= 0: every power tuple of a shape has a target
+    x-exponent j >= 0.  A pattern fixes beta up to the one target
+    exponent, so it has at most one shape.
     """
     if hp.ell <= 2:
         raise ValueError("classification needs ell > 2")
-    out: list[AdmissibleOp] = []
+    out: list[AdmissibleShape] = []
     for i in range(3, max_arity + 1):
         for bsum in range(0, i + 1):
             for eps_t in (0, 1):
@@ -395,18 +514,30 @@ def classify_admissible(hp: HypothesisParams, max_arity: int,
                 alpha = -(beta // hp.ell) * hp.h
                 if 2 * hp.a * alpha + (2 * hp.b + 1) * beta != i - 2:
                     continue
-                # expand: all exponent patterns with sum bsum, all power
-                # tuples with j = sum - alpha >= 0
                 for positions in itertools.combinations(range(i), bsum):
                     eps = tuple(1 if k in positions else 0 for k in range(i))
-                    for powers in itertools.product(range(max_power + 1), repeat=i):
-                        j = sum(powers) - alpha
-                        if j < 0:
-                            continue
-                        out.append(AdmissibleOp(
-                            arity=i, powers=powers, exponents=eps,
-                            target_power=j, target_exponent=eps_t))
-    out.sort(key=lambda r: (r.arity, r.exponents, r.powers, r.target_exponent))
+                    out.append(AdmissibleShape(
+                        arity=i, exponents=eps, target_exponent=eps_t,
+                        power_excess=alpha))
+    out.sort(key=lambda sh: (sh.arity, sh.exponents))
+    return out
+
+
+def classify_admissible(hp: HypothesisParams, max_arity: int,
+                        max_power: int) -> list[AdmissibleOp]:
+    """All monomial tuples (arity > 2) that can support a nonzero operation:
+    each shape of admissible_shapes with every power tuple of exponents
+    up to max_power, sorted by (arity, exponents, powers,
+    target_exponent).  The shapes come sorted by (arity, exponents) and
+    one pattern has one shape, so expanding them in order keeps that
+    sort."""
+    out: list[AdmissibleOp] = []
+    for sh in admissible_shapes(hp, max_arity):
+        for powers in itertools.product(range(max_power + 1), repeat=sh.arity):
+            out.append(AdmissibleOp(
+                arity=sh.arity, powers=powers, exponents=sh.exponents,
+                target_power=sum(powers) - sh.power_excess,
+                target_exponent=sh.target_exponent))
     return out
 
 

@@ -41,8 +41,8 @@ from . import __version__
 from .ainf import (
     AInfinityAlgebra,
     ShapeMismatch,
+    admissible_shapes,
     classify_admissible,
-    enumerate_words,
     epsilon_sign,
     monomial_label,
     stasheff_defect,
@@ -461,8 +461,7 @@ def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
     # the sweep polynomial in the window depth
     exclude = (model.unit,) if not unital and model.unit else ()
     for n in range(3, model.arity_bound + 1):
-        words = enumerate_words(model, n, exclude=exclude)
-        rep = stasheff_defect(model, n, words=words)
+        rep = stasheff_defect(model, n, exclude=exclude)
         got = ("0" if rep.ok()
                else f"{len(rep.nonzero)} defective words")
         records.append(_record(f"{tag} identity defect, arity {n}",
@@ -524,19 +523,22 @@ def cmd_massey(args) -> tuple[dict, int]:
     return doc, 0 if doc["overall"] == "pass" else 1
 
 
-def _classification(params: GroupParams, max_arity: int, max_power: int):
-    rows = classify_admissible(params.hp, max_arity, max_power)
+def _classification(params: GroupParams, max_arity: int) -> list[dict]:
+    """The three classification records.  They read only the shapes: every
+    shape admits every power tuple (see `admissible_shapes`), so the
+    expanded rows have the same arities and exponents."""
+    shapes = admissible_shapes(params.hp, max_arity)
     records = []
-    arities = sorted({r.arity for r in rows})
+    arities = sorted({sh.arity for sh in shapes})
     records.append(_record("admissible arities", f"[{params.pn}]",
                            str(arities)))
-    all_t = all(all(e == 1 for e in r.exponents) for r in rows)
+    all_t = all(all(e == 1 for e in sh.exponents) for sh in shapes)
     records.append(_record("all admissible tuples are all-t inputs", "yes",
                            "yes" if all_t else "no"))
-    targets = sorted({r.target_exponent for r in rows})
+    targets = sorted({sh.target_exponent for sh in shapes})
     records.append(_record("admissible target t-exponent", "[0]",
                            str(targets)))
-    return rows, records
+    return records
 
 
 def cmd_classify(args) -> tuple[dict, int]:
@@ -546,7 +548,8 @@ def cmd_classify(args) -> tuple[dict, int]:
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "max_arity": max_arity,
                   "max_power": max_power}
-    rows, records = _classification(params, max_arity, max_power)
+    rows = classify_admissible(params.hp, max_arity, max_power)
+    records = _classification(params, max_arity)
     admissible = [{"arity": r.arity, "powers": list(r.powers),
                    "exponents": list(r.exponents),
                    "target_power": r.target_power,
@@ -618,8 +621,7 @@ def _verify_cochain(params: GroupParams, args) -> list[dict]:
                            expected_family, got_family))
     records.extend(_sweep_records(comp.model, "cochain"))
     records.extend(_massey_records(comp, "cochain"))
-    _, class_records = _classification(params, params.pn + 1, 2)
-    records.extend(class_records)
+    records.extend(_classification(params, params.pn + 1))
     return records
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "MasseyReport",
     "massey_power",
     "cobar",
+    "cobar_letters",
     "reorder_blocks",
 ]
 
@@ -617,30 +618,17 @@ def _letter_parity(model_space: GradedVectorSpace, lab: str) -> int:
     return (model_space.bidegree_of(lab).s + 1) % 2
 
 
-def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
-    """Cobar algebra of a minimal structure, up to word degree s_bound.
-
-    Letters are the non-unit basis labels of the model; the letter of a
-    basis element in bidegree (s, w) sits in (-s - 1, w).  A model
-    concentrated in degrees s <= -2 yields a connected algebra in
-    non-negative degrees, enumerated up to degree s_bound > 0; a model
-    concentrated in degrees s >= 2 yields one in non-positive degrees,
-    enumerated down to s_bound < 0.  A letter in degree 0 (from a model
-    class in degree -1) would allow arbitrarily long words of bounded
-    degree, which no finite window can hold, so mixed or degree-zero
-    letters are rejected.  Words multiply by concatenation; the
-    differential is the derivation extension of the operation tables,
-    with one summand per table entry.
-    """
+def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
+    """The letters of the cobar algebra of `model` with their bidegrees,
+    and the sign of their degrees; raises the ValueError of any input
+    that `cobar` rejects (see there)."""
     from .ainf import AInfinityAlgebra  # deferred: avoid import cycle
 
     if not isinstance(model, AInfinityAlgebra):
         raise TypeError(f"cobar needs an AInfinityAlgebra, got {type(model)}")
-    space = model.space
-    p = space.prime
     if model.unit is None:
         raise ValueError("cobar needs a unital model")
-
+    space = model.space
     letters: dict[str, Bidegree] = {}
     for bd in space.bidegrees():
         for lab in space.labels(bd):
@@ -662,6 +650,27 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     if direction * s_bound <= 0:
         raise ValueError(f"word bound {s_bound} on the wrong side for "
                          f"letters of sign {direction}")
+    return letters, direction
+
+
+def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
+    """Cobar algebra of a minimal structure, up to word degree s_bound.
+
+    Letters are the non-unit basis labels of the model; the letter of a
+    basis element in bidegree (s, w) sits in (-s - 1, w).  A model
+    concentrated in degrees s <= -2 yields a connected algebra in
+    non-negative degrees, enumerated up to degree s_bound > 0; a model
+    concentrated in degrees s >= 2 yields one in non-positive degrees,
+    enumerated down to s_bound < 0.  A letter in degree 0 (from a model
+    class in degree -1) would allow arbitrarily long words of bounded
+    degree, which no finite window can hold, so mixed or degree-zero
+    letters are rejected.  Words multiply by concatenation; the
+    differential is the derivation extension of the operation tables,
+    with one summand per table entry.
+    """
+    letters, direction = cobar_letters(model, s_bound)
+    space = model.space
+    p = space.prime
 
     # differential on letters: one term per operation-table entry
     parity = {lab: _letter_parity(space, lab) for lab in letters}

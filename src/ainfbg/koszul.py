@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ainf import AInfinityAlgebra
-from .dga import cobar, contraction
+from .dga import cobar, cobar_letters, contraction
 # unused here, but the benchmark's tracer rebinds these names in this module
 from .ainf import normalize_generators  # noqa: F401
 from .dga import massey_power  # noqa: F401
@@ -67,19 +67,27 @@ def cochain_window_for_loops(params: GroupParams, s_hi: int) -> tuple[int, int]:
 def loop_word_count(params: GroupParams, window: tuple[int, int] | None = None) -> int:
     """Size of the cobar word basis for the loop computation.
 
-    Cheap to enumerate (no differentials or retractions are built), so a
-    caller can budget the much more expensive contraction: the word count
-    is roughly exponential in the window ceiling divided by the smallest
-    letter degree, and the dense block elimination downstream is cubic in
-    the largest block.
+    Counted from the letter degrees alone, without building the cobar
+    algebra: with ways[0] = 1 for the empty word and ways[s] the sum of
+    ways[s - deg] over the letters, the count is the sum of ways[s] up to
+    the window ceiling.  So a caller can budget the much more expensive
+    contraction: the word count is roughly exponential in the window
+    ceiling divided by the smallest letter degree, and the dense block
+    elimination downstream is cubic in the largest block.  Raises the
+    ValueError that `cobar` would raise on the same input.
     """
     if params.q == 1:
         raise ValueError("the loop pipeline needs q >= 2")
     s_hi = (window or params.loop_window())[1]
     cochain = expected_minimal_model(
         params, window=cochain_window_for_loops(params, s_hi))
-    dga = cobar(cochain, s_hi)
-    return sum(len(dga.space.labels(bd)) for bd in dga.space.bidegrees())
+    letters, direction = cobar_letters(cochain, s_hi)
+    bound = direction * s_hi
+    degrees = [direction * bd.s for bd in letters.values()]
+    ways = [1] + [0] * bound
+    for s in range(1, bound + 1):
+        ways[s] = sum(ways[s - d] for d in degrees if d <= s)
+    return sum(ways)
 
 
 def loop_minimal_model(params: GroupParams, *,

@@ -19,6 +19,7 @@ from ainfbg.ainf import (
     AInfinityAlgebra,
     HypothesisParams,
     ShapeMismatch,
+    admissible_shapes,
     classify_admissible,
     enumerate_words,
     epsilon_sign,
@@ -29,8 +30,10 @@ from ainfbg.ainf import (
     stasheff_word_defect,
     strict_unitality_defects,
 )
-from ainfbg.glin import Bidegree, GradedVectorSpace
-from ainfbg.grp import GroupParams, expected_minimal_model
+from ainfbg.glin import Bidegree, GradedVectorSpace, TruncationExceeded
+from ainfbg.grp import GroupParams, expected_loop_model, expected_minimal_model
+from ainfbg.koszul import loop_minimal_model
+from ainfbg.transfer import group_minimal_model
 
 from toymodels import HP, SCALE, WINDOW, build_toy_model, toy_monomials
 
@@ -170,6 +173,20 @@ def test_classify_loop_dual_params():
     # ell = 2 on the dual side of the smallest case: classification refuses
     with pytest.raises(ValueError):
         classify_admissible(dual, 4, 1)
+
+
+@pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2), (5, 1, 4), (7, 1, 2),
+                                 (7, 1, 3), (7, 1, 6), (3, 2, 2), (11, 1, 2)])
+def test_shapes_are_the_shapes_of_the_expanded_rows(pnq):
+    params = GroupParams(*pnq)
+    for max_arity in (params.pn + 1, params.pn + 2):
+        shapes = admissible_shapes(params.hp, max_arity)
+        rows = classify_admissible(params.hp, max_arity, 1)
+        assert shapes
+        assert ({(sh.arity, sh.exponents, sh.target_exponent) for sh in shapes}
+                == {(r.arity, r.exponents, r.target_exponent) for r in rows})
+        # every shape admits every power tuple
+        assert len(rows) == sum(2 ** sh.arity for sh in shapes)
 
 
 def test_hypothesis_params_validation():
@@ -392,3 +409,143 @@ def test_targets_filter_the_default_enumeration(data):
     got = list(enumerate_words(model, n, level=level, targets=targets))
     assert got == [w for w in words
                    if output_bidegree(model, w, level) in targets]
+
+
+# ---------------------------------------------------------------------------
+# identity sweeps: the grading shortcut and the counted sweep
+# ---------------------------------------------------------------------------
+
+def reference_word_defect(model, word):
+    """Oracle: the arity-n identity on one word, every term evaluated
+    through koszul_apply, with no shortcut by grading."""
+    n = len(word)
+    if n > model.arity_bound:
+        raise ValueError(f"arity {n} beyond bound {model.arity_bound}")
+    p = model.prime
+    total = {}
+    for s in range(1, n + 1):
+        for r in range(0, n - s + 1):
+            t = n - s - r
+            term = koszul_apply(model, r, s, t, word)
+            if not term:
+                continue
+            sign = -1 if (r + s * t) % 2 else 1
+            for lab, c in term.items():
+                total[lab] = (total.get(lab, 0) + sign * c) % p
+    return {k: v for k, v in total.items() if v}
+
+
+def mutated(model):
+    """A copy of the model with one entry of its highest nonzero table
+    doubled, so that some identities fail."""
+    ops = {n: {w: dict(v) for w, v in table.items()}
+           for n, table in model.ops.items()}
+    top = max(n for n, table in ops.items() if table)
+    word = min(w for w in ops[top] if model.unit not in w)
+    ops[top][word] = {lab: 2 * c for lab, c in ops[top][word].items()}
+    return AInfinityAlgebra(space=model.space, ops=ops,
+                            arity_bound=model.arity_bound, unit=model.unit,
+                            internal_scale=model.internal_scale)
+
+
+def outcome(evaluate, model, word):
+    try:
+        return evaluate(model, word)
+    except TruncationExceeded:
+        return "truncated"
+
+
+@functools.cache
+def closed_form_models():
+    """Models whose words hit every case of the shortcut: outputs in and
+    out of the window, with and without a block, inner operations that
+    leave the window (the loop side), the unit, and nonzero defects."""
+    broken = build_toy_model()
+    broken.ops[2][("x", "x")] = {"x^2": 2}   # x^2 * t != x * (x * t)
+    models = [build_toy_model(), mutated(build_toy_model()), broken]
+    for pnq in PUBLISHED:
+        params = GroupParams(*pnq)
+        models += [published_model(pnq), expected_loop_model(params)]
+    models.append(mutated(expected_loop_model(GroupParams(5, 1, 2))))
+    return models
+
+
+@functools.cache
+def sample_words(i, kind):
+    """Words of model i whose identity output is in the window, those
+    whose output carries a block, or those the reference finds defective."""
+    model = closed_form_models()[i]
+    targets = None if kind == "in window" else set(model.space.blocks)
+    words = [w for n in range(1, model.arity_bound + 1)
+             for w in enumerate_words(model, n, targets=targets)]
+    if kind == "defective":
+        words = [w for w in words
+                 if outcome(reference_word_defect, model, w)
+                 not in ({}, "truncated")]
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_word_defect_matches_the_reference(data):
+    i = data.draw(st.integers(0, len(closed_form_models()) - 1))
+    model = closed_form_models()[i]
+    kind = data.draw(st.sampled_from(
+        ["any", "in window", "targeted", "defective"]))
+    if kind != "any" and sample_words(i, kind):
+        word = data.draw(st.sampled_from(sample_words(i, kind)))
+    else:
+        labels = sorted(lab for bd in model.space.bidegrees()
+                        for lab in model.space.labels(bd))
+        word = tuple(data.draw(st.lists(st.sampled_from(labels), min_size=1,
+                                        max_size=model.arity_bound)))
+    assert (outcome(stasheff_word_defect, model, word)
+            == outcome(reference_word_defect, model, word))
+
+
+def full_sweep(model, n, exclude):
+    """Oracle: every enumerated word evaluated term by term."""
+    checked = truncated = 0
+    bad = []
+    for word in enumerate_words(model, n, exclude=exclude):
+        value = outcome(reference_word_defect, model, word)
+        if value == "truncated":
+            truncated += 1
+            continue
+        checked += 1
+        if value:
+            bad.append((word, value))
+    return checked, truncated, bad
+
+
+ACCEPTANCE_MODELS = ([("cochain", pnq) for pnq in [(3, 1, 2), (5, 1, 2),
+                                                   (5, 1, 4), (7, 1, 2),
+                                                   (7, 1, 3), (7, 1, 6)]]
+                     + [("loop", pnq) for pnq in [(3, 1, 2), (5, 1, 2),
+                                                  (5, 1, 4)]])
+
+
+@pytest.mark.parametrize("side,pnq", ACCEPTANCE_MODELS)
+def test_counted_sweep_matches_the_full_enumeration(side, pnq):
+    params = GroupParams(*pnq)
+    pipeline = group_minimal_model if side == "cochain" else loop_minimal_model
+    model = pipeline(params).model
+    mutant = mutated(model)
+    # the mutant has the model's space, so the same words and counts, and
+    # some nonzero defects for the targeted evaluation to find
+    defective = 0
+    for m, exclude, top in ((model, (), min(5, model.arity_bound)),
+                            (mutant, (model.unit,), model.arity_bound)):
+        for n in range(3, top + 1):
+            rep = stasheff_defect(m, n, exclude=exclude)
+            assert ((rep.checked, rep.truncated, list(rep.nonzero.items()))
+                    == full_sweep(m, n, exclude)), (n, exclude)
+            defective += len(rep.nonzero)
+    assert defective > 0
+
+
+def test_sweep_beyond_the_arity_bound_is_refused():
+    model = build_toy_model()
+    for exclude in ((), (model.unit,)):
+        with pytest.raises(ValueError):
+            stasheff_defect(model, model.arity_bound + 1, exclude=exclude)

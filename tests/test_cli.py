@@ -178,6 +178,21 @@ def test_acceptance_content_hashes_are_pinned(capsys):
     assert got == ACCEPTANCE_HASHES
 
 
+# verify on a p^n = 11 tuple: the counted identity sweeps over 84,285
+# words, and a loop stage skipped by a cobar word count (578,949 words,
+# over VERIFY_LOOP_WORD_BUDGET) that builds no cobar algebra.
+VERIFY_11_1_2_HASH = (
+    "9034a7624614783751771e7c791c4f76d515cd41b6f29e42d963908760a55514")
+
+
+def test_verify_11_1_2_content_hash_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", 11, 1, 2, "--json", "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["overall"] == "pass"
+    assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
+
+
 def test_model_document_round_trips(capsys):
     _, out, _ = run_cli(capsys, "transfer", 3, 1, 2, "--json", "--no-cache")
     doc = json.loads(out)

@@ -29,6 +29,7 @@ from ainfbg.grp import (
 from ainfbg.koszul import (
     cochain_window_for_loops,
     loop_minimal_model,
+    loop_word_count,
     massey_versus_loop_transfer,
     poincare_roundtrip,
 )
@@ -133,6 +134,27 @@ def test_poincare_roundtrip(computations, pnq):
 def test_q_equal_one_is_rejected():
     with pytest.raises(ValueError, match="q >= 2"):
         loop_minimal_model(GroupParams(3, 1, 1))
+
+
+def test_q_equal_one_has_no_word_count():
+    with pytest.raises(ValueError, match="q >= 2"):
+        loop_word_count(GroupParams(3, 1, 1))
+
+
+@pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2), (5, 1, 4), (7, 1, 2)])
+def test_word_count_is_the_cobar_dimension(pnq):
+    params = GroupParams(*pnq)
+    s_hi = params.loop_window_hi()
+    cochain = expected_minimal_model(
+        params, window=cochain_window_for_loops(params, s_hi))
+    assert loop_word_count(params) == cobar(cochain, s_hi).space.total_dim()
+
+
+def test_word_counts_over_the_verify_budget():
+    # the cobar algebras behind these counts take seconds to minutes to
+    # build; the counts are the ones that building them gave
+    assert loop_word_count(GroupParams(3, 2, 2)) == 85_626
+    assert loop_word_count(GroupParams(11, 1, 2)) == 578_949
 
 
 def test_shallow_cochain_model_is_rejected():

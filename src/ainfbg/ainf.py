@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .glin import Bidegree, GradedVectorSpace, TruncationExceeded, is_prime
+from .glin import Bidegree, GradedVectorSpace, TruncationExceeded
 
 __all__ = [
     "epsilon_sign",
@@ -117,9 +117,6 @@ class AInfinityAlgebra:
     @property
     def prime(self) -> int:
         return self.space.prime
-
-    def is_minimal(self) -> bool:
-        return not self.ops.get(1)
 
     def word_output_bidegree(self, n: int, word: tuple[str, ...]) -> Bidegree:
         s = sum(self.space.bidegree_of(l).s for l in word) + (n - 2)
@@ -566,7 +563,6 @@ def _single(vec: dict[str, int], what: str) -> tuple[str, int]:
 
 
 def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
-                         target_sign: int | None = None,
                          names: tuple[str, str] = ("x", "t")) -> "NormalizedModel":
     """Rescale x and t so the arity-ell family has coefficient epsilon(ell).
 
@@ -583,7 +579,7 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
     if hp.a == 0:
         raise ValueError("normalization needs a nonzero polynomial degree")
     ell = hp.ell
-    want = target_sign if target_sign is not None else epsilon_sign(ell) % p
+    want = epsilon_sign(ell) % p
 
     x_lab = _unique_label(model, hp.x_bidegree(scale), names[0])
     t_lab = _unique_label(model, hp.t_bidegree(scale), names[1])

@@ -134,8 +134,7 @@ def _parity(space: GradedVectorSpace, lab: str) -> int:
     return space.bidegree_of(lab).s % 2
 
 
-def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
-                 pair_sample: int | None = None,
+def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
                  triple_sample: int | None = None,
                  seed: int = 0) -> ValidationReport:
     """Check d^2 = 0, the Leibniz rule, associativity, and unitality.
@@ -161,12 +160,10 @@ def validate_dga(dga: DGAlgebra, *, d2_min_s: int | None = None,
     space = dga.space
     p = dga.prime
     lo, hi = space.window
-    if d2_min_s is None:
-        d2_min_s = lo + 2
     labels = [lab for bd in space.bidegrees() for lab in space.labels(bd)]
 
     for lab in labels:
-        if space.bidegree_of(lab).s < d2_min_s:
+        if space.bidegree_of(lab).s < lo + 2:
             continue
         dd = dga.d(dga.d({lab: 1}))
         if dd:
@@ -393,12 +390,11 @@ class Contraction:
                            s_range=self.s_range, trusted=set(self.trusted))
 
 
-def contraction(dga: DGAlgebra, *,
-                s_range: tuple[int, int] | None = None) -> Contraction:
+def contraction(dga: DGAlgebra) -> Contraction:
     """Split the complex per bidegree and assemble the retraction maps.
 
-    The usable range defaults to one degree inside the window at the floor
-    (where d is not representable) and one at the ceiling (where incoming
+    The usable range is one degree inside the window at the floor (where
+    d is not representable) and one at the ceiling (where incoming
     boundaries are unknown).  Every structure identity that is checkable in
     range is verified exactly before returning; a failure raises
     CertificationError.
@@ -417,13 +413,7 @@ def contraction(dga: DGAlgebra, *,
     """
     space = dga.space
     p = dga.prime
-    lo_w, hi_w = space.window
-    if s_range is None:
-        s_range = (lo_w + 1, hi_w - 1)
-    lo, hi = s_range
-    if lo <= lo_w or hi >= hi_w:
-        raise ValueError(f"usable range {s_range} must sit strictly inside "
-                         f"the window {space.window}")
+    lo, hi = space.window[0] + 1, space.window[1] - 1
     largest = max(map(len, space.blocks.values()), default=0)
     if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
         raise ValueError(

@@ -21,7 +21,6 @@ need only its echelon form and pivot columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "TruncationExceeded",
     "Bidegree",
     "GradedVectorSpace",
-    "inverse_table",
     "is_prime",
     "row_reduce",
     "rank_nullspace",
@@ -62,17 +60,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-@lru_cache(maxsize=None)
-def inverse_table(p: int) -> np.ndarray:
-    """Multiplicative inverses mod p as an int64 array; index 0 holds 0."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    return inv
 
 
 def _as_matrix(M, p: int) -> np.ndarray:
@@ -107,10 +94,11 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
     A holds int64 entries in [0, p).  Row operations act on whole rows, so
     columns past ncols are carried along without pivoting in them.  The
     pivot rule (first nonzero entry in the first unused column) is what
-    keeps splittings deterministic.
+    keeps splittings deterministic.  Each pivot is inverted as a^(p-2).
     """
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
     rows = A.shape[0]
-    inv = inverse_table(p)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -122,7 +110,7 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
         pr = r + int(nz[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
-        A[r] = (A[r] * inv[A[r, c]]) % p
+        A[r] = (A[r] * pow(A.item(r, c), p - 2, p)) % p
         other = np.nonzero(A[:, c])[0]
         other = other[other != r]
         if other.size:
@@ -276,9 +264,6 @@ class GradedVectorSpace:
 
     def bidegree_of(self, label: str) -> Bidegree:
         return self._index[label][0]
-
-    def index_of(self, label: str) -> int:
-        return self._index[label][1]
 
     def has_label(self, label: str) -> bool:
         return label in self._index

@@ -6,16 +6,15 @@ gamma of multiplicative order q.  Over a field of characteristic p the
 group algebra of the cyclic part is k[U]/(U^{p^n}) for a filtered
 generator U on which the action is diagonal: U -> gamma U.  Such a U
 exists because the action preserves the radical filtration and has order
-invertible in k; the character average of g - 1 over the action realizes
-it explicitly.  That single presentation drives everything here:
+invertible in k.  Then k has a 2-periodic free resolution over k[U]/(U^m)
+whose differentials are multiplications by powers of U, and that single
+presentation drives everything here:
 
-  * build_group_algebra   -- k[Z/p^n] with U, verified numerically;
-  * build_resolution      -- the 2-periodic resolution of k over k[U]/(U^m)
-                             with its equivariance weights;
-  * build_end_dga         -- the invariant, weight >= 0 part of the
-                             endomorphism algebra of the truncated
-                             resolution: a finite DGA whose cohomology in
-                             the trusted range is H*(BG; k);
+  * stage_weight, diff_exponent -- the equivariance weight of each stage
+    generator and the power of U that each differential multiplies by;
+  * build_end_dga -- the invariant, weight >= 0 part of the endomorphism
+    algebra of the truncated resolution, built from those two numbers: a
+    finite DGA whose cohomology in the trusted range is H*(BG; k);
   * expected_minimal_model / expected_loop_model -- the closed-form
     answers the computed structures are compared against.
 
@@ -27,10 +26,7 @@ invariant exactly when its weight is divisible by q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-
-import numpy as np
+from dataclasses import dataclass
 
 from .ainf import (
     AInfinityAlgebra,
@@ -46,10 +42,8 @@ __all__ = [
     "GroupParams",
     "multiplicative_order",
     "default_gamma",
-    "GroupAlgebra",
-    "build_group_algebra",
-    "Resolution",
-    "build_resolution",
+    "stage_weight",
+    "diff_exponent",
     "build_end_dga",
     "expected_minimal_model",
     "expected_loop_model",
@@ -147,10 +141,6 @@ class GroupParams:
         lo, hi = self.default_window()
         return (lo + 1, hi - 1)
 
-    def resolution_length(self, window: tuple[int, int] | None = None) -> int:
-        lo, _ = window or self.default_window()
-        return -lo + 6
-
     def default_arity_bound(self) -> int:
         return self.pn + 1
 
@@ -189,86 +179,6 @@ class GroupParams:
 
 
 # ---------------------------------------------------------------------------
-# the group algebra and its filtered generator
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GroupAlgebra:
-    """k[Z/p^n] in the group basis g^0..g^{m-1}, with the generator U.
-
-    Elements are integer vectors mod p indexed by the exponent of g;
-    multiplication is cyclic convolution.  Construction verifies that U is
-    nilpotent of index exactly m, that its powers are a basis, and that
-    the order-q action is diagonal on them: sigma(U^a) = gamma^a U^a.
-    """
-
-    params: GroupParams
-    U: np.ndarray = field(init=False)
-    power_basis: np.ndarray = field(init=False)  # column a = U^a
-
-    def __post_init__(self) -> None:
-        p, m, q = self.params.p, self.params.pn, self.params.q
-        gamma = self.params.gamma
-        # project g - 1 onto the gamma-eigenspace of the action: the
-        # character average (1/q) sum_r gamma^{-r} sigma^r (g - 1) is an
-        # eigenvector and still generates the radical (mod J^2 it is g - 1)
-        v = np.zeros(m, dtype=np.int64)
-        v[0], v[1] = p - 1, 1
-        U = np.zeros(m, dtype=np.int64)
-        acc = v.copy()
-        for r in range(q):
-            U = (U + pow(pow(gamma, r, p), -1, p) * acc) % p
-            acc = self.act(acc)
-        U = U * pow(q, -1, p) % p
-        self.U = U
-
-        powers = [np.zeros(m, dtype=np.int64)]
-        powers[0][0] = 1
-        for _ in range(m):
-            powers.append(self.convolve(powers[-1], U))
-        if np.any(powers[m]):
-            raise AssertionError("U^m != 0")
-        if not np.any(powers[m - 1]):
-            raise AssertionError("U^(m-1) == 0")
-        self.power_basis = np.stack(powers[:m], axis=1)
-
-        from .glin import row_reduce
-        if row_reduce(self.power_basis, p).rank != m:
-            raise AssertionError("powers of U are not a basis")
-
-        gamma = self.params.gamma
-        sU = self.act(U)
-        if not np.array_equal(sU, gamma * U % p):
-            raise AssertionError("sigma(U) != gamma U")
-        for a in range(m):
-            lhs = self.act(powers[a])
-            rhs = pow(gamma, a, p) * powers[a] % p
-            if not np.array_equal(lhs, rhs):
-                raise AssertionError(f"sigma(U^{a}) != gamma^{a} U^{a}")
-
-    def convolve(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p, m = self.params.p, self.params.pn
-        out = np.zeros(m, dtype=np.int64)
-        for i in range(m):
-            if u[i]:
-                out = (out + u[i] * np.roll(v, i)) % p
-        return out
-
-    def act(self, u: np.ndarray) -> np.ndarray:
-        """The order-q automorphism g -> g^gamma on coefficient vectors."""
-        m = self.params.pn
-        out = np.zeros(m, dtype=np.int64)
-        for i in range(m):
-            out[i * self.params.gamma % m] = (out[i * self.params.gamma % m]
-                                              + u[i]) % self.params.p
-        return out
-
-
-def build_group_algebra(params: GroupParams) -> GroupAlgebra:
-    return GroupAlgebra(params)
-
-
-# ---------------------------------------------------------------------------
 # the periodic resolution
 # ---------------------------------------------------------------------------
 
@@ -285,51 +195,12 @@ def diff_exponent(i: int, pn: int) -> int:
     return 1 if i % 2 else pn - 1
 
 
-@dataclass
-class Resolution:
-    """Free 2-periodic resolution of k over k[U]/(U^m), stages 0..length.
-
-    d_i : P_i -> P_{i-1} is multiplication by U (i odd) or U^{m-1}
-    (i even); the stage generator e_i carries the character gamma^{w_i}
-    so that the differential is equivariant (w_i = w_{i-1} + exponent).
-    """
-
-    params: GroupParams
-    length: int
-
-    @cached_property
-    def weights(self) -> list[int]:
-        return [stage_weight(i, self.params.pn) for i in range(self.length + 1)]
-
-    @cached_property
-    def characters(self) -> list[int]:
-        return [w % self.params.q for w in self.weights]
-
-    def exponent(self, i: int) -> int:
-        return diff_exponent(i, self.params.pn)
-
-    def d_matrix(self, i: int) -> np.ndarray:
-        """Multiplication by U^{exponent(i)} in the U-power basis."""
-        m = self.params.pn
-        k = self.exponent(i)
-        M = np.zeros((m, m), dtype=np.int64)
-        for a in range(m - k):
-            M[a + k, a] = 1
-        return M
-
-
-def build_resolution(params: GroupParams, length: int | None = None) -> Resolution:
-    if length is None:
-        length = params.resolution_length()
-    return Resolution(params=params, length=length)
-
-
 # ---------------------------------------------------------------------------
 # the endomorphism DGA
 # ---------------------------------------------------------------------------
 
-def build_end_dga(params: GroupParams, *, window: tuple[int, int] | None = None,
-                  length: int | None = None) -> DGAlgebra:
+def build_end_dga(params: GroupParams, *,
+                  window: tuple[int, int] | None = None) -> DGAlgebra:
     """Invariant non-negative-weight endomorphisms of the truncated resolution.
 
     Basis label "i:d:a" is the map P_{i+d} -> P_i, e_{i+d} -> U^a e_i, of
@@ -347,9 +218,7 @@ def build_end_dga(params: GroupParams, *, window: tuple[int, int] | None = None,
     if window is None:
         window = params.default_window()
     lo, hi = window
-    if length is None:
-        length = params.resolution_length(window)
-    L = length
+    L = -lo + 6  # top stage: six past the longest map the window holds
 
     triples: dict[str, tuple[int, int, int]] = {}
     blocks: dict[Bidegree, list[str]] = {}

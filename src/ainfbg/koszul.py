@@ -39,7 +39,6 @@ from .grp import (
 )
 from .transfer import (
     Computation,
-    TransferConventions,
     check_pattern,
     massey_versus_transfer,
     transfer_pipeline,
@@ -94,9 +93,7 @@ def loop_minimal_model(params: GroupParams, *,
                        cochain: AInfinityAlgebra | None = None,
                        window: tuple[int, int] | None = None,
                        arity_bound: int | None = None,
-                       reorder=None,
-                       conventions: TransferConventions | None = None
-                       ) -> Computation:
+                       reorder=None) -> Computation:
     """Cobar of the cochain model -> retraction -> gate -> loop model.
 
     The published window (0, s_hi - arity_bound + 1) sits arity_bound - 1
@@ -131,8 +128,7 @@ def loop_minimal_model(params: GroupParams, *,
     expected = expected_loop_model(params, window=(0, pub_hi),
                                    arity_bound=arity_bound)
     return transfer_pipeline(params, dga, expected, params.hp.loop_dual(),
-                             LOOP_GENERATORS, reorder=reorder,
-                             conventions=conventions)
+                             LOOP_GENERATORS, reorder=reorder)
 
 
 @dataclass

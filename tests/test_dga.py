@@ -89,7 +89,7 @@ def test_contraction_random_complexes(seed):
     p = [3, 5, 7][seed % 3]
     dims = [3, 5, 4, 6, 3, 2]
     dga, mats = random_complex(seed, p, dims)
-    con = contraction(dga, s_range=(0, len(dims) - 1))
+    con = contraction(dga)
     # identities are asserted inside; check the Euler characteristic here
     euler_a = sum((-1) ** s * d for s, d in enumerate(dims))
     euler_h = sum((-1) ** bd.s * len(labs)
@@ -123,13 +123,19 @@ def _vsub(u, v, p):
 
 
 def test_contraction_out_of_range_raises():
-    dga, _ = random_complex(0, 3, [3, 5, 4, 6, 3, 2])
-    con = contraction(dga, s_range=(1, 3))
-    top = {next(iter(dga.space.labels(Bidegree(5, 0)))): 1}
-    with pytest.raises(TruncationExceeded):
-        con.project(top)
-    with pytest.raises(TruncationExceeded):
-        con.homotopy(top)
+    """The retraction maps refuse the degrees at the window edges, where
+    d (at the floor) or the incoming boundaries (at the ceiling) are
+    unknown."""
+    dga = build_end_dga(GroupParams(3, 1, 2), window=(-6, 0))
+    con = contraction(dga)
+    assert con.s_range == (-5, -1)
+    for s in (-6, 0):
+        edge = {next(lab for bd in dga.space.bidegrees() if bd.s == s
+                     for lab in dga.space.labels(bd)): 1}
+        with pytest.raises(TruncationExceeded):
+            con.project(edge)
+        with pytest.raises(TruncationExceeded):
+            con.homotopy(edge)
 
 
 _CORRUPTED_DIFFERENTIAL = textwrap.dedent("""
@@ -167,17 +173,11 @@ def test_certification_survives_python_optimize():
     assert "contraction: boundaries at" in run.stdout
 
 
-def test_contraction_rejects_bad_range():
-    dga, _ = random_complex(0, 3, [3, 5, 4, 6, 3, 2])
-    with pytest.raises(ValueError):
-        contraction(dga, s_range=(-1, 3))
-
-
 def test_contraction_reordered_same_dims():
     dga, _ = random_complex(3, 5, [3, 5, 4, 6, 3, 2])
-    con = contraction(dga, s_range=(0, 5))
+    con = contraction(dga)
     dga_r = reorder_blocks(dga, lambda bd, labs: list(reversed(labs)))
-    con_r = contraction(dga_r, s_range=(0, 5))
+    con_r = contraction(dga_r)
     dims = {bd: len(v) for bd, v in con.homology.blocks.items()}
     dims_r = {bd: len(v) for bd, v in con_r.homology.blocks.items()}
     assert dims == dims_r
@@ -199,7 +199,7 @@ class _RefSplit:
     g: np.ndarray | None = None
 
 
-def reference_contraction(dga, s_range=None):
+def reference_contraction(dga):
     """Splittings and homotopies the long way, per block: the rref of the
     incoming d for B, greedy complements of B in Z and of Z in the unit
     vectors, and G from solving for boundary coordinates.  The reference
@@ -207,7 +207,7 @@ def reference_contraction(dga, s_range=None):
     space = dga.space
     p = dga.prime
     lo_w, hi_w = space.window
-    lo, hi = s_range or (lo_w + 1, hi_w - 1)
+    lo, hi = lo_w + 1, hi_w - 1
     splits = {}
     for bd in sorted(space.blocks):
         if not lo <= bd.s <= hi + 1:
@@ -351,13 +351,13 @@ def test_contraction_matches_the_reference_on_the_pipeline_algebras(
 
 def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
     """At p = 2^31 - 1 a block of three already overflows int64 products;
-    the guard must fire before glin builds its O(p) table of inverses."""
+    the guard must fire before any elimination runs."""
     import ainfbg.glin
 
-    def no_table(p):
-        raise AssertionError(f"inverse_table({p}) reached")
+    def no_elimination(A, p, ncols):
+        raise AssertionError(f"_eliminate reached at p = {p}")
 
-    monkeypatch.setattr(ainfbg.glin, "inverse_table", no_table)
+    monkeypatch.setattr(ainfbg.glin, "_eliminate", no_elimination)
     p = 2**31 - 1
     space = GradedVectorSpace(prime=p, window=(-1, 1), blocks={
         Bidegree(0, 0): ["a", "b", "c"]})
@@ -496,8 +496,7 @@ def test_cobar_differential_of_generators():
 def test_cobar_leibniz_sampled():
     model = build_toy_model()
     cb = cobar(model, 10)
-    rep = validate_dga(cb, d2_min_s=1, pair_sample=300, triple_sample=300,
-                       seed=5)
+    rep = validate_dga(cb, pair_sample=300, triple_sample=300, seed=5)
     assert rep.leibniz_checked > 0 and rep.assoc_checked > 0
 
 

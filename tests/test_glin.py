@@ -16,7 +16,6 @@ from ainfbg.glin import (
     GradedVectorSpace,
     TruncationExceeded,
     greedy_extend,
-    inverse_table,
     invert,
     rank_nullspace,
     row_reduce,
@@ -62,7 +61,6 @@ def reference_greedy_extend(basis, candidates, p):
     reference for the pivot-column `greedy_extend`.  Rows are kept
     mutually reduced, so reducing a candidate against them is one pass.
     """
-    inv = inverse_table(p)
     candidates = np.array(candidates, dtype=np.int64) % p
     n = candidates.shape[1]
     basis = np.array(basis, dtype=np.int64).reshape(-1, n) % p
@@ -78,7 +76,7 @@ def reference_greedy_extend(basis, candidates, p):
         return v
 
     def append_reduced(rows, v):
-        v = (v * inv[v[lead(v)]]) % p
+        v = (v * pow(int(v[lead(v)]), p - 2, p)) % p
         c = lead(v)
         for i, r in enumerate(rows):
             if r[c]:
@@ -204,13 +202,21 @@ def test_invert_roundtrip_and_singular():
         invert(singular, 5)
 
 
-def test_inverse_table():
-    for p in (3, 5, 7):
-        inv = inverse_table(p)
-        for a in range(1, p):
-            assert (a * inv[a]) % p == 1
-    with pytest.raises(ValueError):
-        inverse_table(6)
+def test_pivot_inverses_and_composite_modulus():
+    """Each pivot is scaled by its inverse mod p; a composite modulus is
+    refused by every kernel, also on a matrix with no pivot."""
+    for p in (3, 5, 7, 2**31 - 1):
+        for a in {1, 2, p - 2, p - 1}:
+            pd = row_reduce([[a]], p)
+            assert pd.rref.tolist() == [[1]]
+            assert (a * int(pd.transform[0, 0])) % p == 1
+    for kernel in (row_reduce, rank_nullspace, invert):
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            kernel([[1]], 6)
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        rank_nullspace([[0]], 6)
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        greedy_extend(np.zeros((0, 1)), [[1]], 6)
 
 
 # ---------------------------------------------------------------------------

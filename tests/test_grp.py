@@ -1,8 +1,10 @@
 """Group-side constructions: parameters, algebra facts, resolution, End-DGA.
 
-Resolution exactness is certified by independent rank arithmetic on the
-multiplication matrices; the expected minimal models are certified by the
-identity sweeps from the A-infinity kit.
+The filtered generator U is certified from the group basis; resolution
+exactness by independent rank arithmetic on the multiplication matrices
+that `stage_weight` and `diff_exponent` describe; the End-DGA differential
+against the Hom differential composed from those same matrices; the
+expected minimal models by the identity sweeps from the A-infinity kit.
 """
 
 import numpy as np
@@ -14,9 +16,8 @@ from ainfbg.glin import Bidegree, TruncationExceeded, rank_nullspace
 from ainfbg.grp import (
     GroupParams,
     build_end_dga,
-    build_group_algebra,
-    build_resolution,
     default_gamma,
+    diff_exponent,
     expected_loop_model,
     expected_minimal_model,
     multiplicative_order,
@@ -65,45 +66,147 @@ def test_parameter_validation():
         GroupParams(5, 1, 2, gamma=2)  # order 4, need 2
 
 
+# ---------------------------------------------------------------------------
+# certificates for the presentation the End-DGA is built from
+# ---------------------------------------------------------------------------
+
+def convolve(u, v, p):
+    """Product in k[Z/m] in the group basis g^0..g^(m-1)."""
+    out = np.zeros(len(u), dtype=np.int64)
+    for i in np.nonzero(u)[0]:
+        out = (out + u[i] * np.roll(v, i)) % p
+    return out
+
+
+def act(u, gamma, p):
+    """The order-q automorphism g -> g^gamma on coefficient vectors."""
+    m = len(u)
+    out = np.zeros(m, dtype=np.int64)
+    for i in range(m):
+        out[i * gamma % m] = (out[i * gamma % m] + u[i]) % p
+    return out
+
+
+def filtered_generator(gp):
+    """U in the group basis: the character average of g - 1, certified
+    nilpotent of index exactly m, with its powers a basis on which the
+    action is diagonal, sigma(U^a) = gamma^a U^a."""
+    p, m, q, gamma = gp.p, gp.pn, gp.q, gp.gamma
+    # (1/q) sum_r gamma^{-r} sigma^r (g - 1) is a gamma-eigenvector and
+    # still generates the radical (mod J^2 it is g - 1)
+    acc = np.zeros(m, dtype=np.int64)
+    acc[0], acc[1] = p - 1, 1
+    U = np.zeros(m, dtype=np.int64)
+    for r in range(q):
+        U = (U + pow(pow(gamma, r, p), -1, p) * acc) % p
+        acc = act(acc, gamma, p)
+    U = U * pow(q, -1, p) % p
+
+    powers = [np.eye(m, dtype=np.int64)[0]]
+    for _ in range(m):
+        powers.append(convolve(powers[-1], U, p))
+    assert not np.any(powers[m]), "U^m != 0"
+    assert np.any(powers[m - 1]), "U^(m-1) == 0"
+    assert rank_nullspace(np.stack(powers[:m], axis=1), p)[0] == m
+    for a in range(m):
+        assert np.array_equal(act(powers[a], gamma, p),
+                              pow(gamma, a, p) * powers[a] % p), a
+    return U
+
+
+def shift(k, m):
+    """Multiplication by U^k in the U-power basis U^0..U^(m-1)."""
+    return np.eye(m, k=-k, dtype=np.int64)
+
+
 def test_group_algebra_facts():
     for pnq in [(3, 1, 2), (5, 1, 4), (3, 2, 2)]:
         gp = GroupParams(*pnq)
-        ga = build_group_algebra(gp)  # nilpotency etc. asserted inside
+        U = filtered_generator(gp)
         m, p = gp.pn, gp.p
         # U has no p-divisible group elements and augmentation zero
-        assert all(ga.U[j] == 0 for j in range(0, m, p))
-        assert int(ga.U.sum()) % p == 0
+        assert all(U[j] == 0 for j in range(0, m, p))
+        assert int(U.sum()) % p == 0
         # the action is an algebra automorphism
         rng = np.random.default_rng(11)
         for _ in range(5):
             u = rng.integers(0, p, size=m)
             v = rng.integers(0, p, size=m)
-            lhs = ga.act(ga.convolve(u, v))
-            rhs = ga.convolve(ga.act(u), ga.act(v))
+            lhs = act(convolve(u, v, p), gp.gamma, p)
+            rhs = convolve(act(u, gp.gamma, p), act(v, gp.gamma, p), p)
             assert np.array_equal(lhs, rhs)
 
 
 def test_resolution_weights_and_exactness():
+    """Stage i maps to stage i - 1 by U^diff_exponent(i); the weights make
+    that equivariant and the complex is exact above stage 0."""
     for (pnq, _) in CASES:
         gp = GroupParams(*pnq)
         top = 15
-        res = build_resolution(gp, top)
         pn, q = gp.pn, gp.q
-        assert res.weights[0] == 0
+        weights = [stage_weight(i, pn) for i in range(top + 1)]
+        assert weights[0] == 0
         for i in range(1, top + 1):
             # equivariance: stage weights climb by the differential exponent
-            assert res.weights[i] == res.weights[i - 1] + res.exponent(i)
-        assert res.characters == [w % q for w in res.weights]
-        assert res.weights[2 * q] == q * pn          # the class of x
-        assert res.weights[2 * q - 1] == q * gp.h    # the class of t
+            assert weights[i] == weights[i - 1] + diff_exponent(i, pn)
+        assert weights[2 * q] == q * pn          # the class of x
+        assert weights[2 * q - 1] == q * gp.h    # the class of t
 
-        d = {i: res.d_matrix(i) for i in range(1, top + 1)}
+        d = {i: shift(diff_exponent(i, pn), pn) for i in range(1, top + 1)}
         assert rank_nullspace(d[1], gp.p)[0] == pn - 1  # cokernel = k
         for i in range(1, top):
             assert not np.any((d[i] @ d[i + 1]) % gp.p)
             rank_i = rank_nullspace(d[i], gp.p)[0]
             rank_next = rank_nullspace(d[i + 1], gp.p)[0]
             assert rank_next == pn - rank_i, f"not exact at stage {i}"
+
+
+def hom_differential(lab, pn, p, top):
+    """D(f) = d o f - (-1)^d f o d for f = "i:d:a" (e_{i+d} -> U^a e_i)
+    on the resolution truncated at stage `top`, composed from the shift
+    matrices and read back as labels."""
+    i, d, a = map(int, lab.split(":"))
+    terms = []   # (target stage, source stage, block matrix)
+    if i >= 1:
+        terms.append((i - 1, i + d, shift(diff_exponent(i, pn), pn)
+                      @ shift(a, pn)))
+    if i + d + 1 <= top:
+        terms.append((i, i + d + 1, -(-1) ** (d % 2) * shift(a, pn)
+                      @ shift(diff_exponent(i + d + 1, pn), pn)))
+    out = {}
+    for tgt, src, block in terms:
+        block %= p
+        # a module map is determined by the image of e_src: column 0
+        assert np.array_equal(
+            block, sum(c * shift(k, pn) for k, c in enumerate(block[:, 0])) % p)
+        for k, c in enumerate(block[:, 0]):
+            if c:
+                key = f"{tgt}:{src - tgt}:{k}"
+                out[key] = (out.get(key, 0) + int(c)) % p
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("pnq, checked", [((3, 1, 2), 429), ((5, 1, 4), 1719),
+                                          ((3, 2, 2), 2847), ((7, 1, 3), 2685)])
+def test_end_dga_differential_is_the_hom_differential(pnq, checked):
+    """The End-DGA the pipeline contracts has the differential of the
+    endomorphisms of the certified resolution, on every basis map whose
+    differential stays in the window."""
+    gp = GroupParams(*pnq)
+    dga = build_end_dga(gp)
+    lo, _ = dga.space.window
+    top = -lo + 6
+    count = 0
+    for bd in dga.space.bidegrees():
+        if bd.s - 1 < lo:
+            continue
+        for lab in dga.space.labels(bd):
+            got = dga.diff(lab)
+            assert got == hom_differential(lab, gp.pn, gp.p, top), lab
+            for out in got:
+                assert dga.space.bidegree_of(out) == Bidegree(bd.s - 1, bd.w)
+            count += 1
+    assert count == checked
 
 
 def test_stage_weight_closed_form():
@@ -115,7 +218,7 @@ def test_stage_weight_closed_form():
 
 def test_end_dga_small_exhaustive():
     gp = GroupParams(3, 1, 2)
-    dga = build_end_dga(gp, window=(-8, 1), length=14)
+    dga = build_end_dga(gp, window=(-8, 1))
     labels = [lab for bd in dga.space.bidegrees()
               for lab in dga.space.labels(bd)]
     assert labels
@@ -156,7 +259,7 @@ def test_end_dga_known_bidegrees():
 
 def test_end_dga_truncation_raises():
     gp = GroupParams(3, 1, 2)
-    dga = build_end_dga(gp, window=(-6, 1), length=12)
+    dga = build_end_dga(gp, window=(-6, 1))
     lab = next(lab for bd in dga.space.bidegrees() if bd.s == -6
                for lab in dga.space.labels(bd))
     with pytest.raises(TruncationExceeded):

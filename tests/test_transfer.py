@@ -8,16 +8,17 @@ power computed directly on the chain level cross-checks the transferred
 coefficient through a ratio that no basis or scaling choice can move.
 """
 
+import hashlib
+
 import pytest
 
+import ainfbg.transfer
 from ainfbg.ainf import stasheff_defect
 from ainfbg.dga import contraction
 from ainfbg.grp import GroupParams, build_end_dga, expected_minimal_model
 from ainfbg.transfer import (
-    RECURSION_SIGNS,
     MerkulovTransfer,
     PatternMismatch,
-    TransferConventions,
     check_pattern,
     compare_models,
     group_minimal_model,
@@ -115,15 +116,15 @@ def test_massey_powers_below_the_order_vanish(computations):
 # determinism under basis reordering
 # ---------------------------------------------------------------------------
 
+def reversed_labels(bd, labs):
+    return labs[::-1]
+
+
+def scrambled_labels(bd, labs):
+    return sorted(labs, key=lambda lab: hashlib.md5(lab.encode()).hexdigest())
+
+
 def test_transfer_independent_of_chain_basis_order(computations):
-    import hashlib
-
-    def reversed_labels(bd, labs):
-        return labs[::-1]
-
-    def scrambled_labels(bd, labs):
-        return sorted(labs, key=lambda lab: hashlib.md5(lab.encode()).hexdigest())
-
     base = computations[(3, 1, 2)].normalized()
     for key in (reversed_labels, scrambled_labels):
         comp = group_minimal_model(GroupParams(3, 1, 2), reorder=key)
@@ -133,53 +134,105 @@ def test_transfer_independent_of_chain_basis_order(computations):
 
 
 # ---------------------------------------------------------------------------
-# conventions: the probed alternatives behave as recorded
+# the pinned split sign against the alternatives it was probed with
 # ---------------------------------------------------------------------------
 
-def test_all_splitting_signs_give_consistent_structures():
+# sign(s, t) = (-1)^e for the eight candidate exponents e; the pipeline's
+# `split_sign` is "s(t+1)"
+SPLIT_SIGNS = {
+    "plus": lambda s, t: 1,
+    "s": lambda s, t: (-1) ** (s % 2),
+    "s+1": lambda s, t: (-1) ** ((s + 1) % 2),
+    "t": lambda s, t: (-1) ** (t % 2),
+    "st": lambda s, t: (-1) ** ((s * t) % 2),
+    "s(t+1)": lambda s, t: (-1) ** ((s * (t + 1)) % 2),
+    "(s+1)t": lambda s, t: (-1) ** (((s + 1) * t) % 2),
+    "st+s+t": lambda s, t: (-1) ** ((s * t + s + t) % 2),
+}
+
+
+def model_with_sign(monkeypatch, name, reorder=None):
+    """The (3,1,1) pipeline with the split sign replaced by a candidate."""
+    monkeypatch.setattr(ainfbg.transfer, "split_sign", SPLIT_SIGNS[name])
+    return group_minimal_model(GroupParams(3, 1, 1), reorder=reorder)
+
+
+def identity_defects(comp):
+    return [n for n in range(3, comp.model.arity_bound + 1)
+            if not stasheff_defect(comp.model, n).ok()]
+
+
+def test_split_sign_is_the_pinned_candidate():
+    for s in range(1, 8):
+        for t in range(1, 8):
+            assert ainfbg.transfer.split_sign(s, t) == \
+                SPLIT_SIGNS["s(t+1)"](s, t), (s, t)
+
+
+def test_all_splitting_signs_give_consistent_structures(monkeypatch):
     """On the default chain basis an identity sweep alone does not pin the
     splitting sign; every candidate yields some A-infinity structure."""
-    for name in RECURSION_SIGNS:
-        conv = TransferConventions(recursion=name)
-        comp = group_minimal_model(GroupParams(3, 1, 1), conventions=conv)
+    for name in SPLIT_SIGNS:
+        comp = model_with_sign(monkeypatch, name)
         for n in range(3, comp.model.arity_bound + 1):
             rep = stasheff_defect(comp.model, n)
             assert rep.ok(), (name, n, rep.nonzero)
 
 
-def test_scrambled_basis_separates_the_splitting_signs():
-    """The default-basis degeneracy above is an accident: on a scrambled
-    retraction only the pinned rule still transfers an A-infinity
-    structure, and a representative wrong rule produces a genuine
+def test_scrambled_basis_separates_the_splitting_signs(monkeypatch):
+    """The default-basis degeneracy above is an accident of that basis: on
+    a scrambled retraction the pinned rule still transfers an A-infinity
+    structure, while a representative wrong rule produces a genuine
     identity defect."""
-    import hashlib
-
-    def scrambled_labels(bd, labs):
-        return sorted(labs, key=lambda lab: hashlib.md5(lab.encode()).hexdigest())
-
     comp = group_minimal_model(GroupParams(3, 1, 1), reorder=scrambled_labels)
     for n in range(3, comp.model.arity_bound + 1):
         assert stasheff_defect(comp.model, n).ok(), n
 
-    wrong = group_minimal_model(GroupParams(3, 1, 1), reorder=scrambled_labels,
-                                conventions=TransferConventions(recursion="plus"))
-    defects = [n for n in range(3, wrong.model.arity_bound + 1)
-               if not stasheff_defect(wrong.model, n).ok()]
-    assert defects == [4]
+    wrong = model_with_sign(monkeypatch, "plus", reorder=scrambled_labels)
+    assert identity_defects(wrong) == [4]
 
 
-def test_wrong_product_sign_fails_the_exact_table():
+def test_scrambled_basis_pins_the_sign_up_to_three_candidates(monkeypatch):
+    """On the scrambled basis the eight candidates fall into three classes:
+    the identity sweeps break for three, the exact table fails for two
+    that negate the product, and three keep every sweep green and
+    normalize to the closed form.  Probing cannot separate those three;
+    the unsuspension argument in `transfer` picks "s(t+1)"."""
+    broken, negated, kept = set(), set(), set()
+    for name in SPLIT_SIGNS:
+        comp = model_with_sign(monkeypatch, name, reorder=scrambled_labels)
+        if identity_defects(comp):
+            broken.add(name)
+        elif compare_models(comp.normalized().model, comp.expected()):
+            negated.add(name)
+        else:
+            kept.add(name)
+    assert broken == {"plus", "st", "st+s+t"}
+    assert negated == {"s", "t"}
+    assert kept == {"s+1", "(s+1)t", "s(t+1)"}
+
+
+def test_wrong_product_sign_fails_the_exact_table(monkeypatch):
     """Splitting signs with sign(1,1) = -1 negate the product and cannot
     normalize to the coefficient-one monomial ring."""
-    conv = TransferConventions(recursion="s")
-    comp = group_minimal_model(GroupParams(3, 1, 1), conventions=conv)
+    comp = model_with_sign(monkeypatch, "s")
     norm = comp.normalized()
     assert compare_models(norm.model, comp.expected()) != []
 
 
-def test_eta_is_a_gauge_choice_for_the_ratio():
-    conv = TransferConventions(eta=-1)
-    comp = group_minimal_model(GroupParams(3, 1, 1), conventions=conv)
+def test_eta_is_a_gauge_choice_for_the_ratio(monkeypatch):
+    """Including the classes as -f1 (eta = -1) instead of f1 flips the
+    sign of the Massey relation."""
+    ghat = MerkulovTransfer.ghat
+
+    def negated_letters(self, word):
+        val = ghat(self, word)
+        if len(word) > 1:
+            return val
+        return {k: -v % self.dga.prime for k, v in val.items()}
+
+    monkeypatch.setattr(MerkulovTransfer, "ghat", negated_letters)
+    comp = group_minimal_model(GroupParams(3, 1, 1))
     mc = massey_versus_transfer(comp)
     assert not mc.holds
     assert mc.c_massey == (-mc.expected_ratio * mc.c_transfer) % 3

@@ -29,12 +29,12 @@ from .glin import (
     Bidegree,
     GradedVectorSpace,
     TruncationExceeded,
-    greedy_extend,
-    invert,
+    matmul_mod,
     rank_nullspace,
+    row_reduce,
 )
 # unused here, but the benchmark's tracer rebinds these names in this module
-from .glin import row_reduce, solve  # noqa: F401
+from .glin import greedy_extend, invert, solve  # noqa: F401
 
 __all__ = [
     "CertificationError",
@@ -312,7 +312,7 @@ class _BlockSplit:
     h_labels: list[str]
     f1: np.ndarray            # dim A x dim H, columns are representatives
     pi: np.ndarray            # dim H x dim A
-    g: np.ndarray | None = None   # dim A_{s+1} x dim A
+    g: np.ndarray | None = None   # dim A_{s+1} x dim A, zero off P_{s+1}
 
 
 @dataclass
@@ -399,17 +399,25 @@ def contraction(dga: DGAlgebra) -> Contraction:
     range is verified exactly before returning; a failure raises
     CertificationError.
 
-    Each block A_s takes three eliminations.  `rank_nullspace` of
-    d: A_s -> A_{s-1} gives the cycles Z and the pivot columns P_s of its
-    echelon form.  Every nullspace row ends at its free column, so the
-    unit vectors e_j, j in P_s, span the complement C of Z that a greedy
-    scan of the unit vectors would pick.  The columns d(e_j), j in
-    P_{s+1}, are a basis B of the boundaries; `greedy_extend(B, Z)` picks
-    the homology representatives H, and `invert([B; H; C])` gives the
-    coordinates that pi reads.  The homotopy is G(d e_j) = e_j for j in
-    P_{s+1} and zero on H + C, so G scatters the B coordinates onto the
-    rows P_{s+1}.  Every block product assumes n (p-1)^2 + 2p < 2^63 for
-    the largest block n; a DGA past that bound is a ValueError.
+    Each block A_s takes two eliminations.  `rank_nullspace` of
+    d: A_s -> A_{s-1} gives the cycles Z, one row per free column with
+    Z[:, F] = I on the free columns F, and the pivot columns P_s.  Every
+    cycle row ends at its free column, so the unit vectors e_j, j in P_s,
+    span the complement C of Z that a greedy scan of the unit vectors
+    would pick.  The columns d(e_j), j in P_{s+1}, are a basis B of the
+    boundaries, and B = B[:, F] Z.  One `row_reduce` of B[:, F], with F
+    scanned right to left, splits F into its pivot columns T and the rest
+    S: a greedy scan of Z extends B by exactly the rows on S, which are
+    the homology representatives H.  Its transform X is B[:, T]^-1, T in
+    pivot order, so a vector v has B coordinates X^T v[T] and H
+    coordinates v[S] - rref[:, S]^T v[T].  pi reads the H coordinates;
+    the homotopy is G(d e_j) = e_j for j in P_{s+1} and zero on H + C, so
+    G is X^T on the rows P_{s+1} and the columns T.
+
+    Every block product, from the d^2 check to the five identities, runs
+    through `matmul_mod`, and products with G read only its rows P_{s+1}.
+    They assume n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past
+    that bound is a ValueError.
     """
     space = dga.space
     p = dga.prime
@@ -454,26 +462,31 @@ def contraction(dga: DGAlgebra) -> Contraction:
         up = list(pivots.get(above, ()))
         b_rows = diff_block(above)[:, up].T if up else \
             np.zeros((0, n), dtype=np.int64)
-        if np.any((diff_block(bd) @ b_rows.T) % p):
+        if np.any(matmul_mod(diff_block(bd), b_rows.T, p)):
             raise CertificationError(
                 f"boundaries at {bd} are not cycles (d^2 != 0?)")
-        h_rows = z_rows[greedy_extend(b_rows, z_rows, p)]
-        c_rows = np.eye(n, dtype=np.int64)[list(pivots[bd])]
-        nb, nh, nc = len(b_rows), len(h_rows), len(c_rows)
-        if nb + nh != len(z_rows) or nb + nh + nc != n:
-            raise CertificationError(f"splitting dimensions disagree at {bd}")
-
-        try:
-            coords = invert(np.vstack([b_rows, h_rows, c_rows]), p).T
-        except ValueError as exc:
+        pivot_set = set(pivots[bd])
+        free = [c for c in range(n) if c not in pivot_set]
+        nb, nz = len(up), len(free)
+        red = row_reduce(b_rows[:, free[::-1]], p)
+        if red.rank < nb:
             raise CertificationError(
-                f"splitting basis at {bd}: {exc}") from exc
+                f"splitting basis at {bd}: boundaries of rank {red.rank} "
+                f"< {nb} on the free columns are not invertible")
+        # positions in `free`: T in pivot order, S = the rest, ascending
+        t_pos = [nz - 1 - c for c in red.pivot_cols]
+        s_pos = sorted(set(range(nz)) - set(t_pos))
+        t_cols = [free[k] for k in t_pos]
+        nh = len(s_pos)
         g = np.zeros((space.dim(above), n), dtype=np.int64)
-        g[up] = coords[:nb]
+        g[np.ix_(up, t_cols)] = red.transform.T
+        pi = np.zeros((nh, n), dtype=np.int64)
+        pi[np.arange(nh), [free[k] for k in s_pos]] = 1
+        pi[:, t_cols] = -red.rref[:, [nz - 1 - k for k in s_pos]].T % p
         splits[bd] = _BlockSplit(
             labels=labels,
             h_labels=[f"h{bd.s}_{bd.w}_{k}" for k in range(nh)],
-            f1=h_rows.T.copy(), pi=coords[nb:nb + nh].copy(), g=g)
+            f1=z_rows[s_pos].T.copy(), pi=pi, g=g)
 
     # homology space over the usable range
     hom_blocks = {bd: sp.h_labels for bd, sp in splits.items()
@@ -482,34 +495,42 @@ def contraction(dga: DGAlgebra) -> Contraction:
 
     con = Contraction(dga=dga, homology=hom, splits=splits, s_range=(lo, hi))
 
-    # exact certification of the retraction identities
+    # exact certification of the retraction identities; G at bd is zero
+    # off the rows P_{s+1}, so products with it read only those rows
+    def rows(s: int, w: int) -> list[int]:
+        return list(pivots.get(Bidegree(s, w), ()))
+
     eye = np.eye
     for bd, sp in splits.items():
         if bd.s > hi:
             continue
         n = len(sp.labels)
         nh = len(sp.h_labels)
-        if np.any((sp.pi @ sp.f1) % p != eye(nh, dtype=np.int64)):
+        up = rows(bd.s + 1, bd.w)
+        g_up = sp.g[up]
+        if np.any(matmul_mod(sp.pi, sp.f1, p) != eye(nh, dtype=np.int64)):
             raise CertificationError(f"pi f1 != id at {bd}")
-        if np.any((sp.g @ sp.f1) % p):
+        if np.any(matmul_mod(g_up, sp.f1, p)):
             raise CertificationError(f"G f1 != 0 at {bd}")
         sp_up = splits.get(Bidegree(bd.s + 1, bd.w))
         if sp_up is not None:
-            if sp_up.pi.shape[0] and np.any((sp_up.pi @ sp.g) % p):
+            if np.any(matmul_mod(sp_up.pi[:, up], g_up, p)):
                 raise CertificationError(f"pi G != 0 at {bd}")
-            if sp_up.g is not None and np.any((sp_up.g @ sp.g) % p):
+            if sp_up.g is not None and np.any(matmul_mod(
+                    sp_up.g[np.ix_(rows(bd.s + 2, bd.w), up)], g_up, p)):
                 raise CertificationError(f"G G != 0 at {bd}")
         below = Bidegree(bd.s - 1, bd.w)
         sp_dn = splits.get(below)
         if bd.s - 1 < lo or (space.dim(below) and sp_dn is None):
             continue
-        d_out = diff_block(bd)
-        gd = (sp_dn.g @ d_out) % p if sp_dn is not None else 0
-        d_up = diff_block(Bidegree(bd.s + 1, bd.w)) if sp.g is not None \
-            and sp.g.shape[0] else np.zeros((n, sp.g.shape[0]), dtype=np.int64)
-        dg = (d_up @ sp.g) % p
-        ident = (dg + gd + sp.f1 @ sp.pi) % p
-        if np.any(ident != eye(n, dtype=np.int64)):
+        ident = matmul_mod(sp.f1, sp.pi, p)
+        if sp_dn is not None:
+            here = rows(bd.s, bd.w)
+            ident[here] += matmul_mod(sp_dn.g[here], diff_block(bd), p)
+        if up:
+            d_up = diff_block(Bidegree(bd.s + 1, bd.w))
+            ident += matmul_mod(d_up[:, up], g_up, p)
+        if np.any(ident % p != eye(n, dtype=np.int64)):
             raise CertificationError(f"homotopy identity fails at {bd}")
         con.trusted.add(bd)
     return con
@@ -684,22 +705,25 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     letter_d = {lab: {k: v for k, v in vec.items() if v}
                 for lab, vec in letter_d.items()}
 
-    # enumerate all words between degree 0 and s_bound inclusive
-    blocks: dict[Bidegree, list[str]] = {Bidegree(0, 0): [EMPTY_WORD]}
-    ordered = sorted(letters, key=lambda l: (letters[l], l))
+    # enumerate all words between degree 0 and s_bound inclusive, on the
+    # plain integers (direction * s, w); letters come in increasing
+    # direction * s, so each scan stops at the first letter past the bound
+    bound = direction * s_bound
+    steps = sorted((direction * lbd.s, lbd.w, lab)
+                   for lab, lbd in letters.items())
+    found: dict[tuple[int, int], list[str]] = {(0, 0): [EMPTY_WORD]}
 
-    def grow(prefix: list[str], bd: Bidegree) -> None:
-        for lab in ordered:
-            nbd = bd + letters[lab]
-            if direction * nbd.s > direction * s_bound:
-                continue
-            word = prefix + [lab]
-            blocks.setdefault(nbd, []).append("|".join(word))
-            grow(word, nbd)
+    def grow(prefix: str, s: int, w: int) -> None:
+        for ds, dw, lab in steps:
+            if s + ds > bound:
+                break
+            word = f"{prefix}|{lab}" if prefix else lab
+            found.setdefault((s + ds, w + dw), []).append(word)
+            grow(word, s + ds, w + dw)
 
-    grow([], Bidegree(0, 0))
-    for labs in blocks.values():
-        labs.sort()
+    grow("", 0, 0)
+    blocks = {Bidegree(direction * s, w): sorted(labs)
+              for (s, w), labs in found.items()}
     window = (-1, s_bound) if direction > 0 else (s_bound, 1)
     wspace = GradedVectorSpace(prime=p, window=window, blocks=blocks)
 

@@ -15,11 +15,16 @@ Conventions:
 All elimination runs through one kernel, `_eliminate`.  Only `row_reduce`
 builds a transform (it reduces [M | I]); `invert` and `solve` read that
 transform, while `rank_nullspace` and `greedy_extend` reduce M alone and
-need only its echelon form and pivot columns.
+need only its echelon form and pivot columns.  Block products run through
+`matmul_mod`: in float64 BLAS while every partial sum is an integer below
+2^53 (Dumas, Giorgi & Pernet, "Dense linear algebra over word-size prime
+fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008), in int64
+past that bound.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -30,6 +35,7 @@ __all__ = [
     "Bidegree",
     "GradedVectorSpace",
     "is_prime",
+    "matmul_mod",
     "row_reduce",
     "rank_nullspace",
     "solve",
@@ -51,7 +57,9 @@ class TruncationExceeded(Exception):
 # scalars
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def is_prime(p: int) -> bool:
+    """Trial division, once per modulus: every elimination asks again."""
     if p < 2:
         return False
     d = 2
@@ -67,6 +75,25 @@ def _as_matrix(M, p: int) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={A.ndim}")
     return A % p
+
+
+# ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p as int64 in [0, p), for int64 inputs in [0, p).
+
+    While inner * (p - 1)^2 < 2^53 for the inner dimension, every partial
+    sum is an integer that float64 holds exactly, so BLAS gives the exact
+    product in any summation order.  Past that bound the product runs in
+    int64; keeping inner * (p - 1)^2 below 2^63 there is the caller's
+    guard.
+    """
+    if A.shape[1] * (p - 1) ** 2 < 2 ** 53:
+        C = A.astype(np.float64) @ B.astype(np.float64)
+        return C.astype(np.int64) % p
+    return (A @ B) % p
 
 
 # ---------------------------------------------------------------------------

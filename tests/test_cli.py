@@ -9,6 +9,7 @@ are rebuilt.
 
 import json
 
+import numpy as np
 import pytest
 
 from ainfbg.cli import (
@@ -121,14 +122,19 @@ def test_certification_failure_exit_code(capsys, monkeypatch):
 
 def test_singular_block_in_contraction_is_a_certification_failure(
         capsys, monkeypatch):
-    """`invert` raises ValueError on a singular matrix; inside contraction
-    that is a failed certification (exit 1), not a parameter error."""
+    """Boundaries that lose rank on the free columns leave no splitting
+    basis; inside contraction that is a failed certification (exit 1),
+    not a parameter error."""
     from ainfbg import dga
+    from ainfbg.glin import PivotData
 
-    def singular(M, p):
-        raise ValueError("matrix of rank 0 < 1 is not invertible")
+    def rank_deficient(M, p):
+        rows, cols = np.shape(M)
+        return PivotData(rref=np.zeros((rows, cols), dtype=np.int64),
+                         transform=np.eye(rows, dtype=np.int64),
+                         pivot_cols=(), prime=p)
 
-    monkeypatch.setattr(dga, "invert", singular)
+    monkeypatch.setattr(dga, "row_reduce", rank_deficient)
     code, _, err = run_cli(capsys, "transfer", 3, 1, 2, "--no-cache")
     assert code == 1
     assert "verification failure" in err

@@ -27,6 +27,7 @@ from ainfbg.dga import (
     CertificationError,
     DGAlgebra,
     cobar,
+    cobar_letters,
     contraction,
     massey_power,
     reorder_blocks,
@@ -42,7 +43,12 @@ from ainfbg.glin import (
     row_reduce,
     solve,
 )
-from ainfbg.grp import GroupParams, build_end_dga, expected_minimal_model
+from ainfbg.grp import (
+    GroupParams,
+    build_end_dga,
+    expected_loop_model,
+    expected_minimal_model,
+)
 from ainfbg.koszul import cochain_window_for_loops
 
 from toymodels import build_toy_model
@@ -329,12 +335,16 @@ def test_contraction_matches_the_reference_on_random_complexes(seed, p, dims,
     assert_matches_reference(shuffled_blocks(dga, order_seed))
 
 
-def _loop_cobar(pnq):
+def _loop_cobar_input(pnq):
+    """The cochain model and word bound that the loop pipeline cobars."""
     gp = GroupParams(*pnq)
     _, s_hi = gp.loop_window()
-    cochain = expected_minimal_model(
-        gp, window=cochain_window_for_loops(gp, s_hi))
-    return cobar(cochain, s_hi)
+    return expected_minimal_model(
+        gp, window=cochain_window_for_loops(gp, s_hi)), s_hi
+
+
+def _loop_cobar(pnq):
+    return cobar(*_loop_cobar_input(pnq))
 
 
 @pytest.mark.parametrize("order_seed", [0, 1])
@@ -498,6 +508,48 @@ def test_cobar_leibniz_sampled():
     cb = cobar(model, 10)
     rep = validate_dga(cb, pair_sample=300, triple_sample=300, seed=5)
     assert rep.leibniz_checked > 0 and rep.assoc_checked > 0
+
+
+def reference_cobar_blocks(model, s_bound):
+    """The word basis enumerated on Bidegree sums, every letter tried at
+    every step: the oracle for the integer enumeration inside `cobar`."""
+    letters, direction = cobar_letters(model, s_bound)
+    blocks = {Bidegree(0, 0): ["()"]}
+    ordered = sorted(letters, key=lambda l: (letters[l], l))
+
+    def grow(prefix, bd):
+        for lab in ordered:
+            nbd = bd + letters[lab]
+            if direction * nbd.s > direction * s_bound:
+                continue
+            word = prefix + [lab]
+            blocks.setdefault(nbd, []).append("|".join(word))
+            grow(word, nbd)
+
+    grow([], Bidegree(0, 0))
+    return {bd: sorted(labs) for bd, labs in blocks.items()}
+
+
+def _poincare_cobar_input(pnq):
+    """The loop model and word bound that `poincare_roundtrip` cobars."""
+    gp = GroupParams(*pnq)
+    arity = gp.loop_arity_bound()
+    pub_hi = gp.loop_window()[1] - (arity - 1)
+    model = expected_loop_model(gp, window=(0, pub_hi), arity_bound=arity)
+    return model, -(pub_hi + 1)
+
+
+@pytest.mark.parametrize("build, pnq", [
+    (_loop_cobar_input, (3, 1, 2)), (_loop_cobar_input, (5, 1, 2)),
+    (_loop_cobar_input, (5, 1, 4)), (_poincare_cobar_input, (3, 1, 2))],
+    ids=["loops(3,1,2)", "loops(5,1,2)", "loops(5,1,4)", "poincare(3,1,2)"])
+def test_cobar_word_basis_matches_the_bidegree_enumeration(build, pnq):
+    model, s_bound = build(pnq)
+    want = reference_cobar_blocks(model, s_bound)
+    got = cobar(model, s_bound).space.blocks
+    assert got == want
+    assert sum(map(len, got.values())) > 50
+    assert (min if s_bound < 0 else max)(bd.s for bd in got) == s_bound
 
 
 def test_cobar_rejects_degree_zero_letters():

@@ -17,6 +17,8 @@ from ainfbg.glin import (
     TruncationExceeded,
     greedy_extend,
     invert,
+    is_prime,
+    matmul_mod,
     rank_nullspace,
     row_reduce,
     solve,
@@ -217,6 +219,68 @@ def test_pivot_inverses_and_composite_modulus():
         rank_nullspace([[0]], 6)
     with pytest.raises(ValueError, match="modulus must be prime"):
         greedy_extend(np.zeros((0, 1)), [[1]], 6)
+
+
+def test_primality_is_checked_once_per_modulus():
+    """Trial division at p = 2^31 - 1 costs milliseconds; repeated
+    eliminations at one prime run it once.  A composite modulus is still
+    refused on every call, cached or not."""
+    p = 2**31 - 1
+    is_prime.cache_clear()
+    for _ in range(5):
+        assert rank_nullspace([[1]], p)[0] == 1
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            rank_nullspace([[1]], p - 2)      # 2^31 - 3 = 5 * 429496729
+    assert is_prime.cache_info().misses == 2
+
+
+# ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+# the largest prime below 2^25: inner * (P25 - 1)^2 < 2^53 up to inner 8
+P25 = 33554393
+
+
+def reference_matmul(A, B, p):
+    """A @ B mod p on Python integers, which never overflow or round."""
+    cols = list(zip(*B.tolist())) if B.size else [()] * B.shape[1]
+    return [[sum(int(a) * int(b) for a, b in zip(row, col)) % p
+             for col in cols] for row in A.tolist()]
+
+
+@pytest.mark.parametrize("p", [3, 13, P25])
+@pytest.mark.parametrize("inner", [0, 1, 7, 8, 9, 40])
+def test_matmul_mod_matches_python_integers(p, inner):
+    assert is_prime(P25)
+    assert 8 * (P25 - 1) ** 2 < 2**53 < 9 * (P25 - 1) ** 2
+    rng = np.random.default_rng(1000 * inner + p % 1000)
+    for rows, cols in ((1, 1), (5, 6), (0, 3)):
+        A = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+        B = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+        A[:, :2] = p - 1                   # the largest products
+        got = matmul_mod(A, B, p)
+        assert got.dtype == np.int64 and got.shape == (rows, cols)
+        assert got.tolist() == reference_matmul(A, B, p)
+
+
+def test_matmul_mod_leaves_float64_past_the_exactness_bound():
+    """At inner dimension 9 and p = P25 the exact product below is odd and
+    above 2^53, so float64 cannot hold it; the int64 path gets it right."""
+    p = P25
+    A = np.array([[p - 1] * 8 + [p - 2]], dtype=np.int64)
+    B = A.T.copy()
+    exact = 8 * (p - 1) ** 2 + (p - 2) ** 2
+    assert exact > 2**53 and exact % 2 == 1
+    in_float = int((A.astype(np.float64) @ B.astype(np.float64))[0, 0])
+    assert in_float != exact
+    assert matmul_mod(A, B, p).tolist() == [[exact % p]]
+    # one term fewer stays under the bound, where float64 is exact
+    assert matmul_mod(A[:, 1:], B[1:], p).tolist() == \
+        [[(exact - (p - 1) ** 2) % p]]
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,9 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
     A prefix is extended only while some completion of the remaining
     letters lands on a target, decided on both coordinates by the (s, w)
     sums that prefixes of each length can reach, so the work scales with
-    the words yielded, not with the full tuple count.
+    the words yielded, not with the full tuple count.  Those sums are
+    kept only inside the box that the remaining letters can still carry
+    into the goal's bounding box, so their sets do not grow with n.
     """
     shift = {"identity": n - 3, "operation": n - 2}[level]
     lo, hi = model.space.window
@@ -272,22 +274,37 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
     if not letters:
         return
     steps = {(s, w) for _, s, w in letters}
+    ds_lo, ds_hi = min(s for s, _ in steps), max(s for s, _ in steps)
+    dw_lo, dw_hi = min(w for _, w in steps), max(w for _, w in steps)
 
-    # reach[k]: the input (s, w) sums of length-k prefixes
-    reach = [{(0, 0)}]
-    for _ in range(n):
-        reach.append({(s + ds, w + dw) for s, w in reach[-1]
-                      for ds, dw in steps})
+    # the input (s, w) sums that land on a goal lie in s_box x w_box; with
+    # no targets w_box holds every sum of n letters
     if targets is None:
-        goal = {(s, w) for s, w in reach[n] if lo <= s + shift <= hi}
+        goal = None
+        s_box, w_box = (lo - shift, hi - shift), (n * dw_lo, n * dw_hi)
     else:
         goal = {(s - shift, w) for s, w in targets if lo <= s <= hi}
+        if not goal:
+            return
+        s_box = (min(s for s, _ in goal), max(s for s, _ in goal))
+        w_box = (min(w for _, w in goal), max(w for _, w in goal))
+    # reach[k]: the input (s, w) sums of length-k prefixes from which the
+    # other n - k letters can still end in the box
+    reach = [{(0, 0)}]
+    for k in range(1, n + 1):
+        r = n - k
+        s_min, s_max = s_box[0] - r * ds_hi, s_box[1] - r * ds_lo
+        w_min, w_max = w_box[0] - r * dw_hi, w_box[1] - r * dw_lo
+        reach.append({(s + ds, w + dw) for s, w in reach[-1]
+                      for ds, dw in steps
+                      if s_min <= s + ds <= s_max
+                      and w_min <= w + dw <= w_max})
     # live[k]: the length-k prefix sums that some completion takes to a goal
     live = [set() for _ in range(n + 1)]
-    live[n] = reach[n] & goal
+    live[n] = reach[n] if goal is None else reach[n] & goal
     for k in range(n - 1, -1, -1):
-        live[k] = {(s, w) for s, w in reach[k]
-                   if any((s + ds, w + dw) in live[k + 1] for ds, dw in steps)}
+        live[k] = reach[k] & {(s - ds, w - dw) for s, w in live[k + 1]
+                              for ds, dw in steps}
 
     def rec(prefix: list[str], s0: int, w0: int) -> Iterator[tuple[str, ...]]:
         k = len(prefix)

@@ -14,6 +14,12 @@ Three things live here:
 All splittings are greedy in the stored basis order, so two runs over the
 same data give byte-identical answers; reordering a basis is the supported
 way to probe how much of an answer is an artifact of choices.
+
+Products obey one composability rule: every label has a `source` and a
+`target` key, and products(a, b) is {} and never raises unless
+source(a) == target(b).  `mult` calls `products` only on such pairs, and
+`validate_dga` certifies the rule on every pair it multiplies.  By
+default every label has the same key, so every pair composes.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ class CertificationError(Exception):
 # container
 # ---------------------------------------------------------------------------
 
+def _same_key(lab: str) -> int:
+    """The default composability key: every pair of labels composes."""
+    return 0
+
+
 @dataclass
 class DGAlgebra:
     """Associative DGA over F_p given by basis-level structure callables.
@@ -69,6 +80,11 @@ class DGAlgebra:
     Both must be degree-homogeneous (product adds bidegrees, d shifts by
     (-1, 0)) and must raise TruncationExceeded whenever a nonzero part of
     the answer would leave the window -- returning {} means provably zero.
+
+    source and target are label keys with the contract: products(a, b) is
+    {} and never raises unless source(a) == target(b).  `mult` multiplies
+    only those pairs, and `validate_dga` checks the contract.  The default
+    keys are constant, so every pair composes.
     """
 
     space: GradedVectorSpace
@@ -76,6 +92,8 @@ class DGAlgebra:
     products: Callable[[str, str], Vector]
     diff: Callable[[str], Vector]
     name: str = ""
+    source: Callable[[str], object] = _same_key
+    target: Callable[[str], object] = _same_key
 
     @property
     def prime(self) -> int:
@@ -91,9 +109,12 @@ class DGAlgebra:
 
     def mult(self, u: Vector, v: Vector) -> Vector:
         p = self.prime
+        by_target: dict[object, list[tuple[str, int]]] = {}
+        for lb, cb in v.items():
+            by_target.setdefault(self.target(lb), []).append((lb, cb))
         out: dict[str, int] = {}
         for la, ca in u.items():
-            for lb, cb in v.items():
+            for lb, cb in by_target.get(self.source(la), ()):
                 for olab, oc in self.products(la, lb).items():
                     out[olab] = (out.get(olab, 0) + ca * cb * oc) % p
         return {k: v for k, v in out.items() if v}
@@ -140,6 +161,9 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     """Check d^2 = 0, the Leibniz rule, associativity, and unitality.
 
     Exhaustive by default; pass sample sizes to spot-check large algebras.
+    Every pair whose product is taken is also checked against the
+    composability contract: when source(a) != target(b), a nonzero or
+    raising products(a, b) fails certification.
     Degrees within two steps of the window floor are skipped for d^2 (the
     second differential is not representable there), and pairs or triples
     whose products leave the window are skipped as unknowable: a triple
@@ -183,7 +207,7 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
 
     for a, b in tuples(2, pair_sample):
         try:
-            ab = dga.products(a, b)
+            ab = _product(dga, a, b)
             lhs = dga.d(ab)
             sign = -1 if _parity(space, a) else 1
             rhs = _add(dga.mult(dga.d({a: 1}), {b: 1}),
@@ -199,8 +223,8 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     else:
         for a, b, c in tuples(3, triple_sample):
             try:
-                left = dga.mult(dga.products(a, b), {c: 1})
-                right = dga.mult({a: 1}, dga.products(b, c))
+                left = dga.mult(_product(dga, a, b), {c: 1})
+                right = dga.mult({a: 1}, _product(dga, b, c))
             except TruncationExceeded:
                 continue
             if left != right:
@@ -215,6 +239,22 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
             raise CertificationError(f"right unit on {lab!r}")
         rep.unit_checked += 1
     return rep
+
+
+def _product(dga: DGAlgebra, a: str, b: str) -> Vector:
+    """dga.products(a, b), failing certification if the pair breaks the
+    composability contract."""
+    if dga.source(a) == dga.target(b):
+        return dga.products(a, b)
+    try:
+        ab = dga.products(a, b)
+    except TruncationExceeded:
+        raise CertificationError(
+            f"non-composable pair ({a!r}, {b!r}) leaves the window") from None
+    if ab:
+        raise CertificationError(
+            f"non-composable pair ({a!r}, {b!r}) has product {ab}")
+    return ab
 
 
 def _associative_triples(dga: DGAlgebra, labels: list[str]) -> int:
@@ -235,7 +275,7 @@ def _associative_triples(dga: DGAlgebra, labels: list[str]) -> int:
     for a in labels:
         for b in labels:
             try:
-                ab = dga.products(a, b)
+                ab = _product(dga, a, b)
             except TruncationExceeded:
                 raised.add((a, b))
             else:
@@ -778,5 +818,4 @@ def reorder_blocks(dga: DGAlgebra,
             raise ValueError(f"reordering at {bd} is not a permutation")
     space = GradedVectorSpace(prime=dga.prime, window=dga.space.window,
                               blocks=blocks)
-    return DGAlgebra(space=space, unit=dict(dga.unit), products=dga.products,
-                     diff=dga.diff, name=dga.name)
+    return replace(dga, space=space, unit=dict(dga.unit))

@@ -270,10 +270,13 @@ def build_end_dga(params: GroupParams, *,
                 out[lab2] = (out.get(lab2, 0) - (-1) ** (d % 2)) % p
         return {k: v for k, v in out.items() if v}
 
+    # "i:d:a" maps P_{i+d} -> P_i, so "i:d:a" * "j:e:b" needs j = i + d
+    source = {lab: i + d for lab, (i, d, _) in triples.items()}
+    target = {lab: i for lab, (i, _, _) in triples.items()}
     unit = {f"{i}:0:0": 1 for i in range(L + 1)}
-    dga = DGAlgebra(space=space, unit=unit, products=products, diff=diff,
-                    name=f"End({params.label()},L={L})")
-    return dga
+    return DGAlgebra(space=space, unit=unit, products=products, diff=diff,
+                     name=f"End({params.label()},L={L})",
+                     source=source.__getitem__, target=target.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,20 @@ def test_verify_11_1_2_content_hash_is_pinned(capsys):
     assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
 
 
+# transfer on a p^2 tuple: 170,068 nonzero end-DGA products in the
+# transfer, each multiplied only on a composable label pair.
+TRANSFER_5_2_2_HASH = (
+    "9ac42f7541ec8c6f370283f4053cce76b3463677cebde2de51333d0fd45dbac9")
+
+
+def test_transfer_5_2_2_content_hash_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "transfer", 5, 2, 2, "--json",
+                           "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"]["content_hash"] == TRANSFER_5_2_2_HASH
+
+
 def test_model_document_round_trips(capsys):
     _, out, _ = run_cli(capsys, "transfer", 3, 1, 2, "--json", "--no-cache")
     doc = json.loads(out)

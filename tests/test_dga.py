@@ -12,10 +12,11 @@ import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -696,3 +697,134 @@ def test_product_outside_the_basis_fails_certification():
     dga = with_product(dga, nonzero[0], lambda *_: {"nowhere": 1})
     with pytest.raises(CertificationError, match="outside the basis"):
         validate_dga(dga, pair_sample=0)
+
+
+# ---------------------------------------------------------------------------
+# composability: mult against the all-pairs product
+# ---------------------------------------------------------------------------
+
+def reference_mult(dga, u, v):
+    """DGAlgebra.mult with `products` called on every label pair: the
+    oracle for the composable-pairs product."""
+    p = dga.prime
+    out = {}
+    for la, ca in u.items():
+        for lb, cb in v.items():
+            for olab, oc in dga.products(la, lb).items():
+                out[olab] = (out.get(olab, 0) + ca * cb * oc) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def _shuffled_blocks(seed):
+    """A seeded shuffle inside each bidegree block (the benchmark's basis
+    order for a nonzero seed)."""
+    def key(bd, labels):
+        rng = random.Random(f"{seed}/{bd.s}/{bd.w}")
+        out = list(labels)
+        rng.shuffle(out)
+        return out
+    return key
+
+
+@functools.cache
+def mult_algebra(kind, order_seed=0):
+    if kind == "toy cobar":
+        return cobar(build_toy_model(), 8)
+    if kind == "(3,1,2) loop cobar":
+        return _loop_cobar((3, 1, 2))
+    gp = GroupParams(*kind)
+    dga = build_end_dga(gp, window=gp.cochain_window(gp.default_arity_bound()))
+    return reorder_blocks(dga, _shuffled_blocks(order_seed)) if order_seed \
+        else dga
+
+
+MULT_ALGEBRAS = [(pnq, seed) for pnq in [(3, 1, 2), (5, 1, 2), (5, 1, 4)]
+                 for seed in (0, 1)] + [("(3,1,2) loop cobar", 0),
+                                         ("toy cobar", 0)]
+
+
+def _homogeneous_vector(data, dga):
+    space = dga.space
+    bd = data.draw(st.sampled_from(sorted(space.blocks)))
+    labels = space.labels(bd)
+    support = data.draw(st.sampled_from(["single", "dense", "subset"]))
+    if support == "single":
+        labels = [data.draw(st.sampled_from(labels))]
+    elif support == "subset":
+        labels = data.draw(st.lists(st.sampled_from(labels), min_size=1,
+                                    unique=True))
+    return {lab: data.draw(st.integers(1, dga.prime - 1)) for lab in labels}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mult_matches_the_all_pairs_product(data):
+    dga = mult_algebra(*data.draw(st.sampled_from(MULT_ALGEBRAS)))
+    u = _homogeneous_vector(data, dga)
+    v = _homogeneous_vector(data, dga)
+    try:
+        want = reference_mult(dga, u, v)
+    except TruncationExceeded:
+        event("leaves the window")
+        with pytest.raises(TruncationExceeded):
+            dga.mult(u, v)
+        return
+    event("nonzero" if want else "zero")
+    assert dga.mult(u, v) == want
+
+
+def test_mult_calls_products_only_on_composable_pairs():
+    dga = mult_algebra((3, 1, 2))
+    calls = []
+
+    def products(a, b):
+        calls.append((a, b))
+        return dga.products(a, b)
+
+    recorded = replace(dga, products=products)
+    labels = [lab for lab in _labels(dga) if dga.space.bidegree_of(lab).s > -4]
+    vec = dict.fromkeys(labels, 1)
+    assert recorded.mult(vec, vec) == reference_mult(dga, vec, vec) != {}
+    composable = [(a, b) for a in labels for b in labels
+                  if dga.source(a) == dga.target(b)]
+    assert calls == composable
+    assert len(composable) < len(labels) ** 2 // 4
+
+
+def test_reorder_keeps_the_composability_keys():
+    dga = mult_algebra((3, 1, 2))
+    reordered = reorder_blocks(dga, _shuffled_blocks(1))
+    assert reordered.space.blocks != dga.space.blocks
+    assert reordered.source is dga.source and reordered.target is dga.target
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_one_wrong_key_fails_exhaustive_validation(key):
+    dga, free, _ = small_algebra("end", -2)
+    wrong = free[len(free) // 2]
+    right = getattr(dga, key)
+    mutated = replace(dga, **{key: lambda lab: right(lab) + (lab == wrong)})
+    validate_dga(dga)
+    with pytest.raises(CertificationError, match="non-composable pair"):
+        validate_dga(mutated)
+
+
+def _leaves(*_):
+    raise TruncationExceeded("made to leave the window")
+
+
+@pytest.mark.parametrize("product", [lambda *_: {"0:0:0": 1}, _leaves],
+                         ids=["nonzero", "raises"])
+def test_non_composable_product_fails_certification(product):
+    dga, free, _ = small_algebra("end", -2)
+    pair = next((a, b) for a in free for b in free
+                if dga.source(a) != dga.target(b))
+    mutated = replace(dga, products=lambda a, b: product() if (a, b) == pair
+                      else dga.products(a, b))
+    named = re.escape(f"non-composable pair {pair!r}")
+    with pytest.raises(CertificationError, match=named):
+        validate_dga(mutated)
+    # with sampled triples the Leibniz loop's pairs catch it (all drawn)
+    with pytest.raises(CertificationError, match=named):
+        validate_dga(mutated, pair_sample=len(_labels(dga)) ** 2,
+                     triple_sample=1)

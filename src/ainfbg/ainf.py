@@ -131,9 +131,6 @@ class AInfinityAlgebra:
         self.space.require_in_window(out.s)
         return self.ops.get(n, {}).get(tuple(word), {})
 
-    def basis_degree(self, label: str) -> int:
-        return self.space.bidegree_of(label).s
-
 
 # ---------------------------------------------------------------------------
 # Koszul evaluation and the structure identities
@@ -154,7 +151,7 @@ def koszul_apply(model: AInfinityAlgebra, r: int, s: int, t: int,
     inner = model.op_value(s, word[r:r + s])
     if not inner:
         return {}
-    passed = sum(model.basis_degree(l) for l in word[:r])
+    passed = sum(model.space.bidegree_of(l).s for l in word[:r])
     sign = -1 if (s * passed) % 2 else 1  # (s-2)*passed has the parity of s*passed
     out: dict[str, int] = {}
     for lab, c in inner.items():
@@ -458,12 +455,6 @@ class HypothesisParams:
             raise ValueError(
                 f"h*a - ell*b = {self.h * self.a - self.ell * self.b}, need 1")
 
-    def x_bidegree(self, scale: int = 1) -> Bidegree:
-        return Bidegree(-2 * self.a, self.ell * scale)
-
-    def t_bidegree(self, scale: int = 1) -> Bidegree:
-        return Bidegree(-2 * self.b - 1, self.h * scale)
-
     def monomial_bidegree(self, j: int, eps: int, scale: int = 1) -> Bidegree:
         return Bidegree(-2 * self.a * j - (2 * self.b + 1) * eps,
                         (j * self.ell + eps * self.h) * scale)
@@ -598,8 +589,8 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
     ell = hp.ell
     want = epsilon_sign(ell) % p
 
-    x_lab = _unique_label(model, hp.x_bidegree(scale), names[0])
-    t_lab = _unique_label(model, hp.t_bidegree(scale), names[1])
+    x_lab = _unique_label(model, hp.monomial_bidegree(1, 0, scale), names[0])
+    t_lab = _unique_label(model, hp.monomial_bidegree(0, 1, scale), names[1])
 
     # nu[(j, eps)] = (old label, coefficient): the m_2-monomial basis
     nu: dict[tuple[int, int], tuple[str, int]] = {(0, 0): (model.unit, 1)}

@@ -6,11 +6,16 @@ model           build the endomorphism DG-algebra and serialize it
 transfer        transferred + normalized minimal model on the cochain side
 check-stasheff  identity sweeps on the transferred model
 massey          Massey powers of t against the transferred family
-classify        bigrading classification of admissible higher operations
+classify        admissible higher-operation shapes from the bigrading
 loops           transferred + normalized loop-space model (cobar side)
 verify          the full battery: both pipelines, oracles, cross-checks
 
-Every command produces a JSON-compatible document rendered either as
+The side is data read off the computation (`hp`, `names`), not a code
+path: `transfer` and `loops` share one model-document path,
+`check-stasheff` and `massey` one report path, and the two stages of
+`verify` one gate-and-compare head and family record.
+
+Every command returns a JSON-compatible document rendered either as
 key/value + table text or, under --json, as canonical JSON (sorted keys,
 two-space indent).  Rerunning a command with identical inputs produces
 byte-identical output; coefficients are always printed as canonical
@@ -22,8 +27,9 @@ document made by other code is never replayed; a cached document whose
 embedded content hash does not match is discarded and rebuilt.  All file
 writes go through a temporary file and an atomic rename.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
-3 truncation-window error.
+Exit codes: 0 success, 1 verification failure (including a document
+whose `overall` is "fail"), 2 invalid parameters, 3 truncation-window
+error.
 """
 
 from __future__ import annotations
@@ -34,34 +40,35 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
 from .ainf import (
+    AdmissibleShape,
     AInfinityAlgebra,
     ShapeMismatch,
     admissible_shapes,
-    classify_admissible,
     epsilon_sign,
     monomial_label,
     stasheff_defect,
     strict_unitality_defects,
 )
-from .dga import CertificationError, massey_power
-from .glin import Bidegree, GradedVectorSpace, TruncationExceeded
-from .grp import LOOP_GENERATORS, GroupParams, build_end_dga
+from .dga import CertificationError
+from .glin import GradedVectorSpace, TruncationExceeded
+from .grp import GroupParams, build_end_dga
 from .koszul import loop_minimal_model, loop_word_count, poincare_roundtrip
 from .transfer import (
+    Computation,
     PatternMismatch,
     compare_models,
     group_minimal_model,
     massey_versus_transfer,
+    published_massey_power,
 )
 
 FORMAT_VERSION = 1
-
-CACHED_COMMANDS = {"model", "transfer", "loops", "verify"}
 
 # verify skips its loop stage above this cobar word count (the dense
 # block elimination behind the retraction is cubic in block size, and
@@ -168,24 +175,6 @@ def model_document(command: str, params: GroupParams, parameters: dict,
     return finalize_document(doc)
 
 
-def model_from_document(doc: dict) -> AInfinityAlgebra:
-    """Inverse of model_document's model part (round-trip stable)."""
-    if doc.get("kind") != "ainfinity-model":
-        raise ValueError(f"not a model document: kind={doc.get('kind')!r}")
-    blocks = {Bidegree(r["s"], r["w"]): list(r["labels"])
-              for r in doc["spaces"]}
-    space = GradedVectorSpace(prime=doc["prime"],
-                              window=tuple(doc["window"]), blocks=blocks)
-    ops = {int(n): {tuple(e["inputs"]): {lab: int(c)
-                                         for lab, c in e["output"].items()}
-                    for e in entries}
-           for n, entries in doc["operations"].items()}
-    return AInfinityAlgebra(space=space, ops=ops,
-                            arity_bound=doc["arity_bound"],
-                            unit=doc["unit"],
-                            internal_scale=doc["internal_scale"])
-
-
 def dga_document(command: str, params: GroupParams, parameters: dict,
                  dga) -> dict:
     """Serialize a DG-algebra: differential and product entries whose
@@ -277,12 +266,11 @@ def render_text(doc: dict) -> str:
     if "admissible" in doc:
         lines.append("")
         rows = [[str(r["arity"]),
-                 " ".join(str(j) for j in r["powers"]),
                  " ".join(str(e) for e in r["exponents"]),
-                 str(r["target_power"]), str(r["target_exponent"])]
+                 str(r["target_exponent"]), str(r["power_excess"])]
                 for r in doc["admissible"]]
         lines.extend(_render_table(
-            rows, ["arity", "powers", "exponents", "target_j", "target_e"]))
+            rows, ["arity", "exponents", "target_e", "power_excess"]))
     if "spaces" in doc:
         lines.append("")
         rows = [[str(r["s"]), str(r["w"]), str(r["dim"]),
@@ -350,7 +338,7 @@ def _cache_load(path: str) -> dict | None:
 
 def run_with_cache(command: str, args, parameters: dict,
                    build: Callable[[], dict]) -> dict:
-    if command not in CACHED_COMMANDS or args.no_cache:
+    if args.no_cache:
         return build()
     path = os.path.join(_cache_dir(args),
                         f"{command}-{_cache_key(command, parameters)[:32]}.json")
@@ -404,7 +392,7 @@ def _record(name: str, expected: str, got: str,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_model(args) -> tuple[dict, int]:
+def cmd_model(args) -> dict:
     params = _resolve_group(args)
     window = _window(args) or params.default_window()
     parameters = {"p": params.p, "n": params.n, "q": params.q,
@@ -414,12 +402,15 @@ def cmd_model(args) -> tuple[dict, int]:
         dga = build_end_dga(params, window=window)
         return dga_document("model", params, parameters, dga)
 
-    return run_with_cache("model", args, parameters, build), 0
+    return run_with_cache("model", args, parameters, build)
 
 
-def _cochain_computation(params: GroupParams, args):
-    return group_minimal_model(params, window=_window(args),
-                               arity_bound=args.arity)
+def _computation(params: GroupParams, args) -> Computation:
+    """The command's side on its window and arity options: the loop
+    pipeline for `loops`, the cochain one for every other command."""
+    pipeline = (loop_minimal_model if args.command == "loops"
+                else group_minimal_model)
+    return pipeline(params, window=_window(args), arity_bound=args.arity)
 
 
 def _transfer_parameters(params: GroupParams, args) -> dict:
@@ -429,24 +420,38 @@ def _transfer_parameters(params: GroupParams, args) -> dict:
             "gamma": params.gamma, "window": list(window), "arity": arity}
 
 
-def cmd_transfer(args) -> tuple[dict, int]:
+def _loop_parameters(params: GroupParams, args) -> dict:
+    if params.q == 1:
+        raise ParameterError("the loop pipeline needs q >= 2")
+    arity = args.arity or params.loop_arity_bound()
+    window = _window(args) or params.loop_window()
+    return {"p": params.p, "n": params.n, "q": params.q,
+            "gamma": params.gamma, "window": list(window), "arity": arity}
+
+
+def cmd_minimal_model(args) -> dict:
+    """`transfer` (cochain side) and `loops` (loop side): the normalized
+    minimal model and the generator scales that normalized it, keyed by
+    the side's generator names."""
     params = _resolve_group(args)
-    parameters = _transfer_parameters(params, args)
+    parameters = (_loop_parameters if args.command == "loops"
+                  else _transfer_parameters)(params, args)
 
     def build() -> dict:
-        comp = _cochain_computation(params, args)
+        comp = _computation(params, args)
         norm = comp.normalized()
         p = params.p
+        x, t = comp.names
         extra = {"normalization": {
             "raw_coefficient": norm.raw_coefficient % p,
-            "x_scale": norm.x_scale % p,
-            "t_scale": norm.t_scale % p,
+            f"{x}_scale": norm.x_scale % p,
+            f"{t}_scale": norm.t_scale % p,
             "formal": norm.formal,
         }}
-        return model_document("transfer", params, parameters, norm.model,
+        return model_document(args.command, params, parameters, norm.model,
                               extra=extra)
 
-    return run_with_cache("transfer", args, parameters, build), 0
+    return run_with_cache(args.command, args, parameters, build)
 
 
 def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
@@ -470,29 +475,19 @@ def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
     return records
 
 
-def cmd_check_stasheff(args) -> tuple[dict, int]:
-    params = _resolve_group(args)
-    parameters = _transfer_parameters(params, args)
-    comp = _cochain_computation(params, args)
-    records = _sweep_records(comp.model, "cochain")
-    doc = report_document("check-report", "check-stasheff", params,
-                          parameters, records)
-    return doc, 0 if doc["overall"] == "pass" else 1
-
-
-def _massey_records(comp, tag: str) -> list[dict]:
+def _massey_records(comp: Computation, tag: str) -> list[dict]:
     """Below-order vanishing plus the ell-fold ratio cross-check."""
     p, ell = comp.params.p, comp.hp.ell
     cls = monomial_label(0, 1, comp.names)
     target = monomial_label(comp.hp.h, 0, comp.names)
     records = []
     for i in range(3, ell):
-        rep = massey_power(comp.con, cls, i)
+        rep = published_massey_power(comp, cls, i)
         got = (format_vector(rep.value, p) if rep.defined
                else f"obstructed at stage {rep.obstruction_stage}")
         records.append(_record(
             f"{tag} {i}-fold Massey power of {cls}", "0", got))
-    result = massey_versus_transfer(comp, nfold=ell)
+    result = massey_versus_transfer(comp)
     ratio = (-epsilon_sign(ell)) % p
     name = f"{tag} {ell}-fold Massey power vs transferred coefficient"
     expected = f"massey = {ratio} * transfer"
@@ -513,21 +508,23 @@ def _massey_records(comp, tag: str) -> list[dict]:
     return records
 
 
-def cmd_massey(args) -> tuple[dict, int]:
+def cmd_report(args) -> dict:
+    """`check-stasheff` (identity sweeps) and `massey` (Massey powers):
+    one battery of records on the transferred cochain model."""
     params = _resolve_group(args)
     parameters = _transfer_parameters(params, args)
-    comp = _cochain_computation(params, args)
-    records = _massey_records(comp, "cochain")
-    doc = report_document("massey-report", "massey", params, parameters,
-                          records)
-    return doc, 0 if doc["overall"] == "pass" else 1
+    comp = _computation(params, args)
+    if args.command == "massey":
+        kind, records = "massey-report", _massey_records(comp, "cochain")
+    else:
+        kind, records = "check-report", _sweep_records(comp.model, "cochain")
+    return report_document(kind, args.command, params, parameters, records)
 
 
-def _classification(params: GroupParams, max_arity: int) -> list[dict]:
-    """The three classification records.  They read only the shapes: every
-    shape admits every power tuple (see `admissible_shapes`), so the
-    expanded rows have the same arities and exponents."""
-    shapes = admissible_shapes(params.hp, max_arity)
+def _classification(params: GroupParams,
+                    shapes: list[AdmissibleShape]) -> list[dict]:
+    """The three classification records, read off the admissible shapes
+    (every shape admits every power tuple, see `admissible_shapes`)."""
     records = []
     arities = sorted({sh.arity for sh in shapes})
     records.append(_record("admissible arities", f"[{params.pn}]",
@@ -541,135 +538,92 @@ def _classification(params: GroupParams, max_arity: int) -> list[dict]:
     return records
 
 
-def cmd_classify(args) -> tuple[dict, int]:
+def cmd_classify(args) -> dict:
     params = _resolve_group(args)
     max_arity = args.arity or params.pn + 1
-    max_power = 2
     parameters = {"p": params.p, "n": params.n, "q": params.q,
-                  "gamma": params.gamma, "max_arity": max_arity,
-                  "max_power": max_power}
-    rows = classify_admissible(params.hp, max_arity, max_power)
-    records = _classification(params, max_arity)
-    admissible = [{"arity": r.arity, "powers": list(r.powers),
-                   "exponents": list(r.exponents),
-                   "target_power": r.target_power,
-                   "target_exponent": r.target_exponent} for r in rows]
-    doc = report_document("classify-report", "classify", params, parameters,
-                          records, extra={"admissible": admissible})
-    return doc, 0 if doc["overall"] == "pass" else 1
-
-
-def _loop_parameters(params: GroupParams, args) -> dict:
-    arity = args.arity or params.loop_arity_bound()
-    window = _window(args) or params.loop_window()
-    return {"p": params.p, "n": params.n, "q": params.q,
-            "gamma": params.gamma, "window": list(window), "arity": arity}
-
-
-def cmd_loops(args) -> tuple[dict, int]:
-    params = _resolve_group(args)
-    if params.q == 1:
-        raise ParameterError("the loop pipeline needs q >= 2")
-    parameters = _loop_parameters(params, args)
-
-    def build() -> dict:
-        comp = loop_minimal_model(params, window=_window(args),
-                                  arity_bound=args.arity)
-        norm = comp.normalized()
-        p = params.p
-        extra = {"normalization": {
-            "raw_coefficient": norm.raw_coefficient % p,
-            "tau_scale": norm.x_scale % p,
-            "xi_scale": norm.t_scale % p,
-            "formal": norm.formal,
-        }}
-        return model_document("loops", params, parameters, norm.model,
-                              extra=extra)
-
-    return run_with_cache("loops", args, parameters, build), 0
+                  "gamma": params.gamma, "max_arity": max_arity}
+    shapes = admissible_shapes(params.hp, max_arity)
+    return report_document("classify-report", "classify", params, parameters,
+                           _classification(params, shapes),
+                           extra={"admissible": [asdict(sh) for sh in shapes]})
 
 
 # ---------------------------------------------------------------------------
 # verify: the full battery
 # ---------------------------------------------------------------------------
 
-def _verify_cochain(params: GroupParams, args) -> list[dict]:
-    p, ell, h = params.p, params.pn, params.h
-    records = []
+def _verify_head(tag: str, compute: Callable[[], Computation]) -> tuple[
+        list[dict], Computation | None, AInfinityAlgebra | None]:
+    """Gate and compare one side: its pattern record, and when the gate
+    holds the table comparison, the computation and its normalized
+    model."""
     try:
-        comp = _cochain_computation(params, args)
+        comp = compute()
     except PatternMismatch as exc:
-        records.append(_record("cochain homology pattern",
-                               "closed-form dimensions", str(exc), "fail"))
+        return [_record(f"{tag} homology pattern", "closed-form dimensions",
+                        str(exc), "fail")], None, None
+    norm = comp.normalized().model
+    diffs = compare_models(norm, comp.expected())
+    return [
+        _record(f"{tag} homology pattern", "closed-form dimensions",
+                "match", "pass"),
+        _record(f"{tag} operation tables vs closed form", "exact match",
+                "exact match" if not diffs else f"{len(diffs)} mismatches"),
+    ], comp, norm
+
+
+def _family_record(comp: Computation, norm: AInfinityAlgebra) -> dict:
+    """m_ell(e, ..., e) = epsilon(ell) x^h in the normalized model, for
+    the side's polynomial generator x and exterior generator e; at
+    ell = 2 (the exceptional loop ring) that is the product e * e."""
+    p, ell = comp.params.p, comp.hp.ell
+    e = monomial_label(0, 1, comp.names)
+    target = monomial_label(comp.hp.h, 0, comp.names)
+    name = (f"{e} * {e} (exceptional ring)" if ell == 2
+            else f"m_{ell}({e},...,{e}) normalized")
+    return _record(name, f"{epsilon_sign(ell) % p}*{target}",
+                   format_vector(norm.op_value(ell, (e,) * ell), p))
+
+
+def _verify_cochain(params: GroupParams, args) -> list[dict]:
+    records, comp, norm = _verify_head(
+        "cochain", lambda: _computation(params, args))
+    if comp is None:
         return records
-    records.append(_record("cochain homology pattern",
-                           "closed-form dimensions", "match", "pass"))
-    norm = comp.normalized()
-    diffs = compare_models(norm.model, comp.expected())
-    records.append(_record(
-        "cochain operation tables vs closed form", "exact match",
-        "exact match" if not diffs else f"{len(diffs)} mismatches"))
-    for i in range(3, ell):
+    for i in range(3, params.pn):
         word = (monomial_label(0, 1),) * i
-        got = format_vector(norm.model.op_value(i, word), p)
+        got = format_vector(norm.op_value(i, word), params.p)
         records.append(_record(f"m_{i}(t,...,t)", "0", got))
-    family_word = (monomial_label(0, 1),) * ell
-    x_h = monomial_label(h, 0)
-    expected_family = f"{epsilon_sign(ell) % p}*{x_h}"
-    got_family = format_vector(norm.model.op_value(ell, family_word), p)
-    records.append(_record(f"m_{ell}(t,...,t) normalized",
-                           expected_family, got_family))
+    records.append(_family_record(comp, norm))
     records.extend(_sweep_records(comp.model, "cochain"))
     records.extend(_massey_records(comp, "cochain"))
-    records.extend(_classification(params, params.pn + 1))
+    records.extend(_classification(
+        params, admissible_shapes(params.hp, params.pn + 1)))
     return records
 
 
-def _verify_loops(params: GroupParams, args) -> list[dict]:
+def _verify_loops(params: GroupParams) -> list[dict]:
     p = params.p
-    records = []
     if params.q == 1:
-        records.append(_record("loop pipeline", "q >= 2", "skipped (q = 1)",
-                               "skip"))
-        return records
+        return [_record("loop pipeline", "q >= 2", "skipped (q = 1)", "skip")]
     words = loop_word_count(params)
     if words > VERIFY_LOOP_WORD_BUDGET:
-        records.append(_record(
+        return [_record(
             "loop pipeline",
             f"cobar word space within budget ({VERIFY_LOOP_WORD_BUDGET})",
             f"skipped ({words} words; run `ainfbg loops` explicitly)",
-            "skip"))
+            "skip")]
+    records, comp, norm = _verify_head(
+        "loop", lambda: loop_minimal_model(params))
+    if comp is None:
         return records
-    try:
-        comp = loop_minimal_model(params)
-    except PatternMismatch as exc:
-        records.append(_record("loop homology pattern",
-                               "closed-form dimensions", str(exc), "fail"))
-        return records
-    records.append(_record("loop homology pattern", "closed-form dimensions",
-                           "match", "pass"))
-    norm = comp.normalized()
-    diffs = compare_models(norm.model, comp.expected())
-    records.append(_record(
-        "loop operation tables vs closed form", "exact match",
-        "exact match" if not diffs else f"{len(diffs)} mismatches"))
-    dual = params.hp.loop_dual()
-    xi = monomial_label(0, 1, LOOP_GENERATORS)
-    tau_pn = monomial_label(dual.h, 0, LOOP_GENERATORS)
-    if dual.ell == 2:
-        got = format_vector(norm.model.op_value(2, (xi, xi)), p)
-        records.append(_record("xi * xi (exceptional ring)",
-                               f"{(-1) % p}*{tau_pn}", got))
-        higher = sum(1 for n, table in norm.model.ops.items() if n > 2
+    records.append(_family_record(comp, norm))
+    if comp.hp.ell == 2:
+        higher = sum(1 for n, table in norm.ops.items() if n > 2
                      for vec in table.values() if any(c % p for c in vec.values()))
         records.append(_record("higher loop operations", "none",
                                "none" if not higher else f"{higher} entries"))
-    else:
-        word = (xi,) * dual.ell
-        got = format_vector(norm.model.op_value(dual.ell, word), p)
-        records.append(_record(
-            f"m_{dual.ell}(xi,...,xi) normalized",
-            f"{epsilon_sign(dual.ell) % p}*{tau_pn}", got))
     records.extend(_sweep_records(comp.model, "loop"))
     records.extend(_massey_records(comp, "loop"))
     trip = poincare_roundtrip(comp)
@@ -680,7 +634,7 @@ def _verify_loops(params: GroupParams, args) -> list[dict]:
     return records
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     params = _resolve_group(args)
     parameters = _transfer_parameters(params, args)
     if params.q > 1:
@@ -689,12 +643,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 
     def build() -> dict:
         records = _verify_cochain(params, args)
-        records.extend(_verify_loops(params, args))
+        records.extend(_verify_loops(params))
         return report_document("verify-report", "verify", params, parameters,
                                records)
 
-    doc = run_with_cache("verify", args, parameters, build)
-    return doc, 0 if doc["overall"] == "pass" else 1
+    return run_with_cache("verify", args, parameters, build)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +656,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 COMMANDS = {
     "model": cmd_model,
-    "transfer": cmd_transfer,
-    "check-stasheff": cmd_check_stasheff,
-    "massey": cmd_massey,
+    "transfer": cmd_minimal_model,
+    "check-stasheff": cmd_report,
+    "massey": cmd_report,
     "classify": cmd_classify,
-    "loops": cmd_loops,
+    "loops": cmd_minimal_model,
     "verify": cmd_verify,
 }
 
@@ -755,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, code = args.fn(args)
+        doc = args.fn(args)
     except ValueError as exc:
         print(f"ainfbg: parameter error: {exc}", file=sys.stderr)
         return 2
@@ -771,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rendering)
-    return code
+    return 1 if doc.get("overall") == "fail" else 0
 
 
 if __name__ == "__main__":

@@ -372,14 +372,13 @@ class Contraction:
     dga: DGAlgebra
     homology: GradedVectorSpace
     splits: dict[Bidegree, _BlockSplit]
-    s_range: tuple[int, int]
     trusted: set[Bidegree] = field(default_factory=set)
 
     def _check_range(self, bd: Bidegree) -> None:
-        lo, hi = self.s_range
+        lo, hi = self.homology.window
         if not lo <= bd.s <= hi:
             raise TruncationExceeded(
-                f"bidegree {bd} outside contracted range {self.s_range}")
+                f"bidegree {bd} outside contracted range {(lo, hi)}")
 
     def include(self, hvec: Vector) -> Vector:
         if not hvec:
@@ -427,7 +426,7 @@ class Contraction:
                                             for l in sp.h_labels])
                   for bd, sp in self.splits.items()}
         return Contraction(dga=self.dga, homology=hom, splits=splits,
-                           s_range=self.s_range, trusted=set(self.trusted))
+                           trusted=set(self.trusted))
 
 
 def contraction(dga: DGAlgebra) -> Contraction:
@@ -533,7 +532,7 @@ def contraction(dga: DGAlgebra) -> Contraction:
                   if sp.h_labels and lo <= bd.s <= hi}
     hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
 
-    con = Contraction(dga=dga, homology=hom, splits=splits, s_range=(lo, hi))
+    con = Contraction(dga=dga, homology=hom, splits=splits)
 
     # exact certification of the retraction identities; G at bd is zero
     # off the rows P_{s+1}, so products with it read only those rows
@@ -583,18 +582,15 @@ def contraction(dga: DGAlgebra) -> Contraction:
 # Pinned orientation of the defining-system recursion: staircase terms
 # use bar(a) = (-1)^(1+|a|) a, corrections come in through +G, and the
 # final staircase sum is projected with the overall orientation
-# MASSEY_OUT_SIGN * (-1)^(n(n-1)/2).  The n-dependent half lines the
-# n-fold power up with the transferred arity-n operation so that their
-# ratio on a diagonal power is -epsilon(n); it cannot be absorbed into
-# the three constants, because for odd n a bar-offset flip leaves every
-# diagonal staircase value unchanged (stage m picks up (-1)^(m+1), which
-# cancels in pairs) and a homotopy-sign flip scales each stage by
+# -(-1)^(n(n-1)/2).  The n-dependent half lines the n-fold power up with
+# the transferred arity-n operation so that their ratio on a diagonal
+# power is -epsilon(n); it cannot be absorbed into the constant signs,
+# because for odd n a flip of the bar offset leaves every diagonal
+# staircase value unchanged (stage m picks up (-1)^(m+1), which cancels
+# in pairs) and a flip of the homotopy's sign scales each stage by
 # (-1)^(m-1), an n-independent global sign on the output.  The constant
-# output sign is the gauge partner of the transfer's eta = +1: flipping
-# both together changes nothing observable.
-MASSEY_BAR_OFFSET = 1
-MASSEY_G_SIGN = 1
-MASSEY_OUT_SIGN = -1
+# output sign -1 is the gauge partner of the transfer's eta = +1:
+# flipping both together changes nothing observable.
 
 
 @dataclass
@@ -632,7 +628,7 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
         if not vec:
             return {}
         s = dga.bidegree_of(vec).s
-        return _scale(vec, (-1) ** ((MASSEY_BAR_OFFSET + s) % 2), p)
+        return _scale(vec, (-1) ** ((1 + s) % 2), p)
 
     alphas: dict[int, Vector] = {1: con.include({cls: 1})}
     for m in range(2, nfold + 1):
@@ -643,7 +639,7 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
             raise CertificationError(
                 f"staircase sum at stage {m} is not a cycle")
         if m == nfold:
-            orientation = MASSEY_OUT_SIGN * (-1) ** (nfold * (nfold - 1) // 2 % 2)
+            orientation = -(-1) ** (nfold * (nfold - 1) // 2 % 2)
             value = _scale(con.project(z), orientation, p)
             bd = dga.bidegree_of(z) if z else None
             return MasseyReport(nfold=nfold, cls=cls, value=value,
@@ -653,7 +649,7 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
             return MasseyReport(nfold=nfold, cls=cls, value={}, bidegree=None,
                                 defined=False, obstruction_stage=m,
                                 obstruction=obstruction)
-        alphas[m] = _scale(con.homotopy(z), MASSEY_G_SIGN, p)
+        alphas[m] = con.homotopy(z)
     raise AssertionError("unreachable")
 
 

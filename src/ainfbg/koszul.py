@@ -16,17 +16,15 @@ m_h(xi, ..., xi) = epsilon(h) tau^(p^n); in the single exceptional case
 h = 2 the family lands in the product itself and the ring is
 k[tau, xi] / (xi^2 + tau^3) with no higher operations at all.
 
-Word counts grow quickly with the degree window, so the default cobar
-input is the closed-form cochain model over a window just deep enough to
-supply every letter; pass the transferred model explicitly to run the
-pipeline end to end (its window must reach the same depth).
+Word counts grow quickly with the degree window, so the cobar input is
+the closed-form cochain model over a window just deep enough to supply
+every letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ainf import AInfinityAlgebra
 from .dga import cobar, cobar_letters, contraction
 # unused here, but the benchmark's tracer rebinds these names in this module
 from .ainf import normalize_generators  # noqa: F401
@@ -63,7 +61,7 @@ def cochain_window_for_loops(params: GroupParams, s_hi: int) -> tuple[int, int]:
     return (-(s_hi + 1), 0)
 
 
-def loop_word_count(params: GroupParams, window: tuple[int, int] | None = None) -> int:
+def loop_word_count(params: GroupParams) -> int:
     """Size of the cobar word basis for the loop computation.
 
     Counted from the letter degrees alone, without building the cobar
@@ -77,7 +75,7 @@ def loop_word_count(params: GroupParams, window: tuple[int, int] | None = None) 
     """
     if params.q == 1:
         raise ValueError("the loop pipeline needs q >= 2")
-    s_hi = (window or params.loop_window())[1]
+    s_hi = params.loop_window()[1]
     cochain = expected_minimal_model(
         params, window=cochain_window_for_loops(params, s_hi))
     letters, direction = cobar_letters(cochain, s_hi)
@@ -90,7 +88,6 @@ def loop_word_count(params: GroupParams, window: tuple[int, int] | None = None) 
 
 
 def loop_minimal_model(params: GroupParams, *,
-                       cochain: AInfinityAlgebra | None = None,
                        window: tuple[int, int] | None = None,
                        arity_bound: int | None = None,
                        reorder=None) -> Computation:
@@ -117,13 +114,8 @@ def loop_minimal_model(params: GroupParams, *,
     if pub_hi < 0:
         raise ValueError(f"window (0, {s_hi}) too small for arity "
                          f"{arity_bound}")
-    if cochain is None:
-        cochain = expected_minimal_model(
-            params, window=cochain_window_for_loops(params, s_hi))
-    elif cochain.space.window[0] > -(s_hi + 1):
-        raise ValueError(
-            f"cochain model window {cochain.space.window} too shallow for "
-            f"loop degree {s_hi}; its floor must reach {-(s_hi + 1)}")
+    cochain = expected_minimal_model(
+        params, window=cochain_window_for_loops(params, s_hi))
     dga = cobar(cochain, s_hi, name=f"cobar({params.label()})")
     expected = expected_loop_model(params, window=(0, pub_hi),
                                    arity_bound=arity_bound)
@@ -155,6 +147,6 @@ def poincare_roundtrip(comp: Computation) -> RoundTrip:
     con = contraction(back)
     pub = (s_lo + 1, 0)
     expected = expected_minimal_model(params, window=pub)
-    check_pattern(con.homology, expected.space, s_range=pub)
+    check_pattern(con.homology, expected.space)
     blocks = sum(1 for bd in expected.space.blocks if pub[0] <= bd.s <= pub[1])
     return RoundTrip(window=pub, blocks_checked=blocks)

@@ -60,6 +60,7 @@ __all__ = [
     "transfer_pipeline",
     "group_minimal_model",
     "compare_models",
+    "published_massey_power",
     "MasseyComparison",
     "massey_versus_transfer",
 ]
@@ -222,9 +223,10 @@ class PatternMismatch(Exception):
     """Computed homology does not match the expected bigraded pattern."""
 
 
-def check_pattern(hom: GradedVectorSpace, expected: GradedVectorSpace,
-                  s_range: tuple[int, int] | None = None) -> None:
-    """Require dim-by-dim equality of two bigraded spaces on a range.
+def check_pattern(hom: GradedVectorSpace,
+                  expected: GradedVectorSpace) -> None:
+    """Require dim-by-dim equality of two bigraded spaces on the range
+    their windows share.
 
     This is the gate between the truncated computation and everything
     downstream: inside the compared range the computed homology must be
@@ -235,8 +237,6 @@ def check_pattern(hom: GradedVectorSpace, expected: GradedVectorSpace,
     """
     lo = max(hom.window[0], expected.window[0])
     hi = min(hom.window[1], expected.window[1])
-    if s_range is not None:
-        lo, hi = max(lo, s_range[0]), min(hi, s_range[1])
     problems = []
     bds = {bd for bd in hom.blocks if lo <= bd.s <= hi}
     bds |= {bd for bd in expected.blocks if lo <= bd.s <= hi}
@@ -305,7 +305,7 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
         dga = reorder_blocks(dga, reorder)
     con = contraction(dga)
     window = expected.space.window
-    check_pattern(con.homology, expected.space, s_range=window)
+    check_pattern(con.homology, expected.space)
     published = con.homology.restricted(window)
     con = con.renamed(pattern_renaming(published, expected.space))
     if con.include({expected.unit: 1}) != dga.unit:
@@ -377,6 +377,24 @@ def compare_models(got: AInfinityAlgebra,
     return problems
 
 
+def published_massey_power(comp: Computation, cls: str,
+                           nfold: int) -> MasseyReport:
+    """`massey_power` of a published class, read only on the published
+    window: outside it the homology may be truncation junk that is never
+    renamed or read (see `group_minimal_model`), so an unpublished class
+    or a value outside the window raises TruncationExceeded."""
+    space = comp.model.space
+    if not space.has_label(cls):
+        raise TruncationExceeded(
+            f"class {cls} is not published on the window {space.window}")
+    report = massey_power(comp.con, cls, nfold)
+    if report.bidegree is not None and not space.in_window(report.bidegree.s):
+        raise TruncationExceeded(
+            f"{nfold}-fold Massey power of {cls} in degree "
+            f"{report.bidegree.s} leaves the published window {space.window}")
+    return report
+
+
 @dataclass
 class MasseyComparison:
     """The ell-fold Massey power against the arity-ell coefficient.
@@ -393,19 +411,16 @@ class MasseyComparison:
     holds: bool
 
 
-def massey_versus_transfer(comp: Computation,
-                           nfold: int | None = None) -> MasseyComparison:
-    """The nfold Massey power of the exterior generator against the
-    transferred coefficient on the target monomial (nfold defaults to
-    the family arity ell).  In the exceptional loop-side case ell = 2
-    the 2-fold power is the plain square and the relation still holds
-    with epsilon(2) = -1."""
-    p = comp.params.p
-    ell = comp.hp.ell if nfold is None else nfold
+def massey_versus_transfer(comp: Computation) -> MasseyComparison:
+    """The ell-fold Massey power of the exterior generator against the
+    transferred coefficient on the target monomial, for the family arity
+    ell.  In the exceptional loop-side case ell = 2 the 2-fold power is
+    the plain square and the relation still holds with epsilon(2) = -1."""
+    p, ell = comp.params.p, comp.hp.ell
     cls = monomial_label(0, 1, comp.names)
     target = monomial_label(comp.hp.h, 0, comp.names)
 
-    report = massey_power(comp.con, cls, ell)
+    report = published_massey_power(comp, cls, ell)
     c_massey = report.value.get(target, 0) if report.defined else 0
     extra = set(report.value) - {target}
     if extra:

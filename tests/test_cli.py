@@ -7,19 +7,21 @@ over their own canonical form, and cached documents failing that hash
 are rebuilt.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from ainfbg.ainf import AdmissibleOp, AInfinityAlgebra, classify_admissible
 from ainfbg.cli import (
     FORMAT_VERSION,
     canonical_json,
     document_hash_ok,
     main,
     model_document,
-    model_from_document,
 )
+from ainfbg.glin import Bidegree, GradedVectorSpace
 from ainfbg.grp import GroupParams
 
 
@@ -34,6 +36,24 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def model_from_document(doc: dict) -> AInfinityAlgebra:
+    """Inverse of model_document's model part (round-trip stable)."""
+    if doc.get("kind") != "ainfinity-model":
+        raise ValueError(f"not a model document: kind={doc.get('kind')!r}")
+    blocks = {Bidegree(r["s"], r["w"]): list(r["labels"])
+              for r in doc["spaces"]}
+    space = GradedVectorSpace(prime=doc["prime"],
+                              window=tuple(doc["window"]), blocks=blocks)
+    ops = {int(n): {tuple(e["inputs"]): {lab: int(c)
+                                         for lab, c in e["output"].items()}
+                    for e in entries}
+           for n, entries in doc["operations"].items()}
+    return AInfinityAlgebra(space=space, ops=ops,
+                            arity_bound=doc["arity_bound"],
+                            unit=doc["unit"],
+                            internal_scale=doc["internal_scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +125,23 @@ def test_truncation_window_exit_code(capsys):
                            "--window", -7, 1, "--no-cache")
     assert code == 3
     assert "truncation-window error" in err
+
+
+@pytest.mark.parametrize("pnq", [(3, 1, 1), (3, 1, 2), (5, 1, 2)])
+def test_massey_window_floor_sweep(capsys, pnq):
+    """Deepening the window floor ends every truncation error at once:
+    a floor whose published window misses the class t or the value of a
+    Massey power exits 3, never 1 and never with an exception (below the
+    published floor the homology is truncation junk, not a class)."""
+    codes = {}
+    for lo in range(-20, 1):
+        codes[lo], _, err = run_cli(capsys, "massey", *pnq,
+                                    "--window", lo, 1, "--no-cache")
+        assert codes[lo] == 0 or "ainfbg: " in err
+    assert set(codes.values()) <= {0, 2, 3}
+    passing = [lo for lo, code in codes.items() if code == 0]
+    assert passing == list(range(-20, passing[-1] + 1))
+    assert codes[passing[-1] + 1] == 3
 
 
 def test_certification_failure_exit_code(capsys, monkeypatch):
@@ -213,6 +250,30 @@ def test_transfer_5_2_2_content_hash_is_pinned(capsys):
     assert doc["provenance"]["content_hash"] == TRANSFER_5_2_2_HASH
 
 
+# The full content hashes of the two cochain reports, a DG-algebra
+# document and the classification shapes.  Any change to a record, a
+# table or the document format moves them.
+REPORT_HASHES = {
+    ("check-stasheff", 3, 1, 2):
+        "4a4122292cf9c7363e57e8294b05aea3b707b84d6be61179e4bde0926d957c60",
+    ("massey", 3, 1, 2):
+        "a89e68781b4b3a9152faa61feb99a6aa4a85629ef7efea70e06a828dfcb78577",
+    ("model", 3, 1, 1, "--window", -8, 1):
+        "c49dc08c36e732e5323b0a50501b7cb7ec6270212f72f925008ab3105c0d3173",
+    ("classify", 3, 1, 2):
+        "517dc3338800169a8c7282bcc9d4899cb1debf325743a397bb359e15403e2f84",
+}
+
+
+def test_report_content_hashes_are_pinned(capsys):
+    got = {}
+    for argv in REPORT_HASHES:
+        code, out, _ = run_cli(capsys, *argv, "--json", "--no-cache")
+        assert code == 0, argv
+        got[argv] = json.loads(out)["provenance"]["content_hash"]
+    assert got == REPORT_HASHES
+
+
 def test_model_document_round_trips(capsys):
     _, out, _ = run_cli(capsys, "transfer", 3, 1, 2, "--json", "--no-cache")
     doc = json.loads(out)
@@ -308,6 +369,24 @@ def test_classify_command(capsys):
     assert arities == {3}
     assert all(all(e == 1 for e in row["exponents"])
                for row in doc["admissible"])
+
+
+@pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2)])
+def test_classify_shapes_expand_to_the_admissible_tuples(capsys, pnq):
+    """Each shape admits every power tuple, with target power the power
+    sum minus the shape's power excess."""
+    code, out, _ = run_cli(capsys, "classify", *pnq, "--json", "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    expanded = [
+        AdmissibleOp(arity=sh["arity"], powers=powers,
+                     exponents=tuple(sh["exponents"]),
+                     target_power=sum(powers) - sh["power_excess"],
+                     target_exponent=sh["target_exponent"])
+        for sh in doc["admissible"]
+        for powers in itertools.product(range(3), repeat=sh["arity"])]
+    max_arity = doc["provenance"]["parameters"]["max_arity"]
+    assert expanded == classify_admissible(GroupParams(*pnq).hp, max_arity, 2)
 
 
 def test_loops_command(capsys):

@@ -135,7 +135,7 @@ def test_contraction_out_of_range_raises():
     unknown."""
     dga = build_end_dga(GroupParams(3, 1, 2), window=(-6, 0))
     con = contraction(dga)
-    assert con.s_range == (-5, -1)
+    assert con.homology.window == (-5, -1)
     for s in (-6, 0):
         edge = {next(lab for bd in dga.space.bidegrees() if bd.s == s
                      for lab in dga.space.labels(bd)): 1}
@@ -393,7 +393,7 @@ def test_end_contraction_matches_monomial_pattern(pnq):
     want = {bd: len(labs) for bd, labs in expected.space.blocks.items()}
     assert got == want
     # every trusted-range block was certified by the homotopy identity
-    lo, hi = con.s_range
+    lo, hi = con.homology.window
     for bd in con.splits:
         if lo + 1 <= bd.s <= hi - 1 and bd.s > lo:
             assert bd in con.trusted or bd.s in (lo, hi)

@@ -33,7 +33,11 @@ from ainfbg.koszul import (
     massey_versus_loop_transfer,
     poincare_roundtrip,
 )
-from ainfbg.transfer import compare_models, group_minimal_model
+from ainfbg.transfer import (
+    compare_models,
+    group_minimal_model,
+    transfer_pipeline,
+)
 
 CASES = [(3, 1, 2), (5, 1, 2)]
 
@@ -157,13 +161,6 @@ def test_word_counts_over_the_verify_budget():
     assert loop_word_count(GroupParams(11, 1, 2)) == 578_949
 
 
-def test_shallow_cochain_model_is_rejected():
-    params = GroupParams(3, 1, 2)
-    shallow = expected_minimal_model(params)
-    with pytest.raises(ValueError, match="too shallow"):
-        loop_minimal_model(params, cochain=shallow)
-
-
 def test_cochain_window_reaches_every_letter():
     params = GroupParams(5, 1, 2)
     s_hi = params.loop_window_hi()
@@ -177,18 +174,20 @@ def test_cochain_window_reaches_every_letter():
 # the pipeline composes with the cochain transfer and ignores basis order
 # ---------------------------------------------------------------------------
 
-def test_transferred_cochain_model_feeds_the_loop_pipeline():
-    # the default run consumes the closed-form cochain model; feeding the
-    # model transferred from the endomorphism algebra instead (over a
-    # window deep enough for every cobar letter) gives the same answer
+def test_transferred_cochain_model_feeds_the_loop_pipeline(computations):
+    # the loop pipeline consumes the closed-form cochain model; the cobar
+    # of the model transferred from the endomorphism algebra instead (over
+    # a window deep enough for every cobar letter) gives the same answer
     params = GroupParams(3, 1, 2)
+    default = computations[(3, 1, 2)]
     s_hi = params.loop_window_hi()
     floor = -(s_hi + 1)
     bound = params.default_arity_bound()
     cochain = group_minimal_model(
         params, window=(floor - (bound - 1), 1))
     assert cochain.model.space.window[0] <= floor
-    comp = loop_minimal_model(params, cochain=cochain.model)
+    comp = transfer_pipeline(params, cobar(cochain.model, s_hi),
+                             default.expected(), default.hp, default.names)
     assert compare_models(comp.normalized().model, comp.expected()) == []
 
 

@@ -24,6 +24,7 @@ from ainfbg.transfer import (
     group_minimal_model,
     massey_versus_transfer,
     pattern_renaming,
+    published_massey_power,
 )
 
 CASES = [(3, 1, 2), (5, 1, 2), (3, 1, 1)]
@@ -107,9 +108,9 @@ def test_massey_power_matches_transfer(computations, pnq):
 def test_massey_powers_below_the_order_vanish(computations):
     comp = computations[(5, 1, 2)]
     for k in range(2, 5):
-        mc = massey_versus_transfer(comp, nfold=k)
-        assert mc.report.defined
-        assert mc.c_massey == 0
+        rep = published_massey_power(comp, "t", k)
+        assert rep.defined
+        assert rep.value == {}
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from .ainf import (
     stasheff_defect,
     strict_unitality_defects,
 )
-from .dga import CertificationError
+from .dga import CertificationError, massey_power
 from .glin import GradedVectorSpace, TruncationExceeded
 from .grp import GroupParams, build_end_dga
 from .koszul import loop_minimal_model, loop_word_count, poincare_roundtrip
@@ -65,7 +65,6 @@ from .transfer import (
     compare_models,
     group_minimal_model,
     massey_versus_transfer,
-    published_massey_power,
 )
 
 FORMAT_VERSION = 1
@@ -482,7 +481,7 @@ def _massey_records(comp: Computation, tag: str) -> list[dict]:
     target = monomial_label(comp.hp.h, 0, comp.names)
     records = []
     for i in range(3, ell):
-        rep = published_massey_power(comp, cls, i)
+        rep = massey_power(comp.con, cls, i)
         got = (format_vector(rep.value, p) if rep.defined
                else f"obstructed at stage {rep.obstruction_stage}")
         records.append(_record(
@@ -541,6 +540,9 @@ def _classification(params: GroupParams,
 def cmd_classify(args) -> dict:
     params = _resolve_group(args)
     max_arity = args.arity or params.pn + 1
+    if max_arity < params.pn:
+        raise ParameterError(f"maximal arity {max_arity} is below the family "
+                             f"arity {params.pn}")
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "max_arity": max_arity}
     shapes = admissible_shapes(params.hp, max_arity)

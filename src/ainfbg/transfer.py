@@ -17,10 +17,10 @@ first s inputs is the Koszul factor written out.  Evaluations are
 memoized per contiguous subword, so sweeping all words of a given arity
 shares almost all work.
 
-The module also houses the pipeline both sides share: retraction ->
-pattern gate -> canonical renaming -> transfer, its cochain-side entry
-point (the endomorphism DGA), and the comparison helpers the
-verification commands and tests are built from.
+The module also houses the pipeline both sides share: statement gate ->
+retraction -> pattern gate and canonical renaming -> transfer, its
+cochain-side entry point (the endomorphism DGA), and the comparison
+helpers the verification commands and tests are built from.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ __all__ = [
     "MerkulovTransfer",
     "PatternMismatch",
     "check_pattern",
-    "pattern_renaming",
     "Computation",
     "transfer_pipeline",
     "group_minimal_model",
     "compare_models",
-    "published_massey_power",
     "MasseyComparison",
     "massey_versus_transfer",
 ]
@@ -92,25 +90,23 @@ class MerkulovTransfer:
     """Memoized evaluator for the transferred operations of one retraction.
 
     `publish` is the part of the homology whose operation tables are read
-    off; the retraction itself should extend at least arity_bound - 2
-    degrees below it so every inner evaluation of a published word stays
-    in the trusted range (unit letters spend arity without spending
-    degree, which is what makes the worst case that deep).
-
-    An explicit `publish` is taken to be gated (see `check_pattern`): an
-    absent block inside its window is a zero space, so the tables only
-    evaluate words whose output bidegree carries a block.  The default,
-    the whole homology, is ungated; there every in-window word is
-    evaluated and an empty block certifies nothing.
+    off, and it must be gated (see `check_pattern`): an absent block
+    inside its window is a zero space, so the tables only evaluate words
+    whose output bidegree carries a block.  The retraction itself should
+    extend at least arity_bound - 2 degrees below it so every inner
+    evaluation of a published word stays in the trusted range (unit
+    letters spend arity without spending degree, which is what makes the
+    worst case that deep).  An evaluation that leaves that range raises
+    TruncationExceeded; nothing here reads it as zero.
     """
 
     def __init__(self, con: Contraction, arity_bound: int,
-                 publish: GradedVectorSpace | None = None) -> None:
+                 publish: GradedVectorSpace) -> None:
         self.con = con
         self.dga = con.dga
         self.arity_bound = arity_bound
-        self.publish = publish if publish is not None else con.homology
-        self._targets = set(publish.blocks) if publish is not None else None
+        self.publish = publish
+        self._targets = set(publish.blocks)
         self._lam: dict[tuple[str, ...], Vector] = {}
         self._ghat: dict[tuple[str, ...], Vector] = {}
 
@@ -139,24 +135,12 @@ class MerkulovTransfer:
         n = len(word)
         for s in range(1, n):
             t = n - s
-            # zero on either side kills the term even when the other side
-            # is unknowable (out of window), so probe both before raising
-            left = right = None
-            try:
-                left = self.ghat(word[:s])
-            except TruncationExceeded:
-                pass
-            if left == {}:
+            left = self.ghat(word[:s])
+            if not left:
                 continue
-            try:
-                right = self.ghat(word[s:])
-            except TruncationExceeded:
-                pass
-            if right == {}:
+            right = self.ghat(word[s:])
+            if not right:
                 continue
-            if left is None or right is None:
-                raise TruncationExceeded(
-                    f"transfer of {word} leaves the window at split {s}")
             sign = split_sign(s, t)
             if (t - 1) % 2 and sum(self._degree(a) for a in word[:s]) % 2:
                 sign = -sign
@@ -173,46 +157,31 @@ class MerkulovTransfer:
             raise ValueError(f"arity {len(word)} beyond bound {self.arity_bound}")
         return self.con.project(self.lam(word))
 
-    def table(self, n: int) -> tuple[MultiOp, list[tuple[str, ...]]]:
-        """Sweep the arity-n published words that can be nonzero.
-
-        With a gated `publish` these are the words whose output bidegree
-        carries a published block (every other word is zero by grading);
-        otherwise every word with in-window output.  Returns the sparse
-        table and the words whose evaluation left the window (unknown,
-        not zero); the memo is shared across arities.
-        """
+    def table(self, n: int) -> MultiOp:
+        """The sparse table of the arity-n published words whose output
+        bidegree carries a published block (every other word is zero by
+        grading); the memo is shared across arities."""
         skeleton = AInfinityAlgebra(space=self.publish, ops={},
                                     arity_bound=self.arity_bound)
         out: MultiOp = {}
-        truncated: list[tuple[str, ...]] = []
         for word in enumerate_words(skeleton, n, level="operation",
                                     targets=self._targets):
-            try:
-                val = self.op(word)
-            except TruncationExceeded:
-                truncated.append(word)
-                continue
+            val = self.op(word)
             if val:
                 out[word] = val
-        return out, truncated
+        return out
 
     def minimal_model(self, *, unit: str | None = None,
-                      internal_scale: int = 1
-                      ) -> tuple[AInfinityAlgebra, dict[int, list]]:
+                      internal_scale: int = 1) -> AInfinityAlgebra:
         """Assemble m_2 .. m_arity_bound into a minimal structure."""
         ops: dict[int, MultiOp] = {}
-        truncated: dict[int, list] = {}
         for n in range(2, self.arity_bound + 1):
-            tab, trunc = self.table(n)
+            tab = self.table(n)
             if tab:
                 ops[n] = tab
-            if trunc:
-                truncated[n] = trunc
-        model = AInfinityAlgebra(space=self.publish, ops=ops,
-                                 arity_bound=self.arity_bound, unit=unit,
-                                 internal_scale=internal_scale)
-        return model, truncated
+        return AInfinityAlgebra(space=self.publish, ops=ops,
+                                arity_bound=self.arity_bound, unit=unit,
+                                internal_scale=internal_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +193,10 @@ class PatternMismatch(Exception):
 
 
 def check_pattern(hom: GradedVectorSpace,
-                  expected: GradedVectorSpace) -> None:
+                  expected: GradedVectorSpace) -> dict[str, str]:
     """Require dim-by-dim equality of two bigraded spaces on the range
-    their windows share.
+    their windows share, and return the renaming of hom's labels onto
+    expected's there: bidegree by bidegree, in basis order, so bijective.
 
     This is the gate between the truncated computation and everything
     downstream: inside the compared range the computed homology must be
@@ -238,26 +208,18 @@ def check_pattern(hom: GradedVectorSpace,
     lo = max(hom.window[0], expected.window[0])
     hi = min(hom.window[1], expected.window[1])
     problems = []
+    mapping: dict[str, str] = {}
     bds = {bd for bd in hom.blocks if lo <= bd.s <= hi}
     bds |= {bd for bd in expected.blocks if lo <= bd.s <= hi}
     for bd in sorted(bds):
-        got = len(hom.blocks.get(bd, ()))
-        want = len(expected.blocks.get(bd, ()))
-        if got != want:
-            problems.append(f"at {tuple(bd)}: dim {got}, expected {want}")
+        got = hom.blocks.get(bd, [])
+        want = expected.blocks.get(bd, [])
+        if len(got) != len(want):
+            problems.append(
+                f"at {tuple(bd)}: dim {len(got)}, expected {len(want)}")
+        mapping.update(zip(got, want))
     if problems:
         raise PatternMismatch("; ".join(problems))
-
-
-def pattern_renaming(hom: GradedVectorSpace,
-                     expected: GradedVectorSpace) -> dict[str, str]:
-    """Bijective relabeling of hom onto expected labels, by bidegree."""
-    mapping: dict[str, str] = {}
-    for bd, labs in hom.blocks.items():
-        want = expected.blocks.get(bd)
-        if want is None or len(want) != len(labs):
-            raise PatternMismatch(f"no matching block at {tuple(bd)}")
-        mapping.update(zip(labs, want))
     return mapping
 
 
@@ -276,7 +238,9 @@ class Computation:
     transfer: MerkulovTransfer
     model: AInfinityAlgebra     # monomial labels, machine coefficients
     closed_form: AInfinityAlgebra  # the gate's closed-form model
-    truncated: dict[int, list]  # words lost per arity (always empty)
+    # words lost per arity: always empty, since a lost word raises
+    # TruncationExceeded instead; kept for the benchmark's counters
+    truncated: dict[int, list]
 
     def normalized(self) -> NormalizedModel:
         return normalize_generators(self.model, self.hp, names=self.names)
@@ -290,40 +254,50 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
                       expected: AInfinityAlgebra, hp: HypothesisParams,
                       names: tuple[str, str], *,
                       reorder: Callable | None = None) -> Computation:
-    """Retraction -> gate -> renaming -> transferred minimal model.
+    """Statement gate -> retraction -> pattern gate and renaming ->
+    transferred minimal model.
 
-    `expected` is the closed-form model over the published window: the
-    homology of `dga` must match its pattern there, its classes are then
-    renamed to the expected monomials, and the operation tables are read
-    off on that window up to `expected.arity_bound`.  The caller's chain
-    window must leave enough slack around the published one that no
-    published word leaves the retraction's trusted range; an operation
-    table missing a word would be read downstream as zero, so truncation
-    is an error (enlarge the window instead).
+    `expected` is the closed-form model over the published window.  No
+    table can state the family unless that window holds x, t and x^h
+    (under `names`; tau, xi and tau^(p^n) on the loop side) and
+    `expected.arity_bound` reaches the family arity hp.ell, so the gate
+    raises TruncationExceeded or ValueError before any work.  The
+    homology of `dga` must then match the expected pattern on the
+    published window, where its classes are renamed to the expected
+    monomials and the operation tables are read off up to
+    `expected.arity_bound`.  The caller's chain window must leave enough
+    slack around the published one that no published word leaves the
+    retraction's trusted range; a word that does raises
+    TruncationExceeded (enlarge the window).
     """
+    space = expected.space
+    if expected.arity_bound < hp.ell:
+        raise ValueError(f"arity bound {expected.arity_bound} is below the "
+                         f"family arity {hp.ell}")
+    # x^h is x itself when h = 1
+    missing = [lab for lab in dict.fromkeys((monomial_label(1, 0, names),
+                                             monomial_label(0, 1, names),
+                                             monomial_label(hp.h, 0, names)))
+               if not space.has_label(lab)]
+    if missing:
+        raise TruncationExceeded(
+            f"published window {space.window} misses {', '.join(missing)}; "
+            "enlarge the window")
     if reorder is not None:
         dga = reorder_blocks(dga, reorder)
     con = contraction(dga)
-    window = expected.space.window
-    check_pattern(con.homology, expected.space)
-    published = con.homology.restricted(window)
-    con = con.renamed(pattern_renaming(published, expected.space))
+    con = con.renamed(check_pattern(con.homology, space))
     if con.include({expected.unit: 1}) != dga.unit:
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "
             f"unit of {dga.name}")
     transfer = MerkulovTransfer(con, expected.arity_bound,
-                                publish=con.homology.restricted(window))
-    model, truncated = transfer.minimal_model(
-        unit=expected.unit, internal_scale=expected.internal_scale)
-    if truncated:
-        counts = {n: len(ws) for n, ws in truncated.items()}
-        raise TruncationExceeded(
-            f"operation tables of {dga.name} incomplete (words lost per "
-            f"arity: {counts}); enlarge the window")
+                                publish=con.homology.restricted(space.window))
+    model = transfer.minimal_model(unit=expected.unit,
+                                   internal_scale=expected.internal_scale)
     return Computation(params=params, hp=hp, names=names, con=con,
                        transfer=transfer, model=model, closed_form=expected,
-                       truncated=truncated)
+                       truncated={})
 
 
 def group_minimal_model(params: GroupParams, *,
@@ -377,24 +351,6 @@ def compare_models(got: AInfinityAlgebra,
     return problems
 
 
-def published_massey_power(comp: Computation, cls: str,
-                           nfold: int) -> MasseyReport:
-    """`massey_power` of a published class, read only on the published
-    window: outside it the homology may be truncation junk that is never
-    renamed or read (see `group_minimal_model`), so an unpublished class
-    or a value outside the window raises TruncationExceeded."""
-    space = comp.model.space
-    if not space.has_label(cls):
-        raise TruncationExceeded(
-            f"class {cls} is not published on the window {space.window}")
-    report = massey_power(comp.con, cls, nfold)
-    if report.bidegree is not None and not space.in_window(report.bidegree.s):
-        raise TruncationExceeded(
-            f"{nfold}-fold Massey power of {cls} in degree "
-            f"{report.bidegree.s} leaves the published window {space.window}")
-    return report
-
-
 @dataclass
 class MasseyComparison:
     """The ell-fold Massey power against the arity-ell coefficient.
@@ -420,7 +376,7 @@ def massey_versus_transfer(comp: Computation) -> MasseyComparison:
     cls = monomial_label(0, 1, comp.names)
     target = monomial_label(comp.hp.h, 0, comp.names)
 
-    report = published_massey_power(comp, cls, ell)
+    report = massey_power(comp.con, cls, ell)
     c_massey = report.value.get(target, 0) if report.defined else 0
     extra = set(report.value) - {target}
     if extra:

@@ -127,21 +127,64 @@ def test_truncation_window_exit_code(capsys):
     assert "truncation-window error" in err
 
 
+COCHAIN_COMMANDS = ("transfer", "check-stasheff", "massey", "verify")
+
+
+def sweep_exit_codes(capsys, command, pnq, windows):
+    """Exit codes of one command over windows; a passing `transfer` or
+    `loops` document must not call a model formal, and every failure is
+    reported by the CLI, never by an escaping exception."""
+    codes = {}
+    for window in windows:
+        codes[window], out, err = run_cli(capsys, command, *pnq, "--window",
+                                          *window, "--json", "--no-cache")
+        assert codes[window] == 0 or "ainfbg: " in err, (command, window)
+        if codes[window] == 0 and command in ("transfer", "loops"):
+            assert not json.loads(out)["normalization"]["formal"], window
+    assert set(codes.values()) <= {0, 2, 3}, (command, codes)
+    return codes
+
+
 @pytest.mark.parametrize("pnq", [(3, 1, 1), (3, 1, 2), (5, 1, 2)])
 def test_massey_window_floor_sweep(capsys, pnq):
-    """Deepening the window floor ends every truncation error at once:
-    a floor whose published window misses the class t or the value of a
-    Massey power exits 3, never 1 and never with an exception (below the
-    published floor the homology is truncation junk, not a class)."""
-    codes = {}
-    for lo in range(-20, 1):
-        codes[lo], _, err = run_cli(capsys, "massey", *pnq,
-                                    "--window", lo, 1, "--no-cache")
-        assert codes[lo] == 0 or "ainfbg: " in err
-    assert set(codes.values()) <= {0, 2, 3}
-    passing = [lo for lo, code in codes.items() if code == 0]
-    assert passing == list(range(-20, passing[-1] + 1))
-    assert codes[passing[-1] + 1] == 3
+    """Every command agrees on the window: one whose published part
+    misses x, t or x^h (loop side: tau, xi, tau^(p^n)) exits 3, never 0
+    with a model read as formal, a sweep of nothing, or an exception, and
+    never 1 (below the published floor the homology is truncation junk,
+    not a class).  The cochain commands pass on the same floors."""
+    floors = range(-20, 1)
+    passing_floors = set()
+    for command in COCHAIN_COMMANDS:
+        codes = sweep_exit_codes(capsys, command, pnq,
+                                 [(lo, 1) for lo in floors])
+        passing = [lo for (lo, _), code in codes.items() if code == 0]
+        assert passing == list(range(-20, passing[-1] + 1)), command
+        assert codes[passing[-1] + 1, 1] == 3, command
+        passing_floors.add(tuple(passing))
+    assert len(passing_floors) == 1
+    if pnq[2] >= 2:
+        codes = sweep_exit_codes(capsys, "loops", pnq,
+                                 [(0, hi) for hi in range(2, 16)])
+        passing = [hi for (_, hi), code in codes.items() if code == 0]
+        assert passing == list(range(passing[0], 16))
+        assert codes[0, passing[0] - 1] == 3
+
+
+@pytest.mark.parametrize("pnq", [(3, 1, 1), (3, 1, 2), (5, 1, 2)])
+def test_arity_below_the_family_is_a_parameter_error(capsys, pnq):
+    """An arity bound that cannot reach the family arity (p^n on the
+    cochain side, h on the loop side) is rejected up front, not answered
+    from the arities it did compute."""
+    hp = GroupParams(*pnq).hp
+    runs = [(command, hp.ell - 1)
+            for command in ("transfer", "check-stasheff", "verify")]
+    if pnq[2] >= 2:
+        runs.append(("loops", hp.loop_dual().ell - 1))
+    for command, arity in runs:
+        code, _, err = run_cli(capsys, command, *pnq, "--arity", arity,
+                               "--no-cache")
+        assert code == 2, (command, arity)
+        assert "parameter error" in err
 
 
 def test_certification_failure_exit_code(capsys, monkeypatch):
@@ -369,6 +412,17 @@ def test_classify_command(capsys):
     assert arities == {3}
     assert all(all(e == 1 for e in row["exponents"])
                for row in doc["admissible"])
+
+
+def test_classify_arity_below_the_family_is_a_parameter_error(capsys):
+    code, _, err = run_cli(capsys, "classify", 5, 1, 2, "--arity", 4,
+                           "--no-cache")
+    assert code == 2
+    assert "parameter error" in err
+    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--arity", 3,
+                           "--no-cache")
+    assert code == 0
+    assert "overall         pass" in out
 
 
 @pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2)])

@@ -14,8 +14,10 @@ import pytest
 
 import ainfbg.transfer
 from ainfbg.ainf import stasheff_defect
-from ainfbg.dga import contraction
-from ainfbg.grp import GroupParams, build_end_dga, expected_minimal_model
+from ainfbg.cli import main
+from ainfbg.dga import Contraction, massey_power
+from ainfbg.glin import TruncationExceeded
+from ainfbg.grp import GroupParams, expected_minimal_model
 from ainfbg.transfer import (
     MerkulovTransfer,
     PatternMismatch,
@@ -23,8 +25,6 @@ from ainfbg.transfer import (
     compare_models,
     group_minimal_model,
     massey_versus_transfer,
-    pattern_renaming,
-    published_massey_power,
 )
 
 CASES = [(3, 1, 2), (5, 1, 2), (3, 1, 1)]
@@ -108,7 +108,7 @@ def test_massey_power_matches_transfer(computations, pnq):
 def test_massey_powers_below_the_order_vanish(computations):
     comp = computations[(5, 1, 2)]
     for k in range(2, 5):
-        rep = published_massey_power(comp, "t", k)
+        rep = massey_power(comp.con, "t", k)
         assert rep.defined
         assert rep.value == {}
 
@@ -255,7 +255,9 @@ def test_check_pattern_flags_dimension_mismatch():
 def test_pattern_renaming_is_bidegreewise_bijective():
     comp = group_minimal_model(GroupParams(3, 1, 1))
     pub = comp.model.space
-    mapping = pattern_renaming(pub, comp.expected().space)
+    mapping = check_pattern(pub, comp.expected().space)
+    assert sorted(mapping) == sorted(lab for bd in pub.bidegrees()
+                                     for lab in pub.labels(bd))
     assert sorted(mapping) == sorted(mapping.values())
     assert all(k == v for k, v in mapping.items())
 
@@ -265,12 +267,24 @@ def test_window_too_small_for_arity_bound_is_rejected():
         group_minimal_model(GroupParams(3, 1, 1), window=(-2, 1))
 
 
-def test_publishing_the_whole_window_loses_words():
-    """Without the slack between published and chain windows, words at
-    the floor are unknowable and must be reported, not read as zero."""
-    params = GroupParams(3, 1, 1)
-    dga = build_end_dga(params)
-    con = contraction(dga)
-    transfer = MerkulovTransfer(con, 4)
-    _, lost = transfer.minimal_model(unit=None)
+def test_a_lost_word_is_never_read_as_zero(monkeypatch, capsys):
+    """A homotopy that leaves the window at one bidegree makes every word
+    through it unknowable: the pipeline raises and the CLI exits 3,
+    instead of dropping the word or reading it as zero."""
+    homotopy = Contraction.homotopy
+    lost = []
+
+    def truncated_at_one_bidegree(self, avec):
+        if avec and self.dga.bidegree_of(avec) == (-6, 8):
+            lost.append(avec)
+            raise TruncationExceeded("homotopy leaves the window")
+        return homotopy(self, avec)
+
+    monkeypatch.setattr(Contraction, "homotopy", truncated_at_one_bidegree)
+    with pytest.raises(TruncationExceeded):
+        group_minimal_model(GroupParams(3, 1, 2))
     assert lost
+    assert main(["transfer", "3", "1", "2", "--no-cache"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncation-window error" in captured.err

@@ -56,7 +56,7 @@ from .ainf import (
     strict_unitality_defects,
 )
 from .dga import CertificationError, massey_power
-from .glin import GradedVectorSpace, TruncationExceeded
+from .glin import GradedVectorSpace, ParameterError, TruncationExceeded
 from .grp import GroupParams, build_end_dga
 from .koszul import loop_minimal_model, loop_word_count, poincare_roundtrip
 from .transfer import (
@@ -74,10 +74,6 @@ FORMAT_VERSION = 1
 # blocks grow with the word space); an explicit `ainfbg loops` run is
 # never budgeted.
 VERIFY_LOOP_WORD_BUDGET = 30_000
-
-
-class ParameterError(ValueError):
-    """Invalid or missing command-line parameters (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +360,7 @@ def _resolve_group(args) -> GroupParams:
     missing = [name for name, v in (("p", p), ("n", n), ("q", q)) if v is None]
     if missing:
         raise ParameterError(f"missing group parameters: {' '.join(missing)}")
-    try:
-        return GroupParams(p, n, q, args.gamma)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    return GroupParams(p, n, q, args.gamma)
 
 
 def _window(args) -> tuple[int, int] | None:
@@ -404,28 +397,17 @@ def cmd_model(args) -> dict:
     return run_with_cache("model", args, parameters, build)
 
 
-def _computation(params: GroupParams, args) -> Computation:
-    """The command's side on its window and arity options: the loop
-    pipeline for `loops`, the cochain one for every other command."""
-    pipeline = (loop_minimal_model if args.command == "loops"
-                else group_minimal_model)
-    return pipeline(params, window=_window(args), arity_bound=args.arity)
-
-
-def _transfer_parameters(params: GroupParams, args) -> dict:
-    arity = args.arity or params.default_arity_bound()
-    window = _window(args) or params.cochain_window(arity)
-    return {"p": params.p, "n": params.n, "q": params.q,
-            "gamma": params.gamma, "window": list(window), "arity": arity}
-
-
-def _loop_parameters(params: GroupParams, args) -> dict:
-    if params.q == 1:
-        raise ParameterError("the loop pipeline needs q >= 2")
-    arity = args.arity or params.loop_arity_bound()
-    window = _window(args) or params.loop_window()
-    return {"p": params.p, "n": params.n, "q": params.q,
-            "gamma": params.gamma, "window": list(window), "arity": arity}
+def _side(params: GroupParams, args) -> tuple[dict, Callable]:
+    """The command's side (loops for `loops`, else cochain) resolved once
+    on its window and arity options: its cache-key parameters and its
+    pipeline run on them."""
+    run, pipeline = ((params.loop_run, loop_minimal_model)
+                     if args.command == "loops"
+                     else (params.cochain_run, group_minimal_model))
+    window, _, arity = run(_window(args), args.arity)
+    return ({"p": params.p, "n": params.n, "q": params.q,
+             "gamma": params.gamma, "window": list(window), "arity": arity},
+            lambda: pipeline(params, window=window, arity_bound=arity))
 
 
 def cmd_minimal_model(args) -> dict:
@@ -433,11 +415,10 @@ def cmd_minimal_model(args) -> dict:
     minimal model and the generator scales that normalized it, keyed by
     the side's generator names."""
     params = _resolve_group(args)
-    parameters = (_loop_parameters if args.command == "loops"
-                  else _transfer_parameters)(params, args)
+    parameters, compute = _side(params, args)
 
     def build() -> dict:
-        comp = _computation(params, args)
+        comp = compute()
         norm = comp.normalized()
         p = params.p
         x, t = comp.names
@@ -511,8 +492,8 @@ def cmd_report(args) -> dict:
     """`check-stasheff` (identity sweeps) and `massey` (Massey powers):
     one battery of records on the transferred cochain model."""
     params = _resolve_group(args)
-    parameters = _transfer_parameters(params, args)
-    comp = _computation(params, args)
+    parameters, compute = _side(params, args)
+    comp = compute()
     if args.command == "massey":
         kind, records = "massey-report", _massey_records(comp, "cochain")
     else:
@@ -539,10 +520,7 @@ def _classification(params: GroupParams,
 
 def cmd_classify(args) -> dict:
     params = _resolve_group(args)
-    max_arity = args.arity or params.pn + 1
-    if max_arity < params.pn:
-        raise ParameterError(f"maximal arity {max_arity} is below the family "
-                             f"arity {params.pn}")
+    max_arity = params.cochain_run(arity=args.arity)[2]
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "max_arity": max_arity}
     shapes = admissible_shapes(params.hp, max_arity)
@@ -588,9 +566,9 @@ def _family_record(comp: Computation, norm: AInfinityAlgebra) -> dict:
                    format_vector(norm.op_value(ell, (e,) * ell), p))
 
 
-def _verify_cochain(params: GroupParams, args) -> list[dict]:
-    records, comp, norm = _verify_head(
-        "cochain", lambda: _computation(params, args))
+def _verify_cochain(params: GroupParams,
+                    compute: Callable[[], Computation]) -> list[dict]:
+    records, comp, norm = _verify_head("cochain", compute)
     if comp is None:
         return records
     for i in range(3, params.pn):
@@ -638,13 +616,13 @@ def _verify_loops(params: GroupParams) -> list[dict]:
 
 def cmd_verify(args) -> dict:
     params = _resolve_group(args)
-    parameters = _transfer_parameters(params, args)
+    parameters, compute = _side(params, args)
     if params.q > 1:
-        parameters["loop_window"] = list(params.loop_window())
-        parameters["loop_arity"] = params.loop_arity_bound()
+        window, _, arity = params.loop_run()
+        parameters.update(loop_window=list(window), loop_arity=arity)
 
     def build() -> dict:
-        records = _verify_cochain(params, args)
+        records = _verify_cochain(params, compute)
         records.extend(_verify_loops(params))
         return report_document("verify-report", "verify", params, parameters,
                                records)
@@ -711,7 +689,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.fn(args)
-    except ValueError as exc:
+    except ParameterError as exc:
         print(f"ainfbg: parameter error: {exc}", file=sys.stderr)
         return 2
     except TruncationExceeded as exc:

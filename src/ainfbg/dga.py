@@ -34,6 +34,7 @@ import numpy as np
 from .glin import (
     Bidegree,
     GradedVectorSpace,
+    ParameterError,
     TruncationExceeded,
     matmul_mod,
     rank_nullspace,
@@ -456,14 +457,14 @@ def contraction(dga: DGAlgebra) -> Contraction:
     Every block product, from the d^2 check to the five identities, runs
     through `matmul_mod`, and products with G read only its rows P_{s+1}.
     They assume n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past
-    that bound is a ValueError.
+    that bound is a ParameterError.
     """
     space = dga.space
     p = dga.prime
     lo, hi = space.window[0] + 1, space.window[1] - 1
     largest = max(map(len, space.blocks.values()), default=0)
     if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
-        raise ValueError(
+        raise ParameterError(
             f"p = {p} with a block of dimension {largest} leaves int64: "
             f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
 

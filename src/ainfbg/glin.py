@@ -31,6 +31,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 __all__ = [
+    "ParameterError",
     "TruncationExceeded",
     "Bidegree",
     "GradedVectorSpace",
@@ -43,6 +44,10 @@ __all__ = [
     "greedy_extend",
     "PivotData",
 ]
+
+
+class ParameterError(ValueError):
+    """Invalid user input: group parameters, window or arity (exit code 2)."""
 
 
 class TruncationExceeded(Exception):

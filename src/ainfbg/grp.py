@@ -36,7 +36,8 @@ from .ainf import (
     monomial_label,
 )
 from .dga import DGAlgebra
-from .glin import Bidegree, GradedVectorSpace, TruncationExceeded, is_prime
+from .glin import (Bidegree, GradedVectorSpace, ParameterError,
+                   TruncationExceeded, is_prime)
 
 __all__ = [
     "GroupParams",
@@ -56,7 +57,7 @@ LOOP_GENERATORS = ("tau", "xi")
 
 def multiplicative_order(x: int, m: int) -> int:
     if math.gcd(x, m) != 1:
-        raise ValueError(f"{x} is not a unit mod {m}")
+        raise ParameterError(f"{x} is not a unit mod {m}")
     k, y = 1, x % m
     while y != 1:
         y = y * x % m
@@ -81,7 +82,8 @@ class GroupParams:
 
     p must be an odd prime and q must divide p - 1 (so q is invertible in
     characteristic p and the order-q subgroup of units exists).  gamma
-    defaults to the smallest unit of exact order q mod p^n.
+    defaults to the smallest unit of exact order q mod p^n.  Invalid
+    parameters, here or in a run's window and arity, raise ParameterError.
     """
 
     p: int
@@ -91,17 +93,17 @@ class GroupParams:
 
     def __post_init__(self) -> None:
         if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+            raise ParameterError(f"p must be an odd prime, got {self.p}")
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.q < 1 or (self.p - 1) % self.q:
-            raise ValueError(f"q must divide p - 1 = {self.p - 1}, got {self.q}")
+            raise ParameterError(f"q must divide p - 1 = {self.p - 1}, got {self.q}")
         gamma = self.gamma
         if gamma is None:
             gamma = default_gamma(self.p, self.n, self.q)
             object.__setattr__(self, "gamma", gamma)
         if multiplicative_order(gamma, self.pn) != self.q:
-            raise ValueError(
+            raise ParameterError(
                 f"gamma={gamma} has order {multiplicative_order(gamma, self.pn)}"
                 f" mod {self.pn}, need exactly q={self.q}")
 
@@ -144,11 +146,24 @@ class GroupParams:
     def default_arity_bound(self) -> int:
         return self.pn + 1
 
-    def cochain_window(self, arity_bound: int) -> tuple[int, int]:
-        """Chain-level window of the cochain pipeline: model_window() with
-        arity_bound - 1 degrees of slack below and one above."""
-        lo, hi = self.model_window()
-        return (lo - (arity_bound - 1), hi + 1)
+    def cochain_run(self, window: tuple[int, int] | None = None,
+                    arity: int | None = None) -> tuple[tuple, tuple, int]:
+        """(chain window, published window, arity) of a cochain run, with
+        defaults default_arity_bound() and model_window() widened by
+        arity - 1 degrees below and one above, so that the published
+        window sits that far inside the chain window."""
+        if arity is None:
+            arity = self.default_arity_bound()
+        if window is None:
+            lo, hi = self.model_window()
+            window = (lo - (arity - 1), hi + 1)
+        pub = _published(window, (window[0] + arity - 1, window[1] - 1),
+                         arity, self.pn)
+        if not pub[0] <= 0 <= pub[1]:
+            raise TruncationExceeded(
+                f"window {window} publishes {pub}, which misses the unit "
+                "at degree 0; enlarge the window")
+        return window, pub, arity
 
     def loop_window_hi(self) -> int:
         """Word-degree ceiling for the loop-side cobar computation.
@@ -162,12 +177,25 @@ class GroupParams:
         pub = (2 * self.q - 2) * self.pn + 2 * (2 * self.q - 1) + 1
         return pub + self.loop_arity_bound() - 1
 
-    def loop_window(self) -> tuple[int, int]:
-        """Word-degree window of the loop pipeline's cobar algebra."""
-        return (0, self.loop_window_hi())
-
-    def loop_model_window(self) -> tuple[int, int]:
-        return (0, self.loop_window_hi() - 1)
+    def loop_run(self, window: tuple[int, int] | None = None,
+                 arity: int | None = None) -> tuple[tuple, tuple, int]:
+        """(word window, published window, arity) of a loop run, with
+        defaults (0, loop_window_hi()) and loop_arity_bound(); the
+        published window (0, s_hi - arity + 1) sits arity - 1 degrees
+        below the word-degree ceiling s_hi."""
+        if self.q == 1:
+            raise ParameterError(
+                "the loop pipeline needs q >= 2: with q = 1 the cochain model "
+                "has a class one degree below the unit, so cobar words of "
+                "bounded degree would be arbitrarily long")
+        if arity is None:
+            arity = self.loop_arity_bound()
+        if window is None:
+            window = (0, self.loop_window_hi())
+        if window[0] != 0:
+            raise ParameterError(f"loop window {window} does not start at 0")
+        pub = (0, window[1] - (arity - 1))
+        return window, _published(window, pub, arity, self.h), arity
 
     def loop_arity_bound(self) -> int:
         # one past the family arity h on the dual side; the exceptional
@@ -176,6 +204,17 @@ class GroupParams:
         if self.h == 2:
             return 6
         return self.h + 1
+
+
+def _published(window: tuple[int, int], pub: tuple[int, int], arity: int,
+               family_arity: int) -> tuple[int, int]:
+    """pub, once the arity reaches the family arity and pub is not empty."""
+    if arity < family_arity:
+        raise ParameterError(f"arity bound {arity} is below the family "
+                             f"arity {family_arity}")
+    if pub[0] > pub[1]:
+        raise ParameterError(f"window {window} too small for arity {arity}")
+    return pub
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +439,9 @@ def expected_loop_model(params: GroupParams,
     h = 2 and lands in the product: the ring is k[tau, xi]/(xi^2 + tau^3)
     with no higher operations.
     """
-    if params.q == 1:
-        raise ValueError("loop model needs q >= 2 (words of bounded degree)")
-    if window is None:
-        window = params.loop_model_window()
-    if arity_bound is None:
-        arity_bound = params.loop_arity_bound()
+    (_, s_hi), _, arity = params.loop_run()
+    window = (0, s_hi - 1) if window is None else window
+    arity_bound = arity if arity_bound is None else arity_bound
     dual = params.hp.loop_dual()
     exceptional = dual.ell == 2
     return _monomial_model(

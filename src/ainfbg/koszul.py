@@ -71,11 +71,9 @@ def loop_word_count(params: GroupParams) -> int:
     contraction: the word count is roughly exponential in the window
     ceiling divided by the smallest letter degree, and the dense block
     elimination downstream is cubic in the largest block.  Raises the
-    ValueError that `cobar` would raise on the same input.
+    ParameterError of `GroupParams.loop_run` on q = 1.
     """
-    if params.q == 1:
-        raise ValueError("the loop pipeline needs q >= 2")
-    s_hi = params.loop_window()[1]
+    s_hi = params.loop_run()[0][1]
     cochain = expected_minimal_model(
         params, window=cochain_window_for_loops(params, s_hi))
     letters, direction = cobar_letters(cochain, s_hi)
@@ -94,30 +92,18 @@ def loop_minimal_model(params: GroupParams, *,
     """Cobar of the cochain model -> retraction -> gate -> loop model.
 
     The published window (0, s_hi - arity_bound + 1) sits arity_bound - 1
-    degrees below the word-space ceiling, the mirror image of the cochain
-    side: operation outputs climb up to arity_bound - 2 degrees above
-    their inputs and one homotopy application reaches one further.  Above
-    the published ceiling the homology may contain truncation junk; it is
-    never renamed, enumerated, or read.
+    degrees below the word-space ceiling s_hi (`GroupParams.loop_run`),
+    the mirror image of the cochain side: operation outputs climb up to
+    arity_bound - 2 degrees above their inputs and one homotopy
+    application reaches one further.  Above the published ceiling the
+    homology may contain truncation junk; it is never renamed,
+    enumerated, or read.
     """
-    if params.q == 1:
-        raise ValueError(
-            "the loop pipeline needs q >= 2: with q = 1 the cochain model "
-            "has a class one degree below the unit, so cobar words of "
-            "bounded degree would be arbitrarily long")
-    if arity_bound is None:
-        arity_bound = params.loop_arity_bound()
-    lo, s_hi = window or params.loop_window()
-    if lo != 0:
-        raise ValueError(f"loop window must start at 0, got {window}")
-    pub_hi = s_hi - (arity_bound - 1)
-    if pub_hi < 0:
-        raise ValueError(f"window (0, {s_hi}) too small for arity "
-                         f"{arity_bound}")
+    (_, s_hi), pub, arity_bound = params.loop_run(window, arity_bound)
     cochain = expected_minimal_model(
         params, window=cochain_window_for_loops(params, s_hi))
     dga = cobar(cochain, s_hi, name=f"cobar({params.label()})")
-    expected = expected_loop_model(params, window=(0, pub_hi),
+    expected = expected_loop_model(params, window=pub,
                                    arity_bound=arity_bound)
     return transfer_pipeline(params, dga, expected, params.hp.loop_dual(),
                              LOOP_GENERATORS, reorder=reorder)

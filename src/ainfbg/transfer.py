@@ -257,23 +257,20 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     """Statement gate -> retraction -> pattern gate and renaming ->
     transferred minimal model.
 
-    `expected` is the closed-form model over the published window.  No
-    table can state the family unless that window holds x, t and x^h
-    (under `names`; tau, xi and tau^(p^n) on the loop side) and
-    `expected.arity_bound` reaches the family arity hp.ell, so the gate
-    raises TruncationExceeded or ValueError before any work.  The
-    homology of `dga` must then match the expected pattern on the
-    published window, where its classes are renamed to the expected
-    monomials and the operation tables are read off up to
+    `expected` is the closed-form model over the published window that
+    `GroupParams.cochain_run` or `loop_run` resolved, so its arity bound
+    reaches the family arity hp.ell.  No table can state the family
+    unless that window holds x, t and x^h (under `names`; tau, xi and
+    tau^(p^n) on the loop side), so the gate raises TruncationExceeded
+    before any work.  The homology of `dga` must then match the expected
+    pattern on the published window, where its classes are renamed to
+    the expected monomials and the operation tables are read off up to
     `expected.arity_bound`.  The caller's chain window must leave enough
     slack around the published one that no published word leaves the
     retraction's trusted range; a word that does raises
     TruncationExceeded (enlarge the window).
     """
     space = expected.space
-    if expected.arity_bound < hp.ell:
-        raise ValueError(f"arity bound {expected.arity_bound} is below the "
-                         f"family arity {hp.ell}")
     # x^h is x itself when h = 1
     missing = [lab for lab in dict.fromkeys((monomial_label(1, 0, names),
                                              monomial_label(0, 1, names),
@@ -308,18 +305,14 @@ def group_minimal_model(params: GroupParams, *,
 
     The published window (where operation tables are read off and the
     homology pattern is gated against the closed-form answer) sits
-    arity_bound - 1 degrees above the chain-level window floor: inner
-    evaluations of a published word reach at most arity_bound - 2 degrees
-    below it, so everything they touch is in the retraction's trusted
-    range.  Below the published floor the homology may contain truncation
-    junk; it is never renamed, enumerated, or read.
+    arity_bound - 1 degrees above the chain-level window floor
+    (`GroupParams.cochain_run`): inner evaluations of a published word
+    reach at most arity_bound - 2 degrees below it, so everything they
+    touch is in the retraction's trusted range.  Below the published
+    floor the homology may contain truncation junk; it is never renamed,
+    enumerated, or read.
     """
-    if arity_bound is None:
-        arity_bound = params.default_arity_bound()
-    window = window or params.cochain_window(arity_bound)
-    pub = (window[0] + (arity_bound - 1), window[1] - 1)
-    if pub[0] > pub[1]:
-        raise ValueError(f"window {window} too small for arity {arity_bound}")
+    window, pub, arity_bound = params.cochain_run(window, arity_bound)
     expected = expected_minimal_model(params, window=pub,
                                       arity_bound=arity_bound)
     return transfer_pipeline(params, build_end_dga(params, window=window),

@@ -107,6 +107,20 @@ def test_loops_needs_q_at_least_two(capsys):
     assert "q >= 2" in err
 
 
+@pytest.mark.parametrize("command", ["transfer", "loops", "verify"])
+def test_cache_state_does_not_change_the_exit_code(capsys, tmp_path,
+                                                   command):
+    """--arity 0 is resolved before the cache lookup: it is refused cold
+    and warm alike, never answered from the default document."""
+    cache = ["--cache-dir", tmp_path / "cache"]
+    code, _, _ = run_cli(capsys, command, 3, 1, 2, *cache)
+    assert code == 0
+    for flags in (["--no-cache"], cache):
+        code, _, err = run_cli(capsys, command, 3, 1, 2, "--arity", 0, *flags)
+        assert code == 2, flags
+        assert "parameter error" in err
+
+
 def test_flag_and_positional_forms_agree(capsys):
     code_a, out_a, _ = run_cli(capsys, "classify", 3, 1, 1, "--no-cache")
     code_b, out_b, _ = run_cli(capsys, "classify", "--p", 3, "--n", 1,
@@ -128,6 +142,19 @@ def test_truncation_window_exit_code(capsys):
 
 
 COCHAIN_COMMANDS = ("transfer", "check-stasheff", "massey", "verify")
+
+
+@pytest.mark.parametrize("command", COCHAIN_COMMANDS + ("loops",))
+@pytest.mark.parametrize("window", [(-30, -1), (-30, 0), (5, 10)])
+def test_window_without_the_unit_is_refused_by_name(capsys, command, window):
+    """A published window that misses the unit's degree 0 (on the loop
+    side, one that does not start at 0) is refused before any work, with
+    a message that names the window."""
+    code, _, err = run_cli(capsys, command, 3, 1, 2, "--window", *window,
+                           "--no-cache")
+    assert code in (2, 3)
+    assert f"window ({window[0]}, {window[1]})" in err
+    assert "Traceback" not in err
 
 
 def sweep_exit_codes(capsys, command, pnq, windows):
@@ -198,6 +225,22 @@ def test_certification_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "transfer", 3, 1, 2, "--no-cache")
     assert code == 1
     assert "verification failure" in err
+
+
+def test_internal_value_error_is_not_a_parameter_error(capsys, monkeypatch):
+    """Only ParameterError means exit 2: a ValueError raised inside a
+    pipeline is an internal error and escapes `main` as itself."""
+    from ainfbg import cli
+    from ainfbg.glin import ParameterError
+
+    def inhomogeneous(*args, **kwargs):
+        raise ValueError("vector is not homogeneous: bidegrees {(0, 0)}")
+
+    monkeypatch.setattr(cli, "group_minimal_model", inhomogeneous)
+    with pytest.raises(ValueError, match="not homogeneous") as exc:
+        main(["transfer", "3", "1", "2", "--no-cache"])
+    assert not isinstance(exc.value, ParameterError)
+    assert "parameter error" not in capsys.readouterr().err
 
 
 def test_singular_block_in_contraction_is_a_certification_failure(
@@ -415,10 +458,11 @@ def test_classify_command(capsys):
 
 
 def test_classify_arity_below_the_family_is_a_parameter_error(capsys):
-    code, _, err = run_cli(capsys, "classify", 5, 1, 2, "--arity", 4,
-                           "--no-cache")
-    assert code == 2
-    assert "parameter error" in err
+    for pnq, arity in [((5, 1, 2), 4), ((3, 1, 2), 0)]:
+        code, _, err = run_cli(capsys, "classify", *pnq, "--arity", arity,
+                               "--no-cache")
+        assert code == 2, arity
+        assert "parameter error" in err
     code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--arity", 3,
                            "--no-cache")
     assert code == 0

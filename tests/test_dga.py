@@ -37,6 +37,7 @@ from ainfbg.dga import (
 from ainfbg.glin import (
     Bidegree,
     GradedVectorSpace,
+    ParameterError,
     TruncationExceeded,
     greedy_extend,
     invert,
@@ -339,7 +340,7 @@ def test_contraction_matches_the_reference_on_random_complexes(seed, p, dims,
 def _loop_cobar_input(pnq):
     """The cochain model and word bound that the loop pipeline cobars."""
     gp = GroupParams(*pnq)
-    _, s_hi = gp.loop_window()
+    s_hi = gp.loop_window_hi()
     return expected_minimal_model(
         gp, window=cochain_window_for_loops(gp, s_hi)), s_hi
 
@@ -374,7 +375,7 @@ def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
         Bidegree(0, 0): ["a", "b", "c"]})
     dga = DGAlgebra(space=space, unit={}, products=lambda a, b: {},
                     diff=lambda lab: {}, name="wide prime")
-    with pytest.raises(ValueError, match=r"p = 2147483647 with a block of "
+    with pytest.raises(ParameterError, match=r"p = 2147483647 with a block of "
                        r"dimension 3 .* < 2\^63 = 9223372036854775808"):
         contraction(dga)
 
@@ -534,8 +535,7 @@ def reference_cobar_blocks(model, s_bound):
 def _poincare_cobar_input(pnq):
     """The loop model and word bound that `poincare_roundtrip` cobars."""
     gp = GroupParams(*pnq)
-    arity = gp.loop_arity_bound()
-    pub_hi = gp.loop_window()[1] - (arity - 1)
+    _, (_, pub_hi), arity = gp.loop_run()
     model = expected_loop_model(gp, window=(0, pub_hi), arity_bound=arity)
     return model, -(pub_hi + 1)
 
@@ -733,7 +733,7 @@ def mult_algebra(kind, order_seed=0):
     if kind == "(3,1,2) loop cobar":
         return _loop_cobar((3, 1, 2))
     gp = GroupParams(*kind)
-    dga = build_end_dga(gp, window=gp.cochain_window(gp.default_arity_bound()))
+    dga = build_end_dga(gp, window=gp.cochain_run()[0])
     return reorder_blocks(dga, _shuffled_blocks(order_seed)) if order_seed \
         else dga
 

@@ -1,14 +1,9 @@
 """Command-line frontend: build models, run pipelines, emit stable reports.
 
-Subcommands
------------
-model           build the endomorphism DG-algebra and serialize it
-transfer        transferred + normalized minimal model on the cochain side
-check-stasheff  identity sweeps on the transferred model
-massey          Massey powers of t against the transferred family
-classify        admissible higher-operation shapes from the bigrading
-loops           transferred + normalized loop-space model (cobar side)
-verify          the full battery: both pipelines, oracles, cross-checks
+Each subcommand is one `COMMANDS` entry: its handler, its help text and
+the options it reads.  Every subcommand takes the group as the
+positional `p n q`; an option outside its entry is a usage error from
+the parser (exit 2), never silently dropped.
 
 The side is data read off the computation (`hp`, `names`), not a code
 path: `transfer` and `loops` share one model-document path,
@@ -24,12 +19,14 @@ cache their documents under --cache-dir (default: $AINF_CACHE_DIR or
 .cache/), keyed by a hash of (command, resolved parameters,
 format_version, package version, digest of the package sources), so a
 document made by other code is never replayed; a cached document whose
-embedded content hash does not match is discarded and rebuilt.  All file
-writes go through a temporary file and an atomic rename.
+embedded content hash does not match is discarded and rebuilt.
+check-stasheff, massey and classify never cache and take neither
+--cache-dir nor --no-cache.  All file writes go through a temporary file
+and an atomic rename.
 
 Exit codes: 0 success, 1 verification failure (including a document
-whose `overall` is "fail"), 2 invalid parameters, 3 truncation-window
-error.
+whose `overall` is "fail"), 2 invalid parameters (a usage error or a
+ParameterError), 3 truncation-window error.
 """
 
 from __future__ import annotations
@@ -187,9 +184,14 @@ def dga_document(command: str, params: GroupParams, parameters: dict,
         vec = _vector_record(dga.diff(lab), p)
         if vec:
             d_entries.append({"inputs": [lab], "output": vec})
+    # products(a, b) is {} unless source(a) == target(b), the contract
+    # that validate_dga certifies
+    by_target: dict[object, list] = {}
+    for bb, lb in labeled:
+        by_target.setdefault(dga.target(lb), []).append((bb, lb))
     m_entries = []
     for ba, la in labeled:
-        for bb, lb in labeled:
+        for bb, lb in by_target.get(dga.source(la), ()):
             if not lo <= ba.s + bb.s <= hi:
                 continue
             vec = _vector_record(dga.products(la, lb), p)
@@ -348,21 +350,6 @@ def run_with_cache(command: str, args, parameters: dict,
 # shared parameter resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_group(args) -> GroupParams:
-    pnq = list(args.pnq)
-    if len(pnq) > 3:
-        raise ParameterError(f"at most three positional integers (p n q), "
-                             f"got {pnq}")
-    pnq += [None] * (3 - len(pnq))
-    p = args.p if args.p is not None else pnq[0]
-    n = args.n if args.n is not None else pnq[1]
-    q = args.q if args.q is not None else pnq[2]
-    missing = [name for name, v in (("p", p), ("n", n), ("q", q)) if v is None]
-    if missing:
-        raise ParameterError(f"missing group parameters: {' '.join(missing)}")
-    return GroupParams(p, n, q, args.gamma)
-
-
 def _window(args) -> tuple[int, int] | None:
     if args.window is None:
         return None
@@ -385,7 +372,7 @@ def _record(name: str, expected: str, got: str,
 # ---------------------------------------------------------------------------
 
 def cmd_model(args) -> dict:
-    params = _resolve_group(args)
+    params = GroupParams(*args.pnq, args.gamma)
     window = _window(args) or params.default_window()
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "window": list(window)}
@@ -414,7 +401,7 @@ def cmd_minimal_model(args) -> dict:
     """`transfer` (cochain side) and `loops` (loop side): the normalized
     minimal model and the generator scales that normalized it, keyed by
     the side's generator names."""
-    params = _resolve_group(args)
+    params = GroupParams(*args.pnq, args.gamma)
     parameters, compute = _side(params, args)
 
     def build() -> dict:
@@ -491,7 +478,7 @@ def _massey_records(comp: Computation, tag: str) -> list[dict]:
 def cmd_report(args) -> dict:
     """`check-stasheff` (identity sweeps) and `massey` (Massey powers):
     one battery of records on the transferred cochain model."""
-    params = _resolve_group(args)
+    params = GroupParams(*args.pnq, args.gamma)
     parameters, compute = _side(params, args)
     comp = compute()
     if args.command == "massey":
@@ -519,7 +506,7 @@ def _classification(params: GroupParams,
 
 
 def cmd_classify(args) -> dict:
-    params = _resolve_group(args)
+    params = GroupParams(*args.pnq, args.gamma)
     max_arity = params.cochain_run(arity=args.arity)[2]
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "max_arity": max_arity}
@@ -615,7 +602,7 @@ def _verify_loops(params: GroupParams) -> list[dict]:
 
 
 def cmd_verify(args) -> dict:
-    params = _resolve_group(args)
+    params = GroupParams(*args.pnq, args.gamma)
     parameters, compute = _side(params, args)
     if params.q > 1:
         window, _, arity = params.loop_run()
@@ -634,14 +621,30 @@ def cmd_verify(args) -> dict:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+# subcommand -> (handler, help text, the options it reads); every
+# subcommand takes the group as the positional `p n q`
 COMMANDS = {
-    "model": cmd_model,
-    "transfer": cmd_minimal_model,
-    "check-stasheff": cmd_report,
-    "massey": cmd_report,
-    "classify": cmd_classify,
-    "loops": cmd_minimal_model,
-    "verify": cmd_verify,
+    "model": (cmd_model, "build and serialize the endomorphism DG-algebra",
+              ("--gamma", "--window", "--out", "--json", "--cache-dir",
+               "--no-cache")),
+    "transfer": (cmd_minimal_model,
+                 "transferred + normalized cochain minimal model",
+                 ("--gamma", "--window", "--arity", "--out", "--json",
+                  "--cache-dir", "--no-cache")),
+    "check-stasheff": (cmd_report, "identity sweeps on the transferred model",
+                       ("--gamma", "--window", "--arity", "--out", "--json")),
+    "massey": (cmd_report, "Massey powers of t against the transferred family",
+               ("--gamma", "--window", "--arity", "--out", "--json")),
+    "classify": (cmd_classify,
+                 "classify admissible higher operations by bigrading",
+                 ("--gamma", "--arity", "--out", "--json")),
+    "loops": (cmd_minimal_model, "transferred + normalized loop-space model",
+              ("--gamma", "--window", "--arity", "--out", "--json",
+               "--cache-dir", "--no-cache")),
+    "verify": (cmd_verify,
+               "run both pipelines with every oracle and cross-check",
+               ("--gamma", "--window", "--arity", "--out", "--json",
+                "--cache-dir", "--no-cache")),
 }
 
 
@@ -651,36 +654,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="minimal A-infinity models for the cohomology of "
                     "Z/p^n x| Z/q and their loop-space duals")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "model": "build and serialize the endomorphism DG-algebra",
-        "transfer": "transferred + normalized cochain minimal model",
-        "check-stasheff": "identity sweeps on the transferred model",
-        "massey": "Massey powers of t against the transferred family",
-        "classify": "classify admissible higher operations by bigrading",
-        "loops": "transferred + normalized loop-space model",
-        "verify": "run both pipelines with every oracle and cross-check",
+    options = {
+        "--gamma": dict(type=int,
+                        help="unit of order q mod p^n (default: smallest)"),
+        "--window": dict(type=int, nargs=2, metavar=("LO", "HI"),
+                         help="homological-degree window override"),
+        "--arity": dict(type=int,
+                        help="arity bound (classify: maximal arity)"),
+        "--out": dict(help="write the report to this path"),
+        "--json": dict(action="store_true",
+                       help="emit canonical JSON instead of text"),
+        "--cache-dir": dict(help="cache directory (default: "
+                                 "$AINF_CACHE_DIR or .cache)"),
+        "--no-cache": dict(action="store_true",
+                           help="bypass the document cache"),
     }
-    for name, fn in COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text[name])
-        cmd.add_argument("pnq", nargs="*", type=int, metavar="P N Q",
-                         help="group parameters (alternative to --p/--n/--q)")
-        cmd.add_argument("--p", type=int, help="odd prime p")
-        cmd.add_argument("--n", type=int, help="exponent n of the p-group")
-        cmd.add_argument("--q", type=int, help="order q of the acting group")
-        cmd.add_argument("--gamma", type=int,
-                         help="unit of order q mod p^n (default: smallest)")
-        cmd.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"),
-                         help="homological-degree window override")
-        cmd.add_argument("--arity", type=int,
-                         help="arity bound (classify: maximal arity)")
-        cmd.add_argument("--out", help="write the report to this path")
-        cmd.add_argument("--json", action="store_true",
-                         help="emit canonical JSON instead of text")
-        cmd.add_argument("--cache-dir",
-                         help="cache directory (default: $AINF_CACHE_DIR "
-                              "or .cache)")
-        cmd.add_argument("--no-cache", action="store_true",
-                         help="bypass the document cache")
+    for name, (fn, text, takes) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=text, allow_abbrev=False)
+        cmd.add_argument("pnq", nargs=3, type=int,
+                         help="the group Z/p^n x| Z/q as three integers "
+                              "p n q")
+        for option in takes:
+            cmd.add_argument(option, **options[option])
         cmd.set_defaults(fn=fn)
     return parser
 

@@ -366,8 +366,9 @@ class Contraction:
         pi f1 = id,   d G + G d = id - f1 pi,
         pi G = 0,     G f1 = 0,   G G = 0.
 
-    The homotopy identity is certified on `trusted` bidegrees (everything
-    except the two degrees nearest each window edge).
+    The homotopy identity is certified on the `trusted` bidegrees: every
+    block of the contracted range except those at its floor whose block
+    below is nonzero (there d leaves the range and G d is unknown).
     """
 
     dga: DGAlgebra
@@ -561,7 +562,7 @@ def contraction(dga: DGAlgebra) -> Contraction:
                 raise CertificationError(f"G G != 0 at {bd}")
         below = Bidegree(bd.s - 1, bd.w)
         sp_dn = splits.get(below)
-        if bd.s - 1 < lo or (space.dim(below) and sp_dn is None):
+        if space.dim(below) and (bd.s - 1 < lo or sp_dn is None):
             continue
         ident = matmul_mod(sp.f1, sp.pi, p)
         if sp_dn is not None:

@@ -15,7 +15,9 @@ import pytest
 
 from ainfbg.ainf import AdmissibleOp, AInfinityAlgebra, classify_admissible
 from ainfbg.cli import (
+    COMMANDS,
     FORMAT_VERSION,
+    build_parser,
     canonical_json,
     document_hash_ok,
     main,
@@ -36,6 +38,14 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CACHING = ("model", "transfer", "loops", "verify")
+
+
+def uncached(command: str) -> list[str]:
+    """--no-cache for a command that caches; the others refuse it."""
+    return ["--no-cache"] if command in CACHING else []
 
 
 def model_from_document(doc: dict) -> AInfinityAlgebra:
@@ -96,9 +106,71 @@ def test_invalid_group_parameters(capsys, pnq):
 
 
 def test_missing_parameters(capsys):
-    code, _, err = run_cli(capsys, "verify", 3)
-    assert code == 2
-    assert "missing group parameters" in err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", 3)
+    assert exc.value.code == 2
+    assert "the following arguments are required: pnq" in \
+        capsys.readouterr().err
+
+
+# Every option string a subcommand might be given, each with a value to
+# parse; no subcommand takes --p/--n/--q, since only the positional
+# `p n q` sets the group.
+ALL_OPTIONS = {"--p": ["3"], "--n": ["1"], "--q": ["2"], "--gamma": ["2"],
+               "--window": ["-8", "1"], "--arity": ["4"], "--out": ["r.txt"],
+               "--json": [], "--cache-dir": ["cache"], "--no-cache": []}
+COMMON = {"--gamma", "--out", "--json"}
+CACHE = {"--cache-dir", "--no-cache"}
+TAKES = {
+    "model": COMMON | {"--window"} | CACHE,
+    "transfer": COMMON | {"--window", "--arity"} | CACHE,
+    "check-stasheff": COMMON | {"--window", "--arity"},
+    "massey": COMMON | {"--window", "--arity"},
+    "classify": COMMON | {"--arity"},
+    "loops": COMMON | {"--window", "--arity"} | CACHE,
+    "verify": COMMON | {"--window", "--arity"} | CACHE,
+}
+
+
+def test_each_subcommand_takes_exactly_its_options(capsys):
+    """The parser accepts an option exactly where its subcommand reads it
+    and refuses any other with argparse's usage error (exit 2), before
+    any work: 48 settable slots counting `p n q` as one."""
+    assert sum(1 + len(opts) for opts in TAKES.values()) == 48
+    assert set(TAKES) == set(COMMANDS)
+    assert {c for c, opts in TAKES.items() if "--no-cache" in opts} == \
+        set(CACHING)
+    parser = build_parser()
+    for command, (option, values) in itertools.product(TAKES,
+                                                       ALL_OPTIONS.items()):
+        argv = [command, "3", "1", "2", option, *values]
+        if option in TAKES[command]:
+            assert parser.parse_args(argv).command == command
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "usage: ainfbg" in err and f"unrecognized arguments: {option}" \
+            in err, argv
+    for count in (["3", "1"], ["3", "1", "2", "4"], ["3", "one", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify", *count])
+        assert exc.value.code == 2, count
+
+
+@pytest.mark.parametrize("argv", [
+    "classify 3 1 2 --window 5 10 --json --no-cache",
+    "model 3 1 2 --arity 0",
+])
+def test_an_option_the_command_ignores_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage: ainfbg" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_loops_needs_q_at_least_two(capsys):
@@ -121,13 +193,6 @@ def test_cache_state_does_not_change_the_exit_code(capsys, tmp_path,
         assert "parameter error" in err
 
 
-def test_flag_and_positional_forms_agree(capsys):
-    code_a, out_a, _ = run_cli(capsys, "classify", 3, 1, 1, "--no-cache")
-    code_b, out_b, _ = run_cli(capsys, "classify", "--p", 3, "--n", 1,
-                               "--q", 1, "--no-cache")
-    assert (code_a, out_a) == (code_b, out_b) == (0, out_a)
-
-
 # ---------------------------------------------------------------------------
 # truncation windows (exit code 3)
 # ---------------------------------------------------------------------------
@@ -135,8 +200,7 @@ def test_flag_and_positional_forms_agree(capsys):
 def test_truncation_window_exit_code(capsys):
     # the window holds the homology pattern but not the 3-fold Massey
     # staircase, whose final product lands in degree -8
-    code, _, err = run_cli(capsys, "massey", 3, 1, 2,
-                           "--window", -7, 1, "--no-cache")
+    code, _, err = run_cli(capsys, "massey", 3, 1, 2, "--window", -7, 1)
     assert code == 3
     assert "truncation-window error" in err
 
@@ -151,7 +215,7 @@ def test_window_without_the_unit_is_refused_by_name(capsys, command, window):
     side, one that does not start at 0) is refused before any work, with
     a message that names the window."""
     code, _, err = run_cli(capsys, command, 3, 1, 2, "--window", *window,
-                           "--no-cache")
+                           *uncached(command))
     assert code in (2, 3)
     assert f"window ({window[0]}, {window[1]})" in err
     assert "Traceback" not in err
@@ -164,7 +228,8 @@ def sweep_exit_codes(capsys, command, pnq, windows):
     codes = {}
     for window in windows:
         codes[window], out, err = run_cli(capsys, command, *pnq, "--window",
-                                          *window, "--json", "--no-cache")
+                                          *window, "--json",
+                                          *uncached(command))
         assert codes[window] == 0 or "ainfbg: " in err, (command, window)
         if codes[window] == 0 and command in ("transfer", "loops"):
             assert not json.loads(out)["normalization"]["formal"], window
@@ -209,7 +274,7 @@ def test_arity_below_the_family_is_a_parameter_error(capsys, pnq):
         runs.append(("loops", hp.loop_dual().ell - 1))
     for command, arity in runs:
         code, _, err = run_cli(capsys, command, *pnq, "--arity", arity,
-                               "--no-cache")
+                               *uncached(command))
         assert code == 2, (command, arity)
         assert "parameter error" in err
 
@@ -354,7 +419,7 @@ REPORT_HASHES = {
 def test_report_content_hashes_are_pinned(capsys):
     got = {}
     for argv in REPORT_HASHES:
-        code, out, _ = run_cli(capsys, *argv, "--json", "--no-cache")
+        code, out, _ = run_cli(capsys, *argv, "--json", *uncached(argv[0]))
         assert code == 0, argv
         got[argv] = json.loads(out)["provenance"]["content_hash"]
     assert got == REPORT_HASHES
@@ -385,10 +450,10 @@ def test_dg_algebra_document(capsys):
 
 
 def test_report_written_to_file_matches_stdout(capsys, tmp_path):
-    _, out, _ = run_cli(capsys, "classify", 3, 1, 1, "--json", "--no-cache")
+    _, out, _ = run_cli(capsys, "classify", 3, 1, 1, "--json")
     path = tmp_path / "classify.json"
     code, wrote, _ = run_cli(capsys, "classify", 3, 1, 1, "--json",
-                             "--no-cache", "--out", path)
+                             "--out", path)
     assert code == 0
     assert str(path) in wrote
     assert path.read_text() == out
@@ -435,19 +500,19 @@ def test_cache_misses_after_a_source_change(capsys, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_check_stasheff_command(capsys):
-    code, out, _ = run_cli(capsys, "check-stasheff", 3, 1, 1, "--no-cache")
+    code, out, _ = run_cli(capsys, "check-stasheff", 3, 1, 1)
     assert code == 0
     assert "overall         pass" in out
 
 
 def test_massey_command(capsys):
-    code, out, _ = run_cli(capsys, "massey", 3, 1, 1, "--no-cache")
+    code, out, _ = run_cli(capsys, "massey", 3, 1, 1)
     assert code == 0
     assert "Massey power" in out
 
 
 def test_classify_command(capsys):
-    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--json", "--no-cache")
+    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["overall"] == "pass"
@@ -459,12 +524,10 @@ def test_classify_command(capsys):
 
 def test_classify_arity_below_the_family_is_a_parameter_error(capsys):
     for pnq, arity in [((5, 1, 2), 4), ((3, 1, 2), 0)]:
-        code, _, err = run_cli(capsys, "classify", *pnq, "--arity", arity,
-                               "--no-cache")
+        code, _, err = run_cli(capsys, "classify", *pnq, "--arity", arity)
         assert code == 2, arity
         assert "parameter error" in err
-    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--arity", 3,
-                           "--no-cache")
+    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--arity", 3)
     assert code == 0
     assert "overall         pass" in out
 
@@ -473,7 +536,7 @@ def test_classify_arity_below_the_family_is_a_parameter_error(capsys):
 def test_classify_shapes_expand_to_the_admissible_tuples(capsys, pnq):
     """Each shape admits every power tuple, with target power the power
     sum minus the shape's power excess."""
-    code, out, _ = run_cli(capsys, "classify", *pnq, "--json", "--no-cache")
+    code, out, _ = run_cli(capsys, "classify", *pnq, "--json")
     assert code == 0
     doc = json.loads(out)
     expanded = [

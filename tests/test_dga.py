@@ -289,7 +289,7 @@ def reference_contraction(dga):
                 assert not np.any((sp_up.g @ sp.g) % p)
         below = Bidegree(bd.s - 1, bd.w)
         sp_dn = splits.get(below)
-        if bd.s - 1 < lo or (space.dim(below) and sp_dn is None):
+        if space.dim(below) and (bd.s - 1 < lo or sp_dn is None):
             continue
         gd = (sp_dn.g @ dga.diff_block(bd)) % p if sp_dn is not None else 0
         d_up = dga.diff_block(Bidegree(bd.s + 1, bd.w)) if sp.g.shape[0] \

@@ -18,6 +18,7 @@ from ainfbg.cli import main
 from ainfbg.dga import Contraction, massey_power
 from ainfbg.glin import TruncationExceeded
 from ainfbg.grp import GroupParams, expected_minimal_model
+from ainfbg.koszul import loop_minimal_model
 from ainfbg.transfer import (
     MerkulovTransfer,
     PatternMismatch,
@@ -288,3 +289,34 @@ def test_a_lost_word_is_never_read_as_zero(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "truncation-window error" in captured.err
+
+
+@pytest.mark.parametrize("pipeline", [group_minimal_model, loop_minimal_model],
+                         ids=["cochain", "loops"])
+@pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2), (5, 1, 4)])
+def test_retraction_maps_read_only_trusted_bidegrees(monkeypatch, pipeline,
+                                                     pnq):
+    """Every include, project and homotopy call that a pipeline makes on a
+    nonzero vector reads a bidegree whose homotopy identity was certified
+    (on the loop side that includes the unit degree s = 0, the floor)."""
+    reads = []
+
+    def recorded(method, bidegree):
+        def wrapper(self, vec):
+            if vec:
+                reads.append((method.__name__, bidegree(self, vec),
+                              self.trusted))
+            return method(self, vec)
+        return wrapper
+
+    monkeypatch.setattr(Contraction, "include", recorded(
+        Contraction.include,
+        lambda con, v: con.homology.bidegree_of(next(iter(v)))))
+    for method in (Contraction.project, Contraction.homotopy):
+        monkeypatch.setattr(Contraction, method.__name__, recorded(
+            method, lambda con, v: con.dga.bidegree_of(v)))
+    pipeline(GroupParams(*pnq))
+    assert reads
+    untrusted = sorted({(name, bd) for name, bd, trusted in reads
+                        if bd not in trusted})
+    assert not untrusted

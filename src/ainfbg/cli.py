@@ -648,12 +648,25 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an argument it does not take with
+    its own usage line, where argparse would hand the argument back to the
+    top-level parser and print that usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ainfbg",
         description="minimal A-infinity models for the cohomology of "
                     "Z/p^n x| Z/q and their loop-space duals")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     options = {
         "--gamma": dict(type=int,
                         help="unit of order q mod p^n (default: smallest)"),

@@ -152,10 +152,6 @@ class ValidationReport:
     unit_checked: int = 0
 
 
-def _parity(space: GradedVectorSpace, lab: str) -> int:
-    return space.bidegree_of(lab).s % 2
-
-
 def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
                  triple_sample: int | None = None,
                  seed: int = 0) -> ValidationReport:
@@ -171,61 +167,123 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     (a, b, c) is skipped iff ab, bc, some xc with x in ab, or some ay with
     y in bc raises TruncationExceeded.
 
-    Exhaustive associativity (triple_sample None or at least n^3) reads
-    every product from a sparse table built with one `products` call per
-    ordered pair of basis labels.  It compares (ab)c with a(bc) only on
-    the triples where some side can be nonzero or leave the window; every
-    other triple has both sides zero and is counted without a visit.  The
-    count and the checked identity are those of trying every triple, and a
-    product naming a label outside the basis fails certification.
-    The sampled mode does not use the table: it draws its triples from the
-    seeded generator and checks each one with `mult`.
+    One call computes d of each label at most once, and remembers a label
+    whose d leaves the window.  When the Leibniz or the associativity pass
+    tries every pair or triple (a sample size of None, or at least n^2
+    pairs or n^3 triples for n basis labels), the call first builds the
+    product table, one `products` call per ordered pair of labels, and the
+    Leibniz, associativity and unit passes read every product from it; a
+    pair whose product leaves the window is kept as such, and a product
+    naming a label outside the basis fails certification.  Exhaustive
+    associativity compares (ab)c with a(bc) only on the triples where some
+    side can be nonzero or leave the window; every other triple has both
+    sides zero and is counted without a visit.  The count and the checked
+    identity are those of trying every triple.
+    Without the table each product is computed when a check asks for it,
+    on composable pairs only, as `DGAlgebra.mult` does: drawn pairs and
+    triples hardly repeat a product.  A sampled pass draws all its pairs
+    or triples from the seeded generator in one batch, the same stream as
+    one draw per pair or triple.
     """
     rep = ValidationReport()
     space = dga.space
     p = dga.prime
     lo, hi = space.window
     labels = [lab for bd in space.bidegrees() for lab in space.labels(bd)]
+    n = len(labels)
+    every_triple = triple_sample is None or triple_sample >= n ** 3
+    tabled = every_triple or pair_sample is None or pair_sample >= n ** 2
+    source, target = dga.source, dga.target
+    # d of a label, None where it leaves the window; if tabled, the nonzero
+    # products and, as None, the pairs whose product leaves it
+    diffs: dict[str, Vector | None] = {}
+    table: dict[tuple[str, str], Vector | None] = {}
 
-    for lab in labels:
-        if space.bidegree_of(lab).s < lo + 2:
-            continue
-        dd = dga.d(dga.d({lab: 1}))
-        if dd:
-            raise CertificationError(f"d^2 != 0 on {lab!r}: {dd}")
-        rep.d_squared_checked += 1
+    def d_label(lab: str) -> Vector:
+        if lab not in diffs:
+            try:
+                diffs[lab] = dga.d({lab: 1})
+            except TruncationExceeded:
+                diffs[lab] = None
+        if (dl := diffs[lab]) is None:
+            raise TruncationExceeded(f"d({lab!r}) leaves the window")
+        return dl
+
+    def d(vec: Vector) -> Vector:
+        out: dict[str, int] = {}
+        for x, cx in vec.items():
+            for y, cy in d_label(x).items():
+                out[y] = (out.get(y, 0) + cx * cy) % p
+        return {k: c for k, c in out.items() if c} if out else out
+
+    def product(a: str, b: str) -> Vector:
+        """_product(dga, a, b), read from the table if there is one."""
+        if not tabled:
+            return _product(dga, a, b)
+        ab = table.get((a, b), {})
+        if ab is None:
+            raise TruncationExceeded(f"{a!r}*{b!r} leaves the window")
+        return ab
+
+    def mult(u: Vector, v: Vector) -> Vector:
+        """DGAlgebra.mult through `product`: composable pairs only."""
+        out: dict[str, int] = {}
+        for x, cx in u.items():
+            sx = source(x)
+            for y, cy in v.items():
+                if sx != target(y):
+                    continue
+                for z, cz in product(x, y).items():
+                    out[z] = (out.get(z, 0) + cx * cy * cz) % p
+        return {k: c for k, c in out.items() if c} if out else out
 
     rng = np.random.default_rng(seed)
 
     def tuples(width: int, k: int | None):
-        n = len(labels)
         if k is None or k >= n ** width:
-            yield from itertools.product(labels, repeat=width)
-        else:
-            for _ in range(k):
-                yield tuple(labels[int(i)]
-                            for i in rng.integers(0, n, size=width))
+            return itertools.product(labels, repeat=width)
+        drawn = np.array(labels, dtype=object)[rng.integers(0, n, (k, width))]
+        return zip(*drawn.T)
 
+    if tabled:
+        for a, b in itertools.product(labels, repeat=2):
+            try:
+                if ab := _product(dga, a, b):
+                    table[a, b] = ab
+            except TruncationExceeded:
+                table[a, b] = None
+        outside = {x for ab in table.values() if ab for x in ab} - set(labels)
+        if outside:
+            raise CertificationError(
+                f"products name labels outside the basis: {sorted(outside)}")
+
+    for lab in labels:
+        if space.bidegree_of(lab).s < lo + 2:
+            continue
+        dd = d(d_label(lab))
+        if dd:
+            raise CertificationError(f"d^2 != 0 on {lab!r}: {dd}")
+        rep.d_squared_checked += 1
+
+    sign = {lab: -1 if space.bidegree_of(lab).s % 2 else 1 for lab in labels}
     for a, b in tuples(2, pair_sample):
         try:
-            ab = _product(dga, a, b)
-            lhs = dga.d(ab)
-            sign = -1 if _parity(space, a) else 1
-            rhs = _add(dga.mult(dga.d({a: 1}), {b: 1}),
-                       _scale(dga.mult({a: 1}, dga.d({b: 1})), sign, p), p)
+            lhs = d(product(a, b))
+            rhs = _add(mult(d_label(a), {b: 1}),
+                       _scale(mult({a: 1}, d_label(b)), sign[a], p), p)
         except TruncationExceeded:
             continue
         if lhs != rhs:
             raise CertificationError(f"Leibniz fails on ({a!r}, {b!r})")
         rep.leibniz_checked += 1
 
-    if triple_sample is None or triple_sample >= len(labels) ** 3:
-        rep.assoc_checked = _associative_triples(dga, labels)
+    if every_triple:
+        rep.assoc_checked = _associative_triples(labels, table, mult)
     else:
         for a, b, c in tuples(3, triple_sample):
             try:
-                left = dga.mult(_product(dga, a, b), {c: 1})
-                right = dga.mult({a: 1}, _product(dga, b, c))
+                left = mult(product(a, b), {c: 1})
+                right = mult({a: 1}, product(b, c))
             except TruncationExceeded:
                 continue
             if left != right:
@@ -233,10 +291,17 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
                     f"associativity fails on ({a!r},{b!r},{c!r})")
             rep.assoc_checked += 1
 
+    # the unit's labels by key: a unit check multiplies only the part of
+    # the unit that composes with the label, all that `mult` would use
+    unit_by_source: dict[object, Vector] = {}
+    unit_by_target: dict[object, Vector] = {}
+    for e, c in dga.unit.items():
+        unit_by_source.setdefault(source(e), {})[e] = c
+        unit_by_target.setdefault(target(e), {})[e] = c
     for lab in labels:
-        if dga.mult(dga.unit, {lab: 1}) != {lab: 1}:
+        if mult(unit_by_source.get(target(lab), {}), {lab: 1}) != {lab: 1}:
             raise CertificationError(f"left unit on {lab!r}")
-        if dga.mult({lab: 1}, dga.unit) != {lab: 1}:
+        if mult({lab: 1}, unit_by_target.get(source(lab), {})) != {lab: 1}:
             raise CertificationError(f"right unit on {lab!r}")
         rep.unit_checked += 1
     return rep
@@ -258,51 +323,27 @@ def _product(dga: DGAlgebra, a: str, b: str) -> Vector:
     return ab
 
 
-def _associative_triples(dga: DGAlgebra, labels: list[str]) -> int:
+def _associative_triples(labels: list[str],
+                         table: dict[tuple[str, str], Vector | None],
+                         mult: Callable[[Vector, Vector], Vector]) -> int:
     """Number of triples of `labels` whose associativity is checkable.
 
-    Raises CertificationError on a triple where (ab)c != a(bc).
-    Only the nonzero products and the pairs whose product leaves the
-    window are stored; a pair absent from both is a zero product.
+    Raises CertificationError on a triple where (ab)c != a(bc).  `table`
+    holds the nonzero products and, as None, the pairs whose product leaves
+    the window; a pair absent from it is a zero product.  `mult` reads the
+    table and raises TruncationExceeded where a product leaves the window.
     """
-    p = dga.prime
     n = len(labels)
-    nonzero: dict[tuple[str, str], Vector] = {}
-    raised: set[tuple[str, str]] = set()
     # right[x]: every c with xc nonzero or out of the window;
     # left[y]: every a with ay nonzero or out of the window
     right: dict[str, set[str]] = {lab: set() for lab in labels}
     left: dict[str, set[str]] = {lab: set() for lab in labels}
-    for a in labels:
-        for b in labels:
-            try:
-                ab = _product(dga, a, b)
-            except TruncationExceeded:
-                raised.add((a, b))
-            else:
-                if not ab:
-                    continue
-                nonzero[a, b] = ab
-            right[a].add(b)
-            left[b].add(a)
-    outside = {x for ab in nonzero.values() for x in ab} - right.keys()
-    if outside:
-        raise CertificationError(
-            f"products name labels outside the basis: {sorted(outside)}")
+    for a, b in table:
+        right[a].add(b)
+        left[b].add(a)
 
-    def table_mult(u: Vector, v: Vector) -> Vector | None:
-        """DGAlgebra.mult read from the table; None if a product raises."""
-        out: dict[str, int] = {}
-        for x, cx in u.items():
-            for y, cy in v.items():
-                if (x, y) in raised:
-                    return None
-                for z, cz in nonzero.get((x, y), {}).items():
-                    out[z] = (out.get(z, 0) + cx * cy * cz) % p
-        return {k: c for k, c in out.items() if c}
-
-    out_left = Counter(b for _, b in raised)
-    out_right = Counter(b for b, _ in raised)
+    out_left = Counter(b for (_, b), ab in table.items() if ab is None)
+    out_right = Counter(a for (a, _), ab in table.items() if ab is None)
     count = 0
     for b in labels:
         # Count every triple whose outer products stay in the window, then
@@ -312,21 +353,24 @@ def _associative_triples(dga: DGAlgebra, labels: list[str]) -> int:
         count += (n - out_left[b]) * (n - out_right[b])
         visit: set[tuple[str, str]] = set()
         for a in left[b]:
-            if ab := nonzero.get((a, b)):
+            if ab := table.get((a, b)):
                 cs = right[b].union(*(right[x] for x in ab))
                 visit.update((a, c) for c in cs)
         for c in right[b]:
-            if bc := nonzero.get((b, c)):
+            if bc := table.get((b, c)):
                 visit.update((a, c) for a in set().union(
                     *(left[y] for y in bc)))
         for a, c in sorted(visit):
-            if (a, b) in raised or (b, c) in raised:
+            ab, bc = table.get((a, b), {}), table.get((b, c), {})
+            if ab is None or bc is None:
                 continue
-            lhs = table_mult(nonzero.get((a, b), {}), {c: 1})
-            rhs = table_mult({a: 1}, nonzero.get((b, c), {}))
-            if lhs is None or rhs is None:
+            try:
+                lhs = mult(ab, {c: 1})
+                rhs = mult({a: 1}, bc)
+            except TruncationExceeded:
                 count -= 1
-            elif lhs != rhs:
+                continue
+            if lhs != rhs:
                 raise CertificationError(
                     f"associativity fails on ({a!r},{b!r},{c!r})")
     return count

@@ -151,8 +151,8 @@ def test_each_subcommand_takes_exactly_its_options(capsys):
             parser.parse_args(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert "usage: ainfbg" in err and f"unrecognized arguments: {option}" \
-            in err, argv
+        assert f"usage: ainfbg {command} " in err and \
+            f"unrecognized arguments: {option}" in err, argv
     for count in (["3", "1"], ["3", "1", "2", "4"], ["3", "one", "2"]):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["verify", *count])
@@ -164,12 +164,18 @@ def test_each_subcommand_takes_exactly_its_options(capsys):
     "model 3 1 2 --arity 0",
 ])
 def test_an_option_the_command_ignores_is_refused(capsys, argv):
+    """The subcommand's own parser refuses the option, so the message shows
+    the options that subcommand takes."""
+    words = argv.split()
+    command, option = words[0], words[4]
     with pytest.raises(SystemExit) as exc:
-        main(argv.split())
+        main(words)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "usage: ainfbg" in captured.err
+    assert captured.err.startswith(f"usage: ainfbg {command} ")
+    assert f"ainfbg {command}: error: unrecognized arguments: {option}" in \
+        captured.err
     assert "Traceback" not in captured.err
 
 

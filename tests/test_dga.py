@@ -828,3 +828,173 @@ def test_non_composable_product_fails_certification(product):
     with pytest.raises(CertificationError, match=named):
         validate_dga(mutated, pair_sample=len(_labels(dga)) ** 2,
                      triple_sample=1)
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz pass read from the product table, and the batched draws
+# ---------------------------------------------------------------------------
+
+def reference_d_squared(dga, labels=None):
+    """d^2 = 0 tried one label at a time with `dga.d`, over every label at
+    least two degrees above the window floor or over `labels`.  Returns the
+    number of labels checked."""
+    floor = dga.space.window[0]
+    if labels is None:
+        labels = [lab for lab in _labels(dga)
+                  if dga.space.bidegree_of(lab).s >= floor + 2]
+    for lab in labels:
+        if dd := dga.d(dga.d({lab: 1})):
+            raise CertificationError(f"d^2 != 0 on {lab!r}: {dd}")
+    return len(labels)
+
+
+def reference_leibniz(dga, pairs=None):
+    """The Leibniz rule tried one pair at a time with `dga.d`, `dga.mult`
+    and `dga.products`, over every (a, b) or over `pairs`: the reference
+    for the Leibniz pass that reads the product table.  Returns the number
+    of pairs checked; a pair is skipped when a product or a differential
+    it needs leaves the window."""
+    p = dga.prime
+    if pairs is None:
+        pairs = itertools.product(_labels(dga), repeat=2)
+    checked = 0
+    for a, b in pairs:
+        try:
+            lhs = dga.d(dga.products(a, b))
+            da_b = dga.mult(dga.d({a: 1}), {b: 1})
+            a_db = dga.mult({a: 1}, dga.d({b: 1}))
+        except TruncationExceeded:
+            continue
+        sign = -1 if dga.space.bidegree_of(a).s % 2 else 1
+        rhs = {lab: (da_b.get(lab, 0) + sign * a_db.get(lab, 0)) % p
+               for lab in da_b.keys() | a_db.keys()}
+        if lhs != {lab: c for lab, c in rhs.items() if c}:
+            raise CertificationError(f"Leibniz fails on ({a!r}, {b!r})")
+        checked += 1
+    return checked
+
+
+@functools.cache
+def _labels_with_d(kind, bound):
+    dga, _, _ = small_algebra(kind, bound)
+    out = []
+    for lab in _labels(dga):
+        try:
+            if dga.diff(lab):
+                out.append(lab)
+        except TruncationExceeded:
+            pass
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leibniz_from_the_table_matches_the_pair_loop(data):
+    """With every pair tried, the Leibniz pass reads its products from the
+    table and gives the reference's count, or both reject the algebra and
+    the label or pair `validate_dga` names fails under the reference, or
+    both find d leaving the window in the d^2 pass.  Mutations change d on
+    one label: scale a term, redirect it to another label of the same
+    bidegree, or make it leave the window."""
+    algebra = data.draw(st.sampled_from(SMALL_ALGEBRAS))
+    dga, _, _ = small_algebra(*algebra)
+    space, p = dga.space, dga.prime
+    kind = data.draw(st.sampled_from(["none", "scale", "redirect", "leaves"]))
+    if kind == "leaves":
+        lab = data.draw(st.sampled_from(_labels(dga)))
+    elif kind != "none":
+        lab = data.draw(st.sampled_from(_labels_with_d(*algebra)))
+        dlab = dga.diff(lab)
+        term = data.draw(st.sampled_from(sorted(dlab)))
+    if kind == "scale":
+        factor = data.draw(st.integers(2, p - 1))
+        new = dict(dlab, **{term: dlab[term] * factor % p})
+    elif kind == "redirect":
+        others = [x for x in space.labels(space.bidegree_of(term))
+                  if x not in dlab]
+        assume(others)
+        new = dict(dlab)
+        new[data.draw(st.sampled_from(others))] = new.pop(term)
+    if kind != "none":
+        def diff(x, right=dga.diff):
+            if x != lab:
+                return right(x)
+            if kind == "leaves":
+                raise TruncationExceeded("made to leave the window")
+            return new
+
+        dga = replace(dga, diff=diff)
+
+    try:
+        want = (reference_d_squared(dga), reference_leibniz(dga))
+    except CertificationError as exc:
+        want = CertificationError
+        event(f"{kind} mutation: rejected, {str(exc).split()[0]}")
+    except TruncationExceeded:
+        want = TruncationExceeded
+        event(f"{kind} mutation: d leaves the window in the d^2 pass")
+    else:
+        event(f"{kind} mutation: accepted")
+    try:
+        rep = validate_dga(dga, triple_sample=0)
+    except TruncationExceeded:
+        assert want is TruncationExceeded
+    except CertificationError as exc:
+        assert want is CertificationError, exc
+        if named := re.match(r"d\^2 != 0 on ('.*?'):", str(exc)):
+            with pytest.raises(CertificationError):
+                reference_d_squared(dga, [ast.literal_eval(named[1])])
+        else:
+            named = ast.literal_eval(
+                str(exc).removeprefix("Leibniz fails on "))
+            with pytest.raises(CertificationError):
+                reference_leibniz(dga, [named])
+    else:
+        assert (rep.d_squared_checked, rep.leibniz_checked) == want
+
+
+def reference_sampled_counts(dga, pair_sample, triple_sample, seed):
+    """The counts of a sampled `validate_dga` call with one
+    `rng.integers(0, n, size=width)` per pair or triple: the reference for
+    the batched draws.  A pair or triple counts unless one of its products
+    or differentials leaves the window; nothing is compared."""
+    space = dga.space
+    labels = _labels(dga)
+    n = len(labels)
+    rng = np.random.default_rng(seed)
+    d_squared = sum(space.bidegree_of(lab).s >= space.window[0] + 2
+                    for lab in labels)
+    pairs = triples = 0
+    for _ in range(pair_sample):
+        a, b = (labels[i] for i in rng.integers(0, n, size=2))
+        try:
+            dga.d(dga.products(a, b))
+            dga.mult(dga.d({a: 1}), {b: 1})
+            dga.mult({a: 1}, dga.d({b: 1}))
+        except TruncationExceeded:
+            continue
+        pairs += 1
+    for _ in range(triple_sample):
+        a, b, c = (labels[i] for i in rng.integers(0, n, size=3))
+        try:
+            dga.mult(dga.products(a, b), {c: 1})
+            dga.mult({a: 1}, dga.products(b, c))
+        except TruncationExceeded:
+            continue
+        triples += 1
+    return d_squared, pairs, triples, n
+
+
+@pytest.mark.parametrize("samples", [(600, 300), (0, 300)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", [(5, 1, 2), "(3,1,2) loop cobar"])
+def test_batched_draws_give_the_counts_of_one_draw_each(kind, seed, samples):
+    """One `rng.integers(0, n, size=(k, width))` per pass draws what k
+    calls of size=width draw, an empty pair batch included: the bit
+    generator keeps its 32-bit buffer across calls."""
+    dga = mult_algebra(kind)
+    rep = validate_dga(dga, pair_sample=samples[0], triple_sample=samples[1],
+                       seed=seed)
+    assert (rep.d_squared_checked, rep.leibniz_checked, rep.assoc_checked,
+            rep.unit_checked) == reference_sampled_counts(dga, *samples,
+                                                          seed)

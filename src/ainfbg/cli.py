@@ -95,7 +95,10 @@ def finalize_document(doc: dict) -> dict:
     return doc
 
 
-def document_hash_ok(doc: dict) -> bool:
+def document_hash_ok(doc: object) -> bool:
+    """Whether `doc` is a JSON object whose provenance hash is its own."""
+    if not isinstance(doc, dict):
+        return False
     prov = doc.get("provenance")
     if not isinstance(prov, dict) or "content_hash" not in prov:
         return False

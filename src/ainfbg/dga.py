@@ -393,11 +393,9 @@ def _scale(u: Vector, c: int, p: int) -> Vector:
 
 @dataclass
 class _BlockSplit:
-    labels: list[str]
-    h_labels: list[str]
     f1: np.ndarray            # dim A x dim H, columns are representatives
     pi: np.ndarray            # dim H x dim A
-    g: np.ndarray | None = None   # dim A_{s+1} x dim A, zero off P_{s+1}
+    g: np.ndarray             # dim A_{s+1} x dim A, zero off P_{s+1}
 
 
 @dataclass
@@ -410,6 +408,9 @@ class Contraction:
         pi f1 = id,   d G + G d = id - f1 pi,
         pi G = 0,     G f1 = 0,   G G = 0.
 
+    `splits` holds the three block matrices for every block of the
+    contracted range, the window of `homology`; the block's labels are
+    those of `dga.space` and its homology labels those of `homology`.
     The homotopy identity is certified on the `trusted` bidegrees: every
     block of the contracted range except those at its floor whose block
     below is nonzero (there d leaves the range and G d is unknown).
@@ -420,45 +421,31 @@ class Contraction:
     splits: dict[Bidegree, _BlockSplit]
     trusted: set[Bidegree] = field(default_factory=set)
 
-    def _check_range(self, bd: Bidegree) -> None:
+    def include(self, hvec: Vector) -> Vector:
+        return self._block_map("f1", self.homology, self.dga.space, hvec)
+
+    def project(self, avec: Vector) -> Vector:
+        return self._block_map("pi", self.dga.space, self.homology, avec)
+
+    def homotopy(self, avec: Vector) -> Vector:
+        return self._block_map("g", self.dga.space, self.dga.space, avec,
+                               shift=1)
+
+    def _block_map(self, name: str, source: GradedVectorSpace,
+                   target: GradedVectorSpace, vec: Vector, *,
+                   shift: int = 0) -> Vector:
+        """The block matrix `name` applied to a homogeneous vector of
+        `source`, landing `shift` degrees up in `target`."""
+        if not vec:
+            return {}
+        bd = source.bidegree_of(next(iter(vec)))
         lo, hi = self.homology.window
         if not lo <= bd.s <= hi:
             raise TruncationExceeded(
                 f"bidegree {bd} outside contracted range {(lo, hi)}")
-
-    def include(self, hvec: Vector) -> Vector:
-        if not hvec:
-            return {}
-        bd = self.homology.bidegree_of(next(iter(hvec)))
-        self._check_range(bd)
-        sp = self.splits[bd]
-        arr = self.homology.to_array(bd, hvec)
-        return self.dga.space.to_dict(bd, (sp.f1 @ arr) % self.dga.prime)
-
-    def project(self, avec: Vector) -> Vector:
-        if not avec:
-            return {}
-        bd = self.dga.bidegree_of(avec)
-        self._check_range(bd)
-        sp = self.splits.get(bd)
-        if sp is None:
-            return {}
-        arr = self.dga.space.to_array(bd, avec)
-        return self.homology.to_dict(bd, (sp.pi @ arr) % self.dga.prime)
-
-    def homotopy(self, avec: Vector) -> Vector:
-        if not avec:
-            return {}
-        bd = self.dga.bidegree_of(avec)
-        self._check_range(bd)
-        sp = self.splits.get(bd)
-        if sp is None:
-            return {}
-        if sp.g is None:
-            raise TruncationExceeded(f"no homotopy data at {bd}")
-        arr = self.dga.space.to_array(bd, avec)
-        out = Bidegree(bd.s + 1, bd.w)
-        return self.dga.space.to_dict(out, (sp.g @ arr) % self.dga.prime)
+        arr = source.to_array(bd, vec)
+        out = (getattr(self.splits[bd], name) @ arr) % self.dga.prime
+        return target.to_dict(Bidegree(bd.s + shift, bd.w), out)
 
     def renamed(self, mapping: dict[str, str]) -> "Contraction":
         """Same retraction with homology basis labels renamed bijectively."""
@@ -468,11 +455,7 @@ class Contraction:
                   for bd, labs in self.homology.blocks.items()}
         hom = GradedVectorSpace(prime=self.homology.prime,
                                 window=self.homology.window, blocks=blocks)
-        splits = {bd: replace(sp, h_labels=[mapping.get(l, l)
-                                            for l in sp.h_labels])
-                  for bd, sp in self.splits.items()}
-        return Contraction(dga=self.dga, homology=hom, splits=splits,
-                           trusted=set(self.trusted))
+        return replace(self, homology=hom)
 
 
 def contraction(dga: DGAlgebra) -> Contraction:
@@ -521,28 +504,21 @@ def contraction(dga: DGAlgebra) -> Contraction:
             d_blocks[bd] = dga.diff_block(bd)
         return d_blocks[bd]
 
-    # pass 0: one elimination of d per block gives cycles and pivot columns
-    blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi + 1]
+    # pass 0: one elimination of d per block gives cycles and pivot columns;
+    # at ceiling + 1 only the pivot columns are trustworthy, and they are
+    # all the ceiling's homotopy needs
+    blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
     cycles: dict[Bidegree, np.ndarray] = {}
     pivots: dict[Bidegree, tuple[int, ...]] = {}
-    for bd in blocks:
+    for bd in blocks + sorted(bd for bd in space.blocks if bd.s == hi + 1):
         _, cycles[bd], pivots[bd] = rank_nullspace(diff_block(bd), p)
 
     # pass 1: splittings A = B + H + C and the homotopies
     splits: dict[Bidegree, _BlockSplit] = {}
+    hom_blocks: dict[Bidegree, list[str]] = {}
     for bd in blocks:
-        labels = space.labels(bd)
-        n = len(labels)
+        n = space.dim(bd)
         z_rows = cycles.pop(bd)
-        if bd.s > hi:
-            # ceiling + 1: only the pivot columns are trustworthy here, and
-            # they are all the degree below needs to build its homotopy.
-            splits[bd] = _BlockSplit(
-                labels=labels, h_labels=[],
-                f1=np.zeros((n, 0), dtype=np.int64),
-                pi=np.zeros((0, n), dtype=np.int64))
-            continue
-
         above = Bidegree(bd.s + 1, bd.w)
         up = list(pivots.get(above, ()))
         b_rows = diff_block(above)[:, up].T if up else \
@@ -568,16 +544,10 @@ def contraction(dga: DGAlgebra) -> Contraction:
         pi = np.zeros((nh, n), dtype=np.int64)
         pi[np.arange(nh), [free[k] for k in s_pos]] = 1
         pi[:, t_cols] = -red.rref[:, [nz - 1 - k for k in s_pos]].T % p
-        splits[bd] = _BlockSplit(
-            labels=labels,
-            h_labels=[f"h{bd.s}_{bd.w}_{k}" for k in range(nh)],
-            f1=z_rows[s_pos].T.copy(), pi=pi, g=g)
+        splits[bd] = _BlockSplit(f1=z_rows[s_pos].T.copy(), pi=pi, g=g)
+        hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
 
-    # homology space over the usable range
-    hom_blocks = {bd: sp.h_labels for bd, sp in splits.items()
-                  if sp.h_labels and lo <= bd.s <= hi}
     hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
-
     con = Contraction(dga=dga, homology=hom, splits=splits)
 
     # exact certification of the retraction identities; G at bd is zero
@@ -585,15 +555,11 @@ def contraction(dga: DGAlgebra) -> Contraction:
     def rows(s: int, w: int) -> list[int]:
         return list(pivots.get(Bidegree(s, w), ()))
 
-    eye = np.eye
     for bd, sp in splits.items():
-        if bd.s > hi:
-            continue
-        n = len(sp.labels)
-        nh = len(sp.h_labels)
+        nh, n = sp.pi.shape
         up = rows(bd.s + 1, bd.w)
         g_up = sp.g[up]
-        if np.any(matmul_mod(sp.pi, sp.f1, p) != eye(nh, dtype=np.int64)):
+        if np.any(matmul_mod(sp.pi, sp.f1, p) != np.eye(nh, dtype=np.int64)):
             raise CertificationError(f"pi f1 != id at {bd}")
         if np.any(matmul_mod(g_up, sp.f1, p)):
             raise CertificationError(f"G f1 != 0 at {bd}")
@@ -601,21 +567,20 @@ def contraction(dga: DGAlgebra) -> Contraction:
         if sp_up is not None:
             if np.any(matmul_mod(sp_up.pi[:, up], g_up, p)):
                 raise CertificationError(f"pi G != 0 at {bd}")
-            if sp_up.g is not None and np.any(matmul_mod(
+            if np.any(matmul_mod(
                     sp_up.g[np.ix_(rows(bd.s + 2, bd.w), up)], g_up, p)):
                 raise CertificationError(f"G G != 0 at {bd}")
         below = Bidegree(bd.s - 1, bd.w)
-        sp_dn = splits.get(below)
-        if space.dim(below) and (bd.s - 1 < lo or sp_dn is None):
+        if bd.s == lo and space.dim(below):
             continue
         ident = matmul_mod(sp.f1, sp.pi, p)
-        if sp_dn is not None:
+        if (sp_dn := splits.get(below)) is not None:
             here = rows(bd.s, bd.w)
             ident[here] += matmul_mod(sp_dn.g[here], diff_block(bd), p)
         if up:
             d_up = diff_block(Bidegree(bd.s + 1, bd.w))
             ident += matmul_mod(d_up[:, up], g_up, p)
-        if np.any(ident % p != eye(n, dtype=np.int64)):
+        if np.any(ident % p != np.eye(n, dtype=np.int64)):
             raise CertificationError(f"homotopy identity fails at {bd}")
         con.trusted.add(bd)
     return con

@@ -488,6 +488,22 @@ def test_cache_hit_and_corruption_rebuild(capsys, tmp_path):
     assert entry.read_text() == cached_bytes
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "null", "3", '"doc"'])
+def test_a_cache_entry_that_is_not_an_object_is_rebuilt(capsys, tmp_path,
+                                                        content):
+    """Valid JSON that is not an object is a corrupted entry: the command
+    rebuilds it instead of crashing on it."""
+    cache = tmp_path / "cache"
+    args = ("transfer", 3, 1, 1, "--json", "--cache-dir", cache)
+    first = run_cli(capsys, *args)
+    assert first[0] == 0
+    (entry,) = cache.glob("transfer-*.json")
+    cached_bytes = entry.read_text()
+    entry.write_text(content)
+    assert run_cli(capsys, *args) == first
+    assert entry.read_text() == cached_bytes
+
+
 def test_cache_misses_after_a_source_change(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ("verify", 3, 1, 1, "--json", "--cache-dir", cache)

@@ -375,8 +375,8 @@ def _record(name: str, expected: str, got: str,
 # ---------------------------------------------------------------------------
 
 def cmd_model(args) -> dict:
-    params = GroupParams(*args.pnq, args.gamma)
-    window = _window(args) or params.default_window()
+    params = GroupParams(*args.pnq)
+    window = _window(args) or params.cochain_run()[0]
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "window": list(window)}
 
@@ -404,7 +404,7 @@ def cmd_minimal_model(args) -> dict:
     """`transfer` (cochain side) and `loops` (loop side): the normalized
     minimal model and the generator scales that normalized it, keyed by
     the side's generator names."""
-    params = GroupParams(*args.pnq, args.gamma)
+    params = GroupParams(*args.pnq)
     parameters, compute = _side(params, args)
 
     def build() -> dict:
@@ -481,7 +481,7 @@ def _massey_records(comp: Computation, tag: str) -> list[dict]:
 def cmd_report(args) -> dict:
     """`check-stasheff` (identity sweeps) and `massey` (Massey powers):
     one battery of records on the transferred cochain model."""
-    params = GroupParams(*args.pnq, args.gamma)
+    params = GroupParams(*args.pnq)
     parameters, compute = _side(params, args)
     comp = compute()
     if args.command == "massey":
@@ -509,7 +509,7 @@ def _classification(params: GroupParams,
 
 
 def cmd_classify(args) -> dict:
-    params = GroupParams(*args.pnq, args.gamma)
+    params = GroupParams(*args.pnq)
     max_arity = params.cochain_run(arity=args.arity)[2]
     parameters = {"p": params.p, "n": params.n, "q": params.q,
                   "gamma": params.gamma, "max_arity": max_arity}
@@ -573,7 +573,10 @@ def _verify_cochain(params: GroupParams,
     return records
 
 
-def _verify_loops(params: GroupParams) -> list[dict]:
+def _verify_loops(params: GroupParams, window: tuple[int, int] | None,
+                  arity: int | None) -> list[dict]:
+    """The loop stage at the window and arity that `loop_run` resolved
+    (None for both when q = 1, which skips it)."""
     p = params.p
     if params.q == 1:
         return [_record("loop pipeline", "q >= 2", "skipped (q = 1)", "skip")]
@@ -585,7 +588,8 @@ def _verify_loops(params: GroupParams) -> list[dict]:
             f"skipped ({words} words; run `ainfbg loops` explicitly)",
             "skip")]
     records, comp, norm = _verify_head(
-        "loop", lambda: loop_minimal_model(params))
+        "loop", lambda: loop_minimal_model(params, window=window,
+                                           arity_bound=arity))
     if comp is None:
         return records
     records.append(_family_record(comp, norm))
@@ -605,15 +609,16 @@ def _verify_loops(params: GroupParams) -> list[dict]:
 
 
 def cmd_verify(args) -> dict:
-    params = GroupParams(*args.pnq, args.gamma)
+    params = GroupParams(*args.pnq)
     parameters, compute = _side(params, args)
+    window = arity = None
     if params.q > 1:
         window, _, arity = params.loop_run()
         parameters.update(loop_window=list(window), loop_arity=arity)
 
     def build() -> dict:
         records = _verify_cochain(params, compute)
-        records.extend(_verify_loops(params))
+        records.extend(_verify_loops(params, window, arity))
         return report_document("verify-report", "verify", params, parameters,
                                records)
 
@@ -628,25 +633,24 @@ def cmd_verify(args) -> dict:
 # subcommand takes the group as the positional `p n q`
 COMMANDS = {
     "model": (cmd_model, "build and serialize the endomorphism DG-algebra",
-              ("--gamma", "--window", "--out", "--json", "--cache-dir",
-               "--no-cache")),
+              ("--window", "--out", "--json", "--cache-dir", "--no-cache")),
     "transfer": (cmd_minimal_model,
                  "transferred + normalized cochain minimal model",
-                 ("--gamma", "--window", "--arity", "--out", "--json",
+                 ("--window", "--arity", "--out", "--json",
                   "--cache-dir", "--no-cache")),
     "check-stasheff": (cmd_report, "identity sweeps on the transferred model",
-                       ("--gamma", "--window", "--arity", "--out", "--json")),
+                       ("--window", "--arity", "--out", "--json")),
     "massey": (cmd_report, "Massey powers of t against the transferred family",
-               ("--gamma", "--window", "--arity", "--out", "--json")),
+               ("--window", "--arity", "--out", "--json")),
     "classify": (cmd_classify,
                  "classify admissible higher operations by bigrading",
-                 ("--gamma", "--arity", "--out", "--json")),
+                 ("--arity", "--out", "--json")),
     "loops": (cmd_minimal_model, "transferred + normalized loop-space model",
-              ("--gamma", "--window", "--arity", "--out", "--json",
+              ("--window", "--arity", "--out", "--json",
                "--cache-dir", "--no-cache")),
     "verify": (cmd_verify,
                "run both pipelines with every oracle and cross-check",
-               ("--gamma", "--window", "--arity", "--out", "--json",
+               ("--window", "--arity", "--out", "--json",
                 "--cache-dir", "--no-cache")),
 }
 
@@ -671,8 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
     options = {
-        "--gamma": dict(type=int,
-                        help="unit of order q mod p^n (default: smallest)"),
         "--window": dict(type=int, nargs=2, metavar=("LO", "HI"),
                          help="homological-degree window override"),
         "--arity": dict(type=int,

@@ -306,16 +306,6 @@ class GradedVectorSpace:
     def total_dim(self) -> int:
         return sum(len(v) for v in self.blocks.values())
 
-    def restricted(self, window: tuple[int, int]) -> "GradedVectorSpace":
-        """The same space seen through a narrower window."""
-        lo, hi = window
-        if lo < self.window[0] or hi > self.window[1]:
-            raise ValueError(f"window {window} not inside {self.window}")
-        blocks = {bd: labs for bd, labs in self.blocks.items()
-                  if lo <= bd.s <= hi}
-        return GradedVectorSpace(prime=self.prime, window=window,
-                                 blocks=blocks)
-
     # -- converters between sparse dict vectors and dense block arrays ----
 
     def to_array(self, bd, vec: dict[str, int]) -> np.ndarray:

@@ -2,13 +2,16 @@
 
 The group is G = Z/p^n x| Z/q with q dividing p - 1 and the cyclic part
 generated by g; the complement generator acts by g -> g^gamma for a unit
-gamma of multiplicative order q.  Over a field of characteristic p the
-group algebra of the cyclic part is k[U]/(U^{p^n}) for a filtered
-generator U on which the action is diagonal: U -> gamma U.  Such a U
-exists because the action preserves the radical filtration and has order
-invertible in k.  Then k has a 2-periodic free resolution over k[U]/(U^m)
-whose differentials are multiplications by powers of U, and that single
-presentation drives everything here:
+gamma of multiplicative order q.  The units mod p^n form a cyclic group,
+so they have one subgroup of order q, and every such gamma gives an
+isomorphic group; gamma is therefore derived from (p, n, q), and the
+models below depend on it only through its order q.  Over a field of
+characteristic p the group algebra of the cyclic part is k[U]/(U^{p^n})
+for a filtered generator U on which the action is diagonal:
+U -> gamma U.  Such a U exists because the action preserves the radical
+filtration and has order invertible in k.  Then k has a 2-periodic free
+resolution over k[U]/(U^m) whose differentials are multiplications by
+powers of U, and that single presentation drives everything here:
 
   * stage_weight, diff_exponent -- the equivariance weight of each stage
     generator and the power of U that each differential multiplies by;
@@ -26,7 +29,7 @@ invariant exactly when its weight is divisible by q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ainf import (
     AInfinityAlgebra,
@@ -81,15 +84,17 @@ class GroupParams:
     """The group Z/p^n x| Z/q with action g -> g^gamma.
 
     p must be an odd prime and q must divide p - 1 (so q is invertible in
-    characteristic p and the order-q subgroup of units exists).  gamma
-    defaults to the smallest unit of exact order q mod p^n.  Invalid
-    parameters, here or in a run's window and arity, raise ParameterError.
+    characteristic p and the order-q subgroup of units exists).  gamma is
+    derived, not given: it is the smallest unit of exact order q mod p^n,
+    since every unit of that order gives an isomorphic group and the same
+    model.  Invalid parameters, here or in a run's window and arity, raise
+    ParameterError.
     """
 
     p: int
     n: int
     q: int
-    gamma: int | None = None
+    gamma: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p) or self.p == 2:
@@ -98,14 +103,8 @@ class GroupParams:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.q < 1 or (self.p - 1) % self.q:
             raise ParameterError(f"q must divide p - 1 = {self.p - 1}, got {self.q}")
-        gamma = self.gamma
-        if gamma is None:
-            gamma = default_gamma(self.p, self.n, self.q)
-            object.__setattr__(self, "gamma", gamma)
-        if multiplicative_order(gamma, self.pn) != self.q:
-            raise ParameterError(
-                f"gamma={gamma} has order {multiplicative_order(gamma, self.pn)}"
-                f" mod {self.pn}, need exactly q={self.q}")
+        object.__setattr__(self, "gamma",
+                           default_gamma(self.p, self.n, self.q))
 
     @property
     def pn(self) -> int:
@@ -129,19 +128,14 @@ class GroupParams:
 
     # -- degree bookkeeping ------------------------------------------------
 
-    def default_window(self) -> tuple[int, int]:
-        """Window on homological degree for the cochain-side computation.
+    def model_window(self) -> tuple[int, int]:
+        """Published window of a default cochain run.
 
         Deep enough for the arity-(ell+1) identity sweep and for every
         staircase term of the ell-fold Massey power, plus slack so the
         retraction stays clear of the window floor.
         """
-        need = -(2 * self.q * self.h + 2 * self.q + 2)
-        return (need - 4, 1)
-
-    def model_window(self) -> tuple[int, int]:
-        lo, hi = self.default_window()
-        return (lo + 1, hi - 1)
+        return (-(2 * self.q * self.h + 2 * self.q + 2) - 3, 0)
 
     def default_arity_bound(self) -> int:
         return self.pn + 1
@@ -255,7 +249,8 @@ def build_end_dga(params: GroupParams, *,
     """
     pn, q, p = params.pn, params.q, params.p
     if window is None:
-        window = params.default_window()
+        lo, hi = params.model_window()
+        window = (lo - 1, hi + 1)
     lo, hi = window
     L = -lo + 6  # top stage: six past the longest map the window holds
 

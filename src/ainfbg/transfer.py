@@ -288,8 +288,7 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "
             f"unit of {dga.name}")
-    transfer = MerkulovTransfer(con, expected.arity_bound,
-                                publish=con.homology.restricted(space.window))
+    transfer = MerkulovTransfer(con, expected.arity_bound, publish=space)
     model = transfer.minimal_model(unit=expected.unit,
                                    internal_scale=expected.internal_scale)
     return Computation(params=params, hp=hp, names=names, con=con,

@@ -114,12 +114,12 @@ def test_missing_parameters(capsys):
 
 
 # Every option string a subcommand might be given, each with a value to
-# parse; no subcommand takes --p/--n/--q, since only the positional
-# `p n q` sets the group.
+# parse; no subcommand takes --p/--n/--q or --gamma, since only the
+# positional `p n q` sets the group.
 ALL_OPTIONS = {"--p": ["3"], "--n": ["1"], "--q": ["2"], "--gamma": ["2"],
                "--window": ["-8", "1"], "--arity": ["4"], "--out": ["r.txt"],
                "--json": [], "--cache-dir": ["cache"], "--no-cache": []}
-COMMON = {"--gamma", "--out", "--json"}
+COMMON = {"--out", "--json"}
 CACHE = {"--cache-dir", "--no-cache"}
 TAKES = {
     "model": COMMON | {"--window"} | CACHE,
@@ -135,8 +135,8 @@ TAKES = {
 def test_each_subcommand_takes_exactly_its_options(capsys):
     """The parser accepts an option exactly where its subcommand reads it
     and refuses any other with argparse's usage error (exit 2), before
-    any work: 48 settable slots counting `p n q` as one."""
-    assert sum(1 + len(opts) for opts in TAKES.values()) == 48
+    any work: 41 settable slots counting `p n q` as one."""
+    assert sum(1 + len(opts) for opts in TAKES.values()) == 41
     assert set(TAKES) == set(COMMANDS)
     assert {c for c, opts in TAKES.items() if "--no-cache" in opts} == \
         set(CACHING)

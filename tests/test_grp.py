@@ -62,8 +62,6 @@ def test_parameter_validation():
         GroupParams(9, 1, 2)      # not prime
     with pytest.raises(ValueError):
         GroupParams(5, 1, 3)      # 3 does not divide 4
-    with pytest.raises(ValueError):
-        GroupParams(5, 1, 2, gamma=2)  # order 4, need 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ Operations are stored as sparse tables over basis-label words.  Every
 bigraded piece of the models in this package is at most one-dimensional,
 which keeps the tables small and makes generator normalization a matter
 of rescaling two generators.
+
+The tables hold only the in-window part of a structure, so an identity
+on a word whose contiguous subword has its operation output outside the
+window is truncated, never read as zero.  The sweeps decide this by one
+rule on the letter degrees (_q_leaves_window), where they evaluate a
+word and where they count words without listing them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ __all__ = [
     "epsilon_sign",
     "MultiOp",
     "AInfinityAlgebra",
-    "koszul_apply",
     "stasheff_defect",
     "strict_unitality_defects",
     "DefectReport",
@@ -136,31 +141,6 @@ class AInfinityAlgebra:
 # Koszul evaluation and the structure identities
 # ---------------------------------------------------------------------------
 
-def koszul_apply(model: AInfinityAlgebra, r: int, s: int, t: int,
-                 word: tuple[str, ...]) -> dict[str, int]:
-    """Evaluate m_(r+1+t) (id^r (x) m_s (x) id^t) on a word, Koszul signs in.
-
-    The inner operation has degree s-2; moving it past the first r inputs
-    costs (-1)^((s-2) * (sum of their degrees)).  The Stasheff prefactor
-    (-1)^(r+st) is left to the caller.
-    """
-    n = r + s + t
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != {n}")
-    p = model.prime
-    inner = model.op_value(s, word[r:r + s])
-    if not inner:
-        return {}
-    passed = sum(model.space.bidegree_of(l).s for l in word[:r])
-    sign = -1 if (s * passed) % 2 else 1  # (s-2)*passed has the parity of s*passed
-    out: dict[str, int] = {}
-    for lab, c in inner.items():
-        outer_word = word[:r] + (lab,) + word[r + s:]
-        for out_lab, d in model.op_value(r + 1 + t, outer_word).items():
-            out[out_lab] = (out.get(out_lab, 0) + sign * c * d) % p
-    return {k: v for k, v in out.items() if v}
-
-
 @dataclass
 class DefectReport:
     """Result of a Stasheff-identity sweep at one arity."""
@@ -203,38 +183,53 @@ def _subword_leaves_window(window: tuple[int, int], degrees: list[int]) -> bool:
 def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict[str, int]:
     """Left-hand side of the arity-n identity on one word.
 
-    Every term lands in the identity output bidegree (the input sum,
-    shifted by n - 3 in s), because a table entry lies in its word's
-    output bidegree.  When that bidegree is in the window but carries no
-    block, the defect is zero by grading; only the inner operations on
-    contiguous subwords can still leave the window, which raises
-    TruncationExceeded exactly as evaluating them would.
+    The term (r, s, t) is m_(r+1+t) (id^r (x) m_s (x) id^t), signed
+    (-1)^(r + st + s*|first r letters|): the Stasheff prefactor times the
+    Koszul sign of m_s (degree s - 2) passing the first r inputs.  The
+    word is truncated (TruncationExceeded) when m on a contiguous subword
+    leaves the window, the _q_leaves_window rule that _count_sweep
+    counts with; past it, inner operations are table reads.
+    Every term lands in the identity output bidegree (input sum shifted
+    by n - 3 in s): in the window without a block that gives zero by
+    grading, and outside it an unknown value is read, so the word is
+    truncated, only when some inner operation is nonzero.
     """
     n = len(word)
     if n > model.arity_bound:
         raise ValueError(
             f"identity at arity {n} needs operations beyond bound "
             f"{model.arity_bound}")
-    degrees = [model.space.bidegree_of(lab) for lab in word]
+    space = model.space
+    degrees = [space.bidegree_of(lab) for lab in word]
+    if _subword_leaves_window(space.window, [bd.s for bd in degrees]):
+        raise TruncationExceeded(
+            f"an operation on a subword of {word} leaves the window "
+            f"{space.window}")
     out = Bidegree(sum(bd.s for bd in degrees) + n - 3,
                    sum(bd.w for bd in degrees))
-    if model.space.in_window(out.s) and out not in model.space.blocks:
-        if _subword_leaves_window(model.space.window, [bd.s for bd in degrees]):
-            raise TruncationExceeded(
-                f"an operation on a subword of {word} leaves the window "
-                f"{model.space.window}")
+    in_window = space.in_window(out.s)
+    if in_window and out not in space.blocks:
         return {}
+    passed = list(itertools.accumulate((bd.s for bd in degrees), initial=0))
     p = model.prime
     total: dict[str, int] = {}
     for s in range(1, n + 1):
+        inner_table = model.ops.get(s, {})
         for r in range(0, n - s + 1):
-            t = n - s - r
-            term = koszul_apply(model, r, s, t, word)
-            if not term:
+            inner = inner_table.get(word[r:r + s])
+            if not inner:
                 continue
-            sign = -1 if (r + s * t) % 2 else 1
-            for lab, c in term.items():
-                total[lab] = (total.get(lab, 0) + sign * c) % p
+            if not in_window:
+                raise TruncationExceeded(
+                    f"identity output degree {out.s} of {word} outside "
+                    f"window {space.window}")
+            t = n - s - r
+            sign = -1 if (r + s * t + s * passed[r]) % 2 else 1
+            outer_table = model.ops.get(r + 1 + t, {})
+            for lab, c in inner.items():
+                outer = outer_table.get(word[:r] + (lab,) + word[r + s:], {})
+                for out_lab, d in outer.items():
+                    total[out_lab] = (total.get(out_lab, 0) + sign * c * d) % p
     return {k: v for k, v in total.items() if v}
 
 
@@ -365,9 +360,11 @@ def stasheff_defect(model: AInfinityAlgebra, n: int,
     `checked` and `truncated` counts come from _count_sweep without
     listing those words, and only the words whose identity output
     bidegree carries a block of the model are evaluated, because every
-    other word has zero defect by grading.  Either way a word whose
-    evaluation leaves the window is counted as truncated, not silently
-    treated as zero.
+    other word has zero defect by grading.  Either way a word with a
+    subword whose operation leaves the window is counted as truncated,
+    not silently treated as zero; stasheff_word_defect and _count_sweep
+    decide that by the same rule, so the counts and the evaluated words
+    agree.
     """
     if n > model.arity_bound:
         raise ValueError(

@@ -117,9 +117,8 @@ def space_records(space: GradedVectorSpace) -> list[dict]:
     recs = []
     for bd in sorted(space.bidegrees()):
         labels = space.labels(bd)
-        if labels:
-            recs.append({"s": bd.s, "w": bd.w, "dim": len(labels),
-                         "labels": list(labels)})
+        recs.append({"s": bd.s, "w": bd.w, "dim": len(labels),
+                     "labels": list(labels)})
     return recs
 
 
@@ -131,11 +130,9 @@ def operation_records(model: AInfinityAlgebra) -> dict[str, list[dict]]:
     p = model.space.prime
     out: dict[str, list[dict]] = {}
     for n in sorted(model.ops):
-        entries = []
-        for word in sorted(model.ops[n]):
-            vec = _vector_record(model.ops[n][word], p)
-            if vec:
-                entries.append({"inputs": list(word), "output": vec})
+        entries = [{"inputs": list(word),
+                    "output": _vector_record(model.ops[n][word], p)}
+                   for word in sorted(model.ops[n])]
         if entries:
             out[str(n)] = entries
     return out

@@ -774,17 +774,12 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     window = (-1, s_bound) if direction > 0 else (s_bound, 1)
     wspace = GradedVectorSpace(prime=p, window=window, blocks=blocks)
 
-    word_bd: dict[str, Bidegree] = {}
-    for bd, labs in blocks.items():
-        for lab in labs:
-            word_bd[lab] = bd
-
     def products(u: str, v: str) -> Vector:
         if u == EMPTY_WORD:
             return {v: 1}
         if v == EMPTY_WORD:
             return {u: 1}
-        bd = word_bd[u] + word_bd[v]
+        bd = wspace.bidegree_of(u) + wspace.bidegree_of(v)
         if direction * bd.s > direction * s_bound:
             raise TruncationExceeded(
                 f"concatenation of degree {bd.s} exceeds window {s_bound}")

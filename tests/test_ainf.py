@@ -23,7 +23,6 @@ from ainfbg.ainf import (
     classify_admissible,
     enumerate_words,
     epsilon_sign,
-    koszul_apply,
     monomial_label,
     normalize_generators,
     stasheff_defect,
@@ -415,6 +414,31 @@ def test_targets_filter_the_default_enumeration(data):
 # identity sweeps: the grading shortcut and the counted sweep
 # ---------------------------------------------------------------------------
 
+def koszul_apply(model: AInfinityAlgebra, r: int, s: int, t: int,
+                 word: tuple[str, ...]) -> dict[str, int]:
+    """Evaluate m_(r+1+t) (id^r (x) m_s (x) id^t) on a word, Koszul signs in.
+
+    The inner operation has degree s-2; moving it past the first r inputs
+    costs (-1)^((s-2) * (sum of their degrees)).  The Stasheff prefactor
+    (-1)^(r+st) is left to the caller.
+    """
+    n = r + s + t
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != {n}")
+    p = model.prime
+    inner = model.op_value(s, word[r:r + s])
+    if not inner:
+        return {}
+    passed = sum(model.space.bidegree_of(l).s for l in word[:r])
+    sign = -1 if (s * passed) % 2 else 1  # (s-2)*passed has the parity of s*passed
+    out: dict[str, int] = {}
+    for lab, c in inner.items():
+        outer_word = word[:r] + (lab,) + word[r + s:]
+        for out_lab, d in model.op_value(r + 1 + t, outer_word).items():
+            out[out_lab] = (out.get(out_lab, 0) + sign * c * d) % p
+    return {k: v for k, v in out.items() if v}
+
+
 def reference_word_defect(model, word):
     """Oracle: the arity-n identity on one word, every term evaluated
     through koszul_apply, with no shortcut by grading."""
@@ -542,6 +566,23 @@ def test_counted_sweep_matches_the_full_enumeration(side, pnq):
                     == full_sweep(m, n, exclude)), (n, exclude)
             defective += len(rep.nonzero)
     assert defective > 0
+
+
+@pytest.mark.parametrize("pnq,window", [((3, 1, 1), (-5, 1)),
+                                        ((3, 1, 2), (-11, 1)),
+                                        ((5, 1, 2), (-17, 1))])
+def test_counted_sweep_matches_the_full_enumeration_at_the_floor(pnq, window):
+    """At the shallowest passing chain window most words of a sweep are
+    truncated, and whole arities check none, so the count's truncation
+    rule and the evaluation's decide the most words here.  The mutated
+    entry may then sit on no checked word, so no defect is required."""
+    model = group_minimal_model(GroupParams(*pnq), window=window).model
+    for m in (model, mutated(model)):
+        for exclude in ((), (model.unit,)):
+            for n in range(3, model.arity_bound + 1):
+                rep = stasheff_defect(m, n, exclude=exclude)
+                assert ((rep.checked, rep.truncated, list(rep.nonzero.items()))
+                        == full_sweep(m, n, exclude)), (n, exclude)
 
 
 def test_sweep_beyond_the_arity_bound_is_refused():

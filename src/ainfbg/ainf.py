@@ -39,6 +39,7 @@ __all__ = [
     "strict_unitality_defects",
     "DefectReport",
     "HypothesisParams",
+    "monomials",
     "AdmissibleOp",
     "AdmissibleShape",
     "admissible_shapes",
@@ -298,6 +299,10 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
         live[k] = reach[k] & {(s - ds, w - dw) for s, w in live[k + 1]
                               for ds, dw in steps}
 
+    # the letters come in decreasing s, so a scan stops at the first one
+    # that takes the prefix below every live sum of the next length
+    floor = [min((s for s, _ in sums), default=0) for sums in live]
+
     def rec(prefix: list[str], s0: int, w0: int) -> Iterator[tuple[str, ...]]:
         k = len(prefix)
         if k == n:
@@ -305,6 +310,8 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
             return
         ahead = live[k + 1]
         for lab, s, w in letters:
+            if s0 + s < floor[k + 1]:
+                break
             if (s0 + s, w0 + w) in ahead:
                 yield from rec(prefix + [lab], s0 + s, w0 + w)
 
@@ -462,6 +469,33 @@ class HypothesisParams:
         return HypothesisParams(a=-self.b, b=-self.a, h=self.ell, ell=self.h)
 
 
+def monomials(hp: HypothesisParams, scale: int,
+              window: tuple[int, int]) -> list[tuple[int, int, Bidegree]]:
+    """(j, eps, bidegree) of each monomial P^j E^eps of shape hp whose
+    homological degree lies in the window, ordered by j and then eps;
+    internal degrees are stored in units of 1/scale.
+
+    Two monomials never share a homological degree, since
+    2a(j - j') = +-(2b + 1) has no integer solution, so each bidegree
+    holds at most one.  The scan climbs j from 0 and stops at the first
+    j >= 1 with no monomial in the window, which therefore has to reach
+    degree 0, as every model window does.
+    """
+    lo, hi = window
+    out = []
+    j = 0
+    while True:
+        fresh = False
+        for eps in (0, 1):
+            bd = hp.monomial_bidegree(j, eps, scale)
+            if lo <= bd.s <= hi:
+                out.append((j, eps, bd))
+                fresh = True
+        if not fresh and j > 0:
+            return out
+        j += 1
+
+
 @dataclass(frozen=True)
 class AdmissibleOp:
     """One tuple on which the bidegree equations allow a nonzero m_arity."""
@@ -571,11 +605,16 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
                          names: tuple[str, str] = ("x", "t")) -> "NormalizedModel":
     """Rescale x and t so the arity-ell family has coefficient epsilon(ell).
 
-    First the basis is rewritten so that every monomial x^j t^eps is the
-    literal m_2-product of the generators (making the m_2 table the exact
-    monomial ring), then x and t are rescaled to put the arity-ell table
-    in normal form.  Formal models (vanishing arity-ell family) are
-    returned after the rebasing step with a flag.
+    The monomials of the window are rebuilt as literal m_2-products of the
+    generators, x^j = x * x^(j-1) and x^j t = x^j * t for j >= 1, and every
+    basis label must be hit by exactly one of them.  The raw coefficient
+    is read from the input: m_ell(t, ..., t) = c * (label of x^h), and x^h
+    is C_h times that label in the rebuilt basis, so raw = c * C_h^-1.
+    That word lands on x^h's bidegree, so a window that misses x^h raises
+    TruncationExceeded rather than reading zero.  Every table is then
+    conjugated once into the monomial basis, with x and t rescaled to put
+    the family in normal form, or unscaled and flagged formal when the
+    family vanishes.
     """
     p = model.prime
     scale = model.internal_scale
@@ -584,124 +623,78 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
     if hp.a == 0:
         raise ValueError("normalization needs a nonzero polynomial degree")
     ell = hp.ell
-    want = epsilon_sign(ell) % p
 
+    monos = monomials(hp, scale, model.space.window)
     x_lab = _unique_label(model, hp.monomial_bidegree(1, 0, scale), names[0])
     t_lab = _unique_label(model, hp.monomial_bidegree(0, 1, scale), names[1])
 
     # nu[(j, eps)] = (old label, coefficient): the m_2-monomial basis
-    nu: dict[tuple[int, int], tuple[str, int]] = {(0, 0): (model.unit, 1)}
-    lo, hi = model.space.window
-
-    def mono_in_window(j: int, eps: int) -> bool:
-        return lo <= hp.monomial_bidegree(j, eps, scale).s <= hi
-
-    j = 1
-    while mono_in_window(j, 0):
-        prev_lab, prev_c = nu[(j - 1, 0)]
-        vec = model.op_value(2, (x_lab, prev_lab))
-        lab, c = _single(vec, f"x * x^{j-1}")
-        if model.space.bidegree_of(lab) != hp.monomial_bidegree(j, 0, scale):
-            raise ShapeMismatch(f"x^{j} landed in the wrong bidegree")
-        nu[(j, 0)] = (lab, (prev_c * c) % p)
-        j += 1
-    jmax = j - 1
-    for j in range(0, jmax + 1):
-        if not mono_in_window(j, 1):
-            break
+    nu: dict[tuple[int, int], tuple[str, int]] = {}
+    for j, eps, bd in monos:
         if j == 0:
-            nu[(0, 1)] = (t_lab, 1)
+            nu[(0, eps)] = (t_lab, 1) if eps else (model.unit, 1)
             continue
-        base_lab, base_c = nu[(j, 0)]
-        vec = model.op_value(2, (base_lab, t_lab))
-        lab, c = _single(vec, f"x^{j} * t")
-        if model.space.bidegree_of(lab) != hp.monomial_bidegree(j, 1, scale):
-            raise ShapeMismatch(f"x^{j}*t landed in the wrong bidegree")
-        nu[(j, 1)] = (lab, (base_c * c) % p)
+        base, c_base = nu[(j, 0) if eps else (j - 1, 0)]
+        what = monomial_label(j, eps, names)
+        word = (base, t_lab) if eps else (x_lab, base)
+        lab, c = _single(model.op_value(2, word), what)
+        if model.space.bidegree_of(lab) != bd:
+            raise ShapeMismatch(f"{what} landed in the wrong bidegree")
+        nu[(j, eps)] = (lab, c_base * c % p)
 
-    # every in-window basis label must be hit exactly once
-    covered = {lab for lab, _ in nu.values()}
-    all_labels = {l for bd in model.space.bidegrees()
-                  for l in model.space.labels(bd)}
-    if covered != all_labels:
-        raise ShapeMismatch(
-            f"monomial rebase covers {len(covered)} of {len(all_labels)} labels")
-
-    old_to_mono = {}
-    for (j, eps), (lab, c) in nu.items():
-        if lab in old_to_mono:
-            raise ShapeMismatch(f"label {lab!r} hit by two monomials")
-        old_to_mono[lab] = (j, eps, c)
-
+    labels = [lab for bd in model.space.bidegrees()
+              for lab in model.space.labels(bd)]
+    if sorted(lab for lab, _ in nu.values()) != sorted(labels):
+        raise ShapeMismatch(f"the {len(nu)} monomials do not hit the "
+                            f"{len(labels)} basis labels once each")
     inv = {a: pow(a, p - 2, p) for a in range(1, p)}
+
+    # m_ell(t, ..., t) lands on x^h's bidegree, whose one label is h_lab
+    family = model.op_value(ell, (t_lab,) * ell)
+    h_lab, c_h = nu[(hp.h, 0)]
+    raw_coeff = family.get(h_lab, 0) * inv[c_h] % p
+
+    lam = mu = 1
+    if raw_coeff:
+        want = epsilon_sign(ell) % p
+        scales = [(l, m) for l in range(1, p) for m in range(1, p)
+                  if raw_coeff * pow(m, ell, p) * inv[pow(l, hp.h, p)] % p
+                  == want]
+        if not scales:
+            raise ShapeMismatch(
+                f"cannot rescale coefficient {raw_coeff} to {want} mod {p}")
+        lam, mu = scales[0]
 
     def rebased_tables(lam: int, mu: int) -> dict[int, MultiOp]:
         # generator rescale x -> lam*x, t -> mu*t carries nu(j,eps) to
-        # lam^j mu^eps nu(j,eps); conjugate every table by that diagonal.
+        # lam^j mu^eps nu(j,eps); conjugate every table by that diagonal
+        new = {lab: (monomial_label(j, eps, names),
+                     c * pow(lam, j, p) * pow(mu, eps, p) % p)
+               for (j, eps), (lab, c) in nu.items()}
         new_ops: dict[int, MultiOp] = {}
         for n, table in model.ops.items():
             new_table: MultiOp = {}
             for word, vec in table.items():
-                factors = 1
-                mono_word = []
+                out_lab, coeff = _single(vec, f"m_{n}{word}")
+                out_mono, out_c = new[out_lab]
                 for lab in word:
-                    jj, ee, cc = old_to_mono[lab]
-                    factors = (factors * cc % p) * pow(lam, jj, p) % p * pow(mu, ee, p) % p
-                    mono_word.append(monomial_label(jj, ee, names))
-                if not vec:
-                    continue
-                out_lab, out_c = _single(vec, f"m_{n}{word}")
-                jj, ee, cc = old_to_mono[out_lab]
-                denom = (cc * pow(lam, jj, p) * pow(mu, ee, p)) % p
-                coeff = factors * out_c % p * inv[denom] % p
-                if coeff:
-                    new_table[tuple(mono_word)] = {monomial_label(jj, ee, names): coeff}
+                    coeff = coeff * new[lab][1] % p
+                new_table[tuple(new[lab][0] for lab in word)] = {
+                    out_mono: coeff * inv[out_c] % p}
             if new_table:
                 new_ops[n] = new_table
         return new_ops
 
-    # read off the raw arity-ell coefficient in the rebased (lam=mu=1) basis
-    raw_ops = rebased_tables(1, 1)
-    t_word = tuple([monomial_label(0, 1, names)] * ell)
-    raw_vec = raw_ops.get(ell, {}).get(t_word, {})
-    x_h = monomial_label(hp.h, 0, names)
-    raw_coeff = raw_vec.get(x_h, 0)
-    if set(raw_vec) - {x_h}:
-        raise ShapeMismatch(f"m_{ell}(t,...,t) not a multiple of {x_h}")
-
-    mono_blocks: dict[Bidegree, list[str]] = {}
-    for (j, eps) in nu:
-        bd = hp.monomial_bidegree(j, eps, scale)
-        mono_blocks.setdefault(bd, []).append(monomial_label(j, eps, names))
-    mono_space = GradedVectorSpace(prime=p, window=model.space.window,
-                                   blocks=mono_blocks)
-
-    if raw_coeff == 0:
-        final_ops = raw_ops
-        lam = mu = 1
-        formal = True
-    else:
-        formal = False
-        lam = mu = None
-        for lam_try in range(1, p):
-            for mu_try in range(1, p):
-                if (raw_coeff * pow(mu_try, ell, p)
-                        * inv[pow(lam_try, hp.h, p)]) % p == want % p:
-                    lam, mu = lam_try, mu_try
-                    break
-            if lam is not None:
-                break
-        if lam is None:
-            raise ShapeMismatch(
-                f"cannot rescale coefficient {raw_coeff} to {want} mod {p}")
-        final_ops = rebased_tables(lam, mu)
-
-    normalized = AInfinityAlgebra(space=mono_space, ops=final_ops,
+    mono_space = GradedVectorSpace(
+        prime=p, window=model.space.window,
+        blocks={bd: [monomial_label(j, eps, names)] for j, eps, bd in monos})
+    normalized = AInfinityAlgebra(space=mono_space,
+                                  ops=rebased_tables(lam, mu),
                                   arity_bound=model.arity_bound,
                                   unit=monomial_label(0, 0, names),
                                   internal_scale=scale)
     return NormalizedModel(model=normalized, raw_coefficient=raw_coeff,
-                           formal=formal, x_scale=lam or 1, t_scale=mu or 1,
+                           formal=not raw_coeff, x_scale=lam, t_scale=mu,
                            hp=hp)
 
 

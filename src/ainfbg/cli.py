@@ -455,9 +455,8 @@ def _massey_records(comp: Computation, tag: str) -> list[dict]:
         records.append(_record(
             f"{tag} {i}-fold Massey power of {cls}", "0", got))
     result = massey_versus_transfer(comp)
-    ratio = (-epsilon_sign(ell)) % p
     name = f"{tag} {ell}-fold Massey power vs transferred coefficient"
-    expected = f"massey = {ratio} * transfer"
+    expected = f"massey = {result.expected_ratio} * transfer"
     got = (f"massey {result.c_massey}, transfer {result.c_transfer}"
            if result.report.defined else "undefined")
     records.append(_record(name, expected, got,

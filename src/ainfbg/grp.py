@@ -35,8 +35,10 @@ from .ainf import (
     AInfinityAlgebra,
     HypothesisParams,
     MultiOp,
+    enumerate_words,
     epsilon_sign,
     monomial_label,
+    monomials,
 )
 from .dga import DGAlgebra
 from .glin import (Bidegree, GradedVectorSpace, ParameterError,
@@ -317,90 +319,45 @@ def build_end_dga(params: GroupParams, *,
 # the expected answers
 # ---------------------------------------------------------------------------
 
-def _monomials_in_window(hp: HypothesisParams, scale: int,
-                         window: tuple[int, int]):
-    lo, hi = window
-    out = []
-    j = 0
-    while True:
-        fresh = False
-        for eps in (0, 1):
-            bd = hp.monomial_bidegree(j, eps, scale)
-            if lo <= bd.s <= hi:
-                out.append((j, eps, bd))
-                fresh = True
-        if not fresh and j > 0:
-            break
-        j += 1
-    return out
-
-
 def _monomial_model(hp: HypothesisParams, scale: int, prime: int,
                     window: tuple[int, int], arity_bound: int,
-                    names: tuple[str, str], family_arity: int,
-                    family_target_shift: int, family_sign: int,
-                    squares: int | None) -> AInfinityAlgebra:
-    """Free-commutative monomial model with one distinguished family.
+                    names: tuple[str, str]) -> AInfinityAlgebra:
+    """Free-commutative monomial model of shape hp with its one family.
 
-    m_2 is the monomial ring (with E^2 = squares * P^family_target_shift
-    when squares is not None, the exotic ring case); the family sends
-    (E P^{j_1}, ..., E P^{j_k}) to family_sign * P^{shift + sum j}.
+    The space holds the window's monomials(hp), one label per block, and
+    m_2 is the monomial ring.  The family sends each all-E word
+    (E P^{j_1}, ..., E P^{j_ell}) of arity ell = hp.ell to
+    epsilon(ell) * P^{h + sum j}: by a*h - b*ell = 1 such a word lands
+    exactly on that power's bidegree, so the words are those that
+    enumerate_words lists over the E-monomials with the P-monomials'
+    bidegrees as targets.  At ell = 2 (the exceptional loop ring) the
+    family is the part E^2 = epsilon(2) * P^h of m_2.
     """
-    monos = _monomials_in_window(hp, scale, window)
-    in_win = {(j, e) for j, e, _ in monos}
-    blocks: dict[Bidegree, list[str]] = {}
-    for j, e, bd in monos:
-        blocks.setdefault(bd, []).append(monomial_label(j, e, names))
-    space = GradedVectorSpace(prime=prime, window=window, blocks=blocks)
-
+    monos = monomials(hp, scale, window)
+    label = {(j, e): monomial_label(j, e, names) for j, e, _ in monos}
+    space = GradedVectorSpace(prime=prime, window=window, blocks={
+        bd: [label[j, e]] for j, e, bd in monos})
     m2: MultiOp = {}
-    for (j1, e1) in in_win:
-        for (j2, e2) in in_win:
-            key = (monomial_label(j1, e1, names), monomial_label(j2, e2, names))
-            if e1 and e2:
-                if squares is not None:
-                    j = j1 + j2 + family_target_shift
-                    if (j, 0) in in_win:
-                        m2[key] = {monomial_label(j, 0, names): squares % prime}
-                continue
-            j, e = j1 + j2, e1 + e2
-            if (j, e) in in_win:
-                m2[key] = {monomial_label(j, e, names): 1}
-
+    for j1, e1 in label:
+        for j2, e2 in label:
+            prod = label.get((j1 + j2, e1 + e2))
+            if prod:
+                m2[label[j1, e1], label[j2, e2]] = {prod: 1}
     ops: dict[int, MultiOp] = {2: m2}
-    if family_arity > 2:
-        fam: MultiOp = {}
-        for powers in _power_tuples(family_arity, in_win, family_target_shift):
-            target = family_target_shift + sum(powers)
-            word = tuple(monomial_label(j, 1, names) for j in powers)
-            fam[word] = {monomial_label(target, 0, names): family_sign % prime}
-        if fam:
-            ops[family_arity] = fam
+
+    skeleton = AInfinityAlgebra(space=space, ops={}, arity_bound=arity_bound)
+    power = {lab: j for (j, _), lab in label.items()}
+    sign = epsilon_sign(hp.ell) % prime
+    family = {word: {label[hp.h + sum(map(power.get, word)), 0]: sign}
+              for word in enumerate_words(
+                  skeleton, hp.ell, level="operation",
+                  exclude={lab for (_, e), lab in label.items() if e == 0},
+                  targets=[bd for _, e, bd in monos if e == 0])}
+    if family:
+        ops.setdefault(hp.ell, {}).update(family)
     return AInfinityAlgebra(space=space, ops=ops, arity_bound=arity_bound,
                             unit=monomial_label(0, 0, names),
                             internal_scale=scale)
-
-
-def _power_tuples(arity: int, in_win, target_shift: int):
-    """Power tuples whose family target P^(shift + sum) stays in-window."""
-    exterior = sorted(j for j, e in in_win if e == 1)
-    if not exterior:
-        return
-    jmax = max(j for j, e in in_win if e == 0)
-    budget = jmax - target_shift
-    if budget < 0:
-        return
-
-    def rec(prefix, total):
-        if len(prefix) == arity:
-            if (target_shift + total, 0) in in_win:
-                yield tuple(prefix)
-            return
-        for j in exterior:
-            if total + j <= budget:
-                yield from rec(prefix + [j], total + j)
-
-    yield from rec([], 0)
 
 
 def expected_minimal_model(params: GroupParams,
@@ -416,10 +373,8 @@ def expected_minimal_model(params: GroupParams,
         window = params.model_window()
     if arity_bound is None:
         arity_bound = params.default_arity_bound()
-    return _monomial_model(
-        params.hp, params.internal_scale, params.p, window, arity_bound,
-        ("x", "t"), family_arity=params.pn, family_target_shift=params.h,
-        family_sign=epsilon_sign(params.pn), squares=None)
+    return _monomial_model(params.hp, params.internal_scale, params.p,
+                           window, arity_bound, ("x", "t"))
 
 
 def expected_loop_model(params: GroupParams,
@@ -437,11 +392,5 @@ def expected_loop_model(params: GroupParams,
     (_, s_hi), _, arity = params.loop_run()
     window = (0, s_hi - 1) if window is None else window
     arity_bound = arity if arity_bound is None else arity_bound
-    dual = params.hp.loop_dual()
-    exceptional = dual.ell == 2
-    return _monomial_model(
-        dual, params.internal_scale, params.p, window, arity_bound,
-        LOOP_GENERATORS, family_arity=dual.ell if not exceptional else 0,
-        family_target_shift=dual.h,
-        family_sign=epsilon_sign(dual.ell),
-        squares=epsilon_sign(2) if exceptional else None)
+    return _monomial_model(params.hp.loop_dual(), params.internal_scale,
+                           params.p, window, arity_bound, LOOP_GENERATORS)

@@ -24,6 +24,7 @@ from ainfbg.ainf import (
     enumerate_words,
     epsilon_sign,
     monomial_label,
+    monomials,
     normalize_generators,
     stasheff_defect,
     stasheff_word_defect,
@@ -271,6 +272,26 @@ def test_normalize_formal_model():
     norm = normalize_generators(model, HP)
     assert norm.formal and norm.raw_coefficient == 0
     assert 3 not in norm.model.ops
+
+
+def test_normalize_raises_when_the_window_misses_the_family_target():
+    # the window (-7, 0) holds x and x*t but not x^2, where m_3(t, t, t)
+    # lands: its coefficient is unknown there, not zero
+    gp = GroupParams(3, 1, 2)
+    model = expected_minimal_model(gp, window=(-7, 0), arity_bound=4)
+    with pytest.raises(TruncationExceeded):
+        normalize_generators(model, gp.hp)
+
+
+def test_monomials_match_a_scan_over_j():
+    assert monomials(HP, SCALE, WINDOW) == toy_monomials()
+    gp = GroupParams(5, 1, 2)
+    for hp, (lo, hi) in [(gp.hp, gp.cochain_run()[1]),
+                         (gp.hp.loop_dual(), gp.loop_run()[1])]:
+        scan = [(j, eps, hp.monomial_bidegree(j, eps, gp.internal_scale))
+                for j in range(hi - lo + 1) for eps in (0, 1)
+                if lo <= hp.monomial_bidegree(j, eps).s <= hi]
+        assert monomials(hp, gp.internal_scale, (lo, hi)) == scan
 
 
 def test_normalize_rejects_wrong_shape():

@@ -7,13 +7,16 @@ against the Hom differential composed from those same matrices; the
 expected minimal models by the identity sweeps from the A-infinity kit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from ainfbg.ainf import stasheff_defect
+from ainfbg.ainf import epsilon_sign, monomial_label, stasheff_defect
 from ainfbg.dga import validate_dga
 from ainfbg.glin import Bidegree, TruncationExceeded, rank_nullspace
 from ainfbg.grp import (
+    LOOP_GENERATORS,
     GroupParams,
     build_end_dga,
     default_gamma,
@@ -314,6 +317,36 @@ def test_expected_loop_models():
     gp7 = GroupParams(7, 1, 3)
     loop7 = expected_loop_model(gp7)
     assert loop7.op_value(5, ("xi",) * 5) == {"tau^7": 1}        # +tau^7
+
+
+@pytest.mark.parametrize("side, pnq", [
+    ("cochain", (3, 1, 2)), ("cochain", (5, 1, 2)), ("cochain", (7, 1, 3)),
+    ("cochain", (3, 2, 2)), ("loop", (5, 1, 2)), ("loop", (7, 1, 3))])
+def test_closed_form_family_table_matches_a_listing(side, pnq):
+    """The whole family table at the published window against every power
+    tuple with sum at most the budget whose letters lie in the window."""
+    gp = GroupParams(*pnq)
+    if side == "cochain":
+        _, (lo, hi), arity = gp.cochain_run()
+        model = expected_minimal_model(gp, window=(lo, hi), arity_bound=arity)
+        hp, names = gp.hp, ("x", "t")
+    else:
+        _, (lo, hi), arity = gp.loop_run()
+        model = expected_loop_model(gp, window=(lo, hi), arity_bound=arity)
+        hp, names = gp.hp.loop_dual(), LOOP_GENERATORS
+
+    def in_window(j, eps):
+        return lo <= hp.monomial_bidegree(j, eps).s <= hi
+
+    budget = max(j for j in range(hi - lo + 1) if in_window(j, 0)) - hp.h
+    want = {}
+    for powers in itertools.product(range(budget + 1), repeat=hp.ell):
+        if sum(powers) <= budget and all(in_window(j, 1) for j in powers):
+            word = tuple(monomial_label(j, 1, names) for j in powers)
+            target = monomial_label(hp.h + sum(powers), 0, names)
+            want[word] = {target: epsilon_sign(hp.ell) % gp.p}
+    assert len(want) > 1
+    assert model.ops[hp.ell] == want
 
 
 def test_loop_model_rejects_q1():

@@ -52,7 +52,7 @@ from .ainf import (
     stasheff_defect,
     strict_unitality_defects,
 )
-from .dga import CertificationError, massey_power
+from .dga import CertificationError
 from .glin import GradedVectorSpace, ParameterError, TruncationExceeded
 from .grp import GroupParams, build_end_dga
 from .koszul import loop_minimal_model, loop_word_count, poincare_roundtrip
@@ -447,14 +447,15 @@ def _massey_records(comp: Computation, tag: str) -> list[dict]:
     p, ell = comp.params.p, comp.hp.ell
     cls = monomial_label(0, 1, comp.names)
     target = monomial_label(comp.hp.h, 0, comp.names)
+    result = massey_versus_transfer(comp)
+    # the lower powers are stages of the ell-fold defining system
+    powers = result.report.powers
     records = []
     for i in range(3, ell):
-        rep = massey_power(comp.con, cls, i)
-        got = (format_vector(rep.value, p) if rep.defined
-               else f"obstructed at stage {rep.obstruction_stage}")
+        got = (format_vector(powers[i], p) if i in powers
+               else f"obstructed at stage {max(powers)}")
         records.append(_record(
             f"{tag} {i}-fold Massey power of {cls}", "0", got))
-    result = massey_versus_transfer(comp)
     name = f"{tag} {ell}-fold Massey power vs transferred coefficient"
     expected = f"massey = {result.expected_ratio} * transfer"
     got = (f"massey {result.c_massey}, transfer {result.c_transfer}"

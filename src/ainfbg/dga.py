@@ -606,20 +606,25 @@ def contraction(dga: DGAlgebra) -> Contraction:
 
 @dataclass
 class MasseyReport:
-    """Outcome of an n-fold Massey power computation.
+    """Outcome of an n-fold Massey power computation on the canonical
+    defining system.
 
-    value is the homology-basis expansion of <cls, ..., cls> (n copies);
-    obstruction_stage m records that the stage-m staircase sum failed to
-    bound, in which case value is meaningless and defined is False.
+    powers[m] is the homology-basis expansion of the m-fold power
+    <cls, ..., cls> for every stage m >= 2 the staircase reached; it stops
+    at nfold, or at the first nonzero power below nfold, which obstructs
+    every higher one.
     """
 
     nfold: int
-    cls: str
-    value: Vector
-    bidegree: Bidegree | None
-    defined: bool
-    obstruction_stage: int | None = None
-    obstruction: Vector | None = None
+    powers: dict[int, Vector]
+
+    @property
+    def defined(self) -> bool:
+        return self.nfold in self.powers
+
+    @property
+    def value(self) -> Vector:
+        return self.powers.get(self.nfold, {})
 
 
 def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
@@ -628,40 +633,30 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
     Uses the canonical defining system: alpha_1 is the chosen cycle
     representative, each staircase sum z_m = sum bar(alpha_k) alpha_{m-k}
     must project to zero in homology, and alpha_m = G(z_m) is the greedy
-    bounding cochain.  The returned value is pi(z_n).
+    bounding cochain.  The m-fold power is the oriented pi(z_m).
     """
     if nfold < 2:
         raise ValueError("Massey powers need nfold >= 2")
     dga = con.dga
     p = dga.prime
-
-    def bar(vec: Vector) -> Vector:
-        if not vec:
-            return {}
-        s = dga.bidegree_of(vec).s
-        return _scale(vec, (-1) ** ((1 + s) % 2), p)
-
+    # alpha_k has degree k(s+1) - 1: bar(alpha_k) = (-1)^(k(s+1)) alpha_k
+    s = con.homology.bidegree_of(cls).s
     alphas: dict[int, Vector] = {1: con.include({cls: 1})}
+    powers: dict[int, Vector] = {}
     for m in range(2, nfold + 1):
         z: Vector = {}
         for k in range(1, m):
-            z = _add(z, dga.mult(bar(alphas[k]), alphas[m - k]), p)
+            left = _scale(alphas[k], (-1) ** (k * (s + 1) % 2), p)
+            z = _add(z, dga.mult(left, alphas[m - k]), p)
         if z and dga.d(z):
             raise CertificationError(
                 f"staircase sum at stage {m} is not a cycle")
-        if m == nfold:
-            orientation = -(-1) ** (nfold * (nfold - 1) // 2 % 2)
-            value = _scale(con.project(z), orientation, p)
-            bd = dga.bidegree_of(z) if z else None
-            return MasseyReport(nfold=nfold, cls=cls, value=value,
-                                bidegree=bd, defined=True)
-        obstruction = con.project(z)
-        if obstruction:
-            return MasseyReport(nfold=nfold, cls=cls, value={}, bidegree=None,
-                                defined=False, obstruction_stage=m,
-                                obstruction=obstruction)
+        orientation = -(-1) ** (m * (m - 1) // 2 % 2)
+        powers[m] = _scale(con.project(z), orientation, p)
+        if powers[m] or m == nfold:
+            break
         alphas[m] = con.homotopy(z)
-    raise AssertionError("unreachable")
+    return MasseyReport(nfold=nfold, powers=powers)
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +664,6 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
 # ---------------------------------------------------------------------------
 
 EMPTY_WORD = "()"
-
-
-def _letter_parity(model_space: GradedVectorSpace, lab: str) -> int:
-    # parity of the desuspended letter [lab]
-    return (model_space.bidegree_of(lab).s + 1) % 2
 
 
 def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
@@ -731,7 +721,7 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     p = space.prime
 
     # differential on letters: one term per operation-table entry
-    parity = {lab: _letter_parity(space, lab) for lab in letters}
+    parity = {lab: lbd.s % 2 for lab, lbd in letters.items()}
     letter_d: dict[str, Vector] = {lab: {} for lab in letters}
     for arity, table in model.ops.items():
         for word, vec in table.items():

@@ -25,7 +25,7 @@ helpers the verification commands and tests are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .ainf import (
@@ -89,29 +89,26 @@ def split_sign(s: int, t: int) -> int:
 class MerkulovTransfer:
     """Memoized evaluator for the transferred operations of one retraction.
 
-    `publish` is the part of the homology whose operation tables are read
-    off, and it must be gated (see `check_pattern`): an absent block
-    inside its window is a zero space, so the tables only evaluate words
-    whose output bidegree carries a block.  The retraction itself should
-    extend at least arity_bound - 2 degrees below it so every inner
-    evaluation of a published word stays in the trusted range (unit
-    letters spend arity without spending degree, which is what makes the
-    worst case that deep).  An evaluation that leaves that range raises
+    `closed_form` gives the shape of the model read off: its space is the
+    part of the homology whose operation tables are published, its arity
+    bound, unit and internal scale are the model's.  That space must be
+    gated (see `check_pattern`): an absent block inside its window is a
+    zero space, so the tables only evaluate words whose output bidegree
+    carries a block.  The retraction itself should extend at least
+    arity_bound - 2 degrees below it so every inner evaluation of a
+    published word stays in the trusted range (unit letters spend arity
+    without spending degree, which is what makes the worst case that
+    deep).  An evaluation that leaves that range raises
     TruncationExceeded; nothing here reads it as zero.
     """
 
-    def __init__(self, con: Contraction, arity_bound: int,
-                 publish: GradedVectorSpace) -> None:
+    def __init__(self, con: Contraction, closed_form: AInfinityAlgebra) -> None:
         self.con = con
         self.dga = con.dga
-        self.arity_bound = arity_bound
-        self.publish = publish
-        self._targets = set(publish.blocks)
+        self.closed_form = closed_form
+        self._targets = set(closed_form.space.blocks)
         self._lam: dict[tuple[str, ...], Vector] = {}
         self._ghat: dict[tuple[str, ...], Vector] = {}
-
-    def _degree(self, h_label: str) -> int:
-        return self.con.homology.bidegree_of(h_label).s
 
     def ghat(self, word: tuple[str, ...]) -> Vector:
         hit = self._ghat.get(word)
@@ -142,7 +139,8 @@ class MerkulovTransfer:
             if not right:
                 continue
             sign = split_sign(s, t)
-            if (t - 1) % 2 and sum(self._degree(a) for a in word[:s]) % 2:
+            if (t - 1) % 2 and sum(self.con.homology.bidegree_of(a).s
+                                   for a in word[:s]) % 2:
                 sign = -sign
             prod = self.dga.mult(left, right)
             for lab, c in prod.items():
@@ -153,35 +151,32 @@ class MerkulovTransfer:
 
     def op(self, word: tuple[str, ...]) -> Vector:
         """m_n evaluated on a word of homology basis labels."""
-        if len(word) > self.arity_bound:
-            raise ValueError(f"arity {len(word)} beyond bound {self.arity_bound}")
+        bound = self.closed_form.arity_bound
+        if len(word) > bound:
+            raise ValueError(f"arity {len(word)} beyond bound {bound}")
         return self.con.project(self.lam(word))
 
     def table(self, n: int) -> MultiOp:
         """The sparse table of the arity-n published words whose output
         bidegree carries a published block (every other word is zero by
         grading); the memo is shared across arities."""
-        skeleton = AInfinityAlgebra(space=self.publish, ops={},
-                                    arity_bound=self.arity_bound)
         out: MultiOp = {}
-        for word in enumerate_words(skeleton, n, level="operation",
+        for word in enumerate_words(self.closed_form, n, level="operation",
                                     targets=self._targets):
             val = self.op(word)
             if val:
                 out[word] = val
         return out
 
-    def minimal_model(self, *, unit: str | None = None,
-                      internal_scale: int = 1) -> AInfinityAlgebra:
-        """Assemble m_2 .. m_arity_bound into a minimal structure."""
+    def minimal_model(self) -> AInfinityAlgebra:
+        """Assemble m_2 .. m_arity_bound into a minimal structure of the
+        closed form's shape."""
         ops: dict[int, MultiOp] = {}
-        for n in range(2, self.arity_bound + 1):
+        for n in range(2, self.closed_form.arity_bound + 1):
             tab = self.table(n)
             if tab:
                 ops[n] = tab
-        return AInfinityAlgebra(space=self.publish, ops=ops,
-                                arity_bound=self.arity_bound, unit=unit,
-                                internal_scale=internal_scale)
+        return replace(self.closed_form, ops=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +196,9 @@ def check_pattern(hom: GradedVectorSpace,
     This is the gate between the truncated computation and everything
     downstream: inside the compared range the computed homology must be
     exactly the predicted pattern, so that renaming classes to monomials
-    is meaningful and absent blocks really mean zero.  Only a space gated
-    here may be handed to `MerkulovTransfer` as `publish`, which skips
-    every word whose output lands on an absent block.
+    is meaningful and absent blocks really mean zero.  Only a closed form
+    whose space is gated here may be handed to `MerkulovTransfer`, which
+    skips every word whose output lands on an absent block.
     """
     lo = max(hom.window[0], expected.window[0])
     hi = min(hom.window[1], expected.window[1])
@@ -288,9 +283,8 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "
             f"unit of {dga.name}")
-    transfer = MerkulovTransfer(con, expected.arity_bound, publish=space)
-    model = transfer.minimal_model(unit=expected.unit,
-                                   internal_scale=expected.internal_scale)
+    transfer = MerkulovTransfer(con, expected)
+    model = transfer.minimal_model()
     return Computation(params=params, hp=hp, names=names, con=con,
                        transfer=transfer, model=model, closed_form=expected,
                        truncated={})

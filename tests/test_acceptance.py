@@ -195,7 +195,7 @@ def test_criterion_3_loop_space_models(loop_runs):
     problems = compare_models(model, comp.expected())
     assert problems == [], "\n".join(problems)
     print(f"criterion 3 (3, 1, 2): PASS  xi^2 = -tau^3, no higher "
-          f"operations up to arity {comp.transfer.arity_bound}, {seconds:.1f}s")
+          f"operations up to arity {comp.model.arity_bound}, {seconds:.1f}s")
 
     # Generic cases: k[tau] tensor Lambda(xi) with the arity-h family
     # m_h(xi, ..., xi) = epsilon(h) tau^{p^n}, and the matching Massey

@@ -533,6 +533,30 @@ def test_massey_command(capsys):
     assert "Massey power" in out
 
 
+def test_a_massey_check_runs_one_defining_system(capsys, monkeypatch):
+    """The lower powers are read off the ell-fold staircase: one
+    `massey_power` call per check, wherever it is looked up."""
+    import ainfbg
+    from ainfbg import dga
+
+    calls = []
+    power = dga.massey_power
+
+    def counted(con, cls, nfold):
+        calls.append((cls, nfold))
+        return power(con, cls, nfold)
+
+    for module in ("cli", "dga", "koszul", "transfer"):
+        monkeypatch.setattr(getattr(ainfbg, module), "massey_power", counted,
+                            raising=False)
+    code, out, _ = run_cli(capsys, "massey", 5, 1, 2, "--json")
+    assert code == 0
+    assert calls == [("t", 5)]
+    got = {r["name"]: r["got"] for r in json.loads(out)["records"]}
+    assert got["cochain 3-fold Massey power of t"] == "0"
+    assert got["cochain 4-fold Massey power of t"] == "0"
+
+
 def test_classify_command(capsys):
     code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--json")
     assert code == 0

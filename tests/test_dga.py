@@ -56,6 +56,7 @@ from ainfbg.grp import (
 from ainfbg.koszul import cochain_window_for_loops
 from ainfbg.transfer import group_minimal_model
 
+from test_glin import reference_eliminate
 from toymodels import build_toy_model
 
 
@@ -386,6 +387,31 @@ def test_a_split_depends_only_on_d_and_d_above(pnq, shared):
                 assert np.array_equal(getattr(con.splits[bd], name),
                                       getattr(con.splits[first], name)), \
                     (first, bd, name)
+
+
+@pytest.mark.parametrize("order_seed", [1, 2])
+@pytest.mark.parametrize("build", [lambda: build_end_dga(GroupParams(5, 1, 2)),
+                                   lambda: _loop_cobar((3, 1, 2))],
+                         ids=["end(5,1,2)", "cobar(3,1,2)"])
+def test_the_splits_are_those_of_the_numpy_elimination(build, order_seed,
+                                                       monkeypatch):
+    """With the elimination kernel replaced by its numpy reference, a
+    contraction in a shuffled basis has array-equal f1, pi and G, the same
+    homology blocks and the same trusted set."""
+    import ainfbg.glin
+
+    dga = shuffled_blocks(build(), order_seed)
+    con = contraction(dga)
+    monkeypatch.setattr(ainfbg.glin, "_eliminate", reference_eliminate)
+    ref = contraction(dga)
+    assert list(con.splits) == list(ref.splits)
+    for bd, sp in con.splits.items():
+        for name in ("f1", "pi", "g"):
+            got, want = getattr(sp, name), getattr(ref.splits[bd], name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (bd, name)
+    assert con.homology == ref.homology
+    assert con.trusted == ref.trusted
 
 
 def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):

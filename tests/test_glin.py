@@ -3,6 +3,8 @@
 The rank oracle below is written independently of the elimination code:
 rank = size of the largest square submatrix with nonzero determinant,
 determinants computed by cofactor expansion on exact integers mod p.
+The elimination kernel is also checked row operation for row operation
+against `reference_eliminate`, the same algorithm on whole numpy rows.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ainfbg.glin
 from ainfbg.glin import (
     Bidegree,
     GradedVectorSpace,
@@ -56,6 +59,54 @@ def oracle_rank(M, p):
                 if det_mod(M[np.ix_(ri, ci)], p) != 0:
                     return k
     return 0
+
+
+def reference_eliminate(A, p, ncols):
+    """`glin._eliminate` on whole numpy rows, eight or so array calls per
+    pivot: the reference for the sparse-row kernel, which must give the
+    same array and pivots because it does the same row operations in the
+    same order."""
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    rows = A.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == rows:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr]] = A[[pr, r]]
+        A[r] = (A[r] * pow(A.item(r, c), p - 2, p)) % p
+        other = np.nonzero(A[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            A[other] = (A[other] - A[other, c][:, None] * A[r]) % p
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
+
+
+def random_matrix(rng, p, rows, cols, kind):
+    """A rows x cols matrix mod p: zero, rank 1, full rank (permuted upper
+    triangular with a unit diagonal), about 5 % nonzero, or uniform."""
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "rank1":
+        return np.outer(rng.integers(1, p, size=rows),
+                        rng.integers(0, p, size=cols))
+    if kind == "sparse":
+        return rng.integers(1, p, size=(rows, cols)) * \
+            (rng.random((rows, cols)) < 0.05)
+    M = rng.integers(0, p, size=(rows, cols))
+    if kind == "full":
+        k = min(rows, cols)
+        M[:k, :k] = np.triu(M[:k, :k], 1) + np.diag(rng.integers(1, p, size=k))
+        M = M[rng.permutation(rows)]
+    return M
 
 
 def reference_greedy_extend(basis, candidates, p):
@@ -151,23 +202,40 @@ def test_pivot_columns_agree_with_the_cycle_complement(seed, p, rows, cols,
     of rank_nullspace, the pivots of row_reduce, and the unit vectors that
     greedily complete the nullspace (each nullspace row ends at its free
     column).  `contraction` takes its cycle complement from this."""
-    rng = np.random.default_rng(seed)
-    if kind == "zero":
-        M = np.zeros((rows, cols), dtype=np.int64)
-    elif kind == "rank1":
-        M = np.outer(rng.integers(1, p, size=rows), rng.integers(0, p, size=cols))
-    elif kind == "full":
-        k = min(rows, cols)
-        M = rng.integers(0, p, size=(rows, cols))
-        M[:k, :k] = np.triu(M[:k, :k], 1) + np.diag(rng.integers(1, p, size=k))
-        M = M[rng.permutation(rows)]
-    else:
-        M = rng.integers(0, p, size=(rows, cols))
+    M = random_matrix(np.random.default_rng(seed), p, rows, cols, kind)
     rank, null, pivots = rank_nullspace(M, p)
     if kind == "full":
         assert rank == min(rows, cols)
     assert pivots == row_reduce(M, p).pivot_cols
     assert greedy_extend(null, np.eye(cols, dtype=np.int64), p) == list(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 2**31 - 1]),
+       st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from(["zero", "rank1", "full", "sparse", "random"]),
+       st.sampled_from(["M", "M, first columns", "[M | I]", "M^T"]))
+def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
+                                               layout):
+    """The sparse-row kernel gives the reference's int64 array and pivots:
+    on M with every column a pivot candidate, on M pivoting in a prefix of
+    its columns only, on [M | I] as `row_reduce` reduces it, where the
+    transform's rows below the rank record the row operations themselves,
+    not only the rref, and on a column-major M^T as `greedy_extend`
+    reduces it."""
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, p, rows, cols, kind).astype(np.int64) % p
+    ncols = cols
+    if layout == "M, first columns":
+        ncols = int(rng.integers(0, cols + 1))
+    elif layout == "[M | I]":
+        A = np.hstack([A, np.eye(rows, dtype=np.int64)])
+    elif layout == "M^T":
+        A, ncols = np.array(A.T), rows
+    want, got = A.copy(), A.copy()
+    assert ainfbg.glin._eliminate(got, p, ncols) == \
+        reference_eliminate(want, p, ncols)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ The tables hold only the in-window part of a structure, so an identity
 on a word whose contiguous subword has its operation output outside the
 window is truncated, never read as zero.  The sweeps decide this by one
 rule on the letter degrees (_q_leaves_window), where they evaluate a
-word and where they count words without listing them.
+word and where one pass counts every arity's words without listing them.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "MultiOp",
     "AInfinityAlgebra",
     "stasheff_defect",
+    "stasheff_sweep",
     "strict_unitality_defects",
     "DefectReport",
     "HypothesisParams",
@@ -188,8 +189,8 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
     (-1)^(r + st + s*|first r letters|): the Stasheff prefactor times the
     Koszul sign of m_s (degree s - 2) passing the first r inputs.  The
     word is truncated (TruncationExceeded) when m on a contiguous subword
-    leaves the window, the _q_leaves_window rule that _count_sweep
-    counts with; past it, inner operations are table reads.
+    leaves the window, the _q_leaves_window rule that stasheff_sweep's
+    counted pass uses; past it, inner operations are table reads.
     Every term lands in the identity output bidegree (input sum shifted
     by n - 3 in s): in the window without a block that gives zero by
     grading, and outside it an unknown value is read, so the word is
@@ -319,26 +320,28 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
         yield from rec([], 0, 0)
 
 
-def _count_sweep(model: AInfinityAlgebra, n: int,
-                 exclude: Iterable[str]) -> tuple[int, int]:
-    """(checked, truncated) over the words of enumerate_words(model, n,
-    exclude), counted without listing them.
+def _count_sweep(model: AInfinityAlgebra, bound: int,
+                 exclude: Iterable[str]) -> dict[int, tuple[int, int]]:
+    """Arity n -> (checked, truncated) over the words of
+    enumerate_words(model, n, exclude), for every n up to bound, counted
+    without listing them.
 
     That word set and the truncation rule of _q_leaves_window both depend
     on the letter degrees s alone, so a dynamic program over
     (Q, min Q, max Q) of the prefixes that stay inside, plus Q of those
     that already left, counts both; letters of one degree are one step
-    with a multiplicity.
+    with a multiplicity.  The arity-n identity output sits at Q_n - 3
+    whatever n is, so the states after n steps hold the arity-n counts
+    and one pass of bound steps counts every arity.
     """
-    window = model.space.window
-    lo, hi = window
+    lo, hi = window = model.space.window
     steps = Counter(bd.s + 1 for bd in model.space.bidegrees()
                     for lab in model.space.labels(bd) if lab not in exclude)
     inside: Counter = Counter({(0, 0, 0): 1})
     left: Counter = Counter()
-    for _ in range(n):
-        nxt_inside: Counter = Counter()
-        nxt_left: Counter = Counter()
+    counts: dict[int, tuple[int, int]] = {}
+    for n in range(1, bound + 1):
+        nxt_inside, nxt_left = Counter(), Counter()
         for q, c in left.items():
             for step, k in steps.items():
                 nxt_left[q + step] += c * k
@@ -350,43 +353,20 @@ def _count_sweep(model: AInfinityAlgebra, n: int,
                 else:
                     nxt_inside[q2, min(qmin, q2), max(qmax, q2)] += c * k
         inside, left = nxt_inside, nxt_left
-    # Q_n = (input degree sum) + n; the identity output sits at Q_n - 3
-    checked = sum(c for (q, _, _), c in inside.items() if lo <= q - 3 <= hi)
-    truncated = sum(c for q, c in left.items() if lo <= q - 3 <= hi)
-    return checked, truncated
+        counts[n] = (
+            sum(c for (q, _, _), c in inside.items() if lo <= q - 3 <= hi),
+            sum(c for q, c in left.items() if lo <= q - 3 <= hi))
+    return counts
 
 
 def stasheff_defect(model: AInfinityAlgebra, n: int,
-                    words: Iterable[tuple[str, ...]] | None = None, *,
-                    exclude: Iterable[str] = ()) -> DefectReport:
-    """Sweep the arity-n Stasheff identity over basis words.
-
-    Given `words`, each one is evaluated.  Otherwise the sweep covers
-    enumerate_words(model, n, exclude): every word over the basis labels
-    not in `exclude` whose identity output lies in the window.  Its
-    `checked` and `truncated` counts come from _count_sweep without
-    listing those words, and only the words whose identity output
-    bidegree carries a block of the model are evaluated, because every
-    other word has zero defect by grading.  Either way a word with a
-    subword whose operation leaves the window is counted as truncated,
-    not silently treated as zero; stasheff_word_defect and _count_sweep
-    decide that by the same rule, so the counts and the evaluated words
-    agree.
-    """
-    if n > model.arity_bound:
-        raise ValueError(
-            f"identity at arity {n} needs operations beyond bound "
-            f"{model.arity_bound}")
-    exclude = frozenset(exclude)
-    if words is not None and exclude:
-        raise ValueError("exclude applies only to the enumerated words")
-    visit = words
-    if words is None:
-        visit = enumerate_words(model, n, exclude=exclude,
-                                targets=set(model.space.blocks))
+                    words: Iterable[tuple[str, ...]]) -> DefectReport:
+    """The arity-n Stasheff identity evaluated on each given word; a word
+    with a subword whose operation leaves the window counts as truncated,
+    not as zero, and a word beyond the arity bound is refused."""
     checked = truncated = 0
     bad: dict[tuple[str, ...], dict[str, int]] = {}
-    for word in visit:
+    for word in words:
         try:
             defect = stasheff_word_defect(model, word)
         except TruncationExceeded:
@@ -395,11 +375,32 @@ def stasheff_defect(model: AInfinityAlgebra, n: int,
         checked += 1
         if defect:
             bad[word] = defect
-    if words is None:
-        # the visited words are the targeted few; count the whole sweep
-        checked, truncated = _count_sweep(model, n, exclude)
     return DefectReport(arity=n, checked=checked, truncated=truncated,
                         nonzero=bad)
+
+
+def stasheff_sweep(model: AInfinityAlgebra, *,
+                   exclude: Iterable[str] = ()) -> dict[int, DefectReport]:
+    """Sweep the Stasheff identity at every arity 3 .. arity_bound.
+
+    The arity-n sweep covers enumerate_words(model, n, exclude), the words
+    over the labels not in `exclude` whose identity output is in the
+    window.  One pass of _count_sweep counts its checked and truncated
+    words without listing them; only the words whose identity output
+    bidegree carries a block are evaluated, since every other word has
+    zero defect by grading.  stasheff_word_defect truncates a word by the
+    rule that _count_sweep counts with, so the counts and the evaluated
+    words agree, and a truncated word is never read as zero.
+    """
+    exclude = frozenset(exclude)
+    counts = _count_sweep(model, model.arity_bound, exclude)
+    sweep: dict[int, DefectReport] = {}
+    for n in range(3, model.arity_bound + 1):
+        rep = stasheff_defect(model, n, enumerate_words(
+            model, n, exclude=exclude, targets=model.space.blocks))
+        rep.checked, rep.truncated = counts[n]
+        sweep[n] = rep
+    return sweep
 
 
 def strict_unitality_defects(model: AInfinityAlgebra) -> list[str]:

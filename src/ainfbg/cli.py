@@ -49,7 +49,7 @@ from .ainf import (
     admissible_shapes,
     epsilon_sign,
     monomial_label,
-    stasheff_defect,
+    stasheff_sweep,
     strict_unitality_defects,
 )
 from .dga import CertificationError
@@ -432,8 +432,7 @@ def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
     # words are formal consequences; excluding the degree-0 unit keeps
     # the sweep polynomial in the window depth
     exclude = (model.unit,) if not unital and model.unit else ()
-    for n in range(3, model.arity_bound + 1):
-        rep = stasheff_defect(model, n, exclude=exclude)
+    for n, rep in stasheff_sweep(model, exclude=exclude).items():
         got = ("0" if rep.ok()
                else f"{len(rep.nonzero)} defective words")
         records.append(_record(f"{tag} identity defect, arity {n}",

@@ -193,7 +193,7 @@ def rank_nullspace(M, p: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     A = _as_matrix(M, p)
     cols = A.shape[1]
     pivots = _eliminate(A, p, cols)
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)).difference(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     if pivots:

@@ -48,6 +48,7 @@ from ainfbg.ainf import (
     epsilon_sign,
     monomial_label,
     stasheff_defect,
+    stasheff_sweep,
     strict_unitality_defects,
 )
 from ainfbg.dga import massey_power, validate_dga
@@ -458,8 +459,8 @@ def _mutation_detection() -> tuple[int, int]:
                                       arity_bound=oracle.arity_bound,
                                       unit=oracle.unit,
                                       internal_scale=oracle.internal_scale)
-            by_defect = any(not stasheff_defect(mutant, k).ok()
-                            for k in range(3, oracle.arity_bound + 1))
+            by_defect = any(not rep.ok()
+                            for rep in stasheff_sweep(mutant).values())
             by_compare = compare_models(mutant, oracle) != []
             assert by_defect or by_compare, \
                 f"mutation of m_{n}{word} went undetected"

@@ -10,6 +10,8 @@ oracle enumerates raw bidegree arithmetic and nothing else.
 import functools
 import itertools
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +27,10 @@ from ainfbg.ainf import (
     epsilon_sign,
     monomial_label,
     monomials,
+    _q_leaves_window,
     normalize_generators,
     stasheff_defect,
+    stasheff_sweep,
     stasheff_word_defect,
     strict_unitality_defects,
 )
@@ -80,8 +84,7 @@ def test_koszul_apply_signs():
 
 def test_stasheff_sweep_clean():
     model = build_toy_model()
-    for n in range(3, 8):
-        report = stasheff_defect(model, n)
+    for n, report in stasheff_sweep(model).items():
         assert report.ok(), (n, dict(list(report.nonzero.items())[:3]))
         assert report.checked > 0
 
@@ -90,15 +93,15 @@ def test_global_sign_flip_is_consistent():
     # Negating the whole arity-3 family is the isomorphic structure t -> -t,
     # so the identities cannot detect it; only Massey powers pin that sign.
     model = build_toy_model(m3_sign=+1)
-    for n in range(3, 8):
-        assert stasheff_defect(model, n).ok()
+    for report in stasheff_sweep(model).values():
+        assert report.ok()
 
 
 def test_stasheff_detects_single_mutation():
     model = build_toy_model()
     word = (monomial_label(0, 1),) * 3
     model.ops[3][word] = {"x^2": 1}  # was 2
-    assert not stasheff_defect(model, 4).ok()
+    assert not stasheff_sweep(model)[4].ok()
 
 
 def test_word_defect_on_specific_word():
@@ -328,7 +331,7 @@ def test_unit_free_sweep_agrees_with_full_sweep():
     from ainfbg.ainf import enumerate_words
 
     model = build_toy_model()
-    full = stasheff_defect(model, 3)
+    full = stasheff_sweep(model)[3]
     free = stasheff_defect(model, 3,
                            words=enumerate_words(model, 3, exclude=("1",)))
     assert full.ok() and free.ok()
@@ -336,7 +339,7 @@ def test_unit_free_sweep_agrees_with_full_sweep():
 
     wrong = build_toy_model()
     wrong.ops[3][("t", "t", "t")] = {"x^2": 1}  # breaks the family pattern
-    full_w = stasheff_defect(wrong, 4)
+    full_w = stasheff_sweep(wrong)[4]
     free_w = stasheff_defect(wrong, 4,
                              words=enumerate_words(wrong, 4, exclude=("1",)))
     assert (not full_w.ok()) == (not free_w.ok())
@@ -581,33 +584,89 @@ def test_counted_sweep_matches_the_full_enumeration(side, pnq):
     defective = 0
     for m, exclude, top in ((model, (), min(5, model.arity_bound)),
                             (mutant, (model.unit,), model.arity_bound)):
-        for n in range(3, top + 1):
-            rep = stasheff_defect(m, n, exclude=exclude)
+        sweep = stasheff_sweep(replace(m, arity_bound=top), exclude=exclude)
+        for n, rep in sweep.items():
             assert ((rep.checked, rep.truncated, list(rep.nonzero.items()))
                     == full_sweep(m, n, exclude)), (n, exclude)
             defective += len(rep.nonzero)
     assert defective > 0
 
 
-@pytest.mark.parametrize("pnq,window", [((3, 1, 1), (-5, 1)),
-                                        ((3, 1, 2), (-11, 1)),
-                                        ((5, 1, 2), (-17, 1))])
+# the shallowest passing chain windows
+FLOORS = [((3, 1, 1), (-5, 1)), ((3, 1, 2), (-11, 1)), ((5, 1, 2), (-17, 1))]
+
+
+@functools.cache
+def floor_model(pnq, window):
+    return group_minimal_model(GroupParams(*pnq), window=window).model
+
+
+@pytest.mark.parametrize("pnq,window", FLOORS)
 def test_counted_sweep_matches_the_full_enumeration_at_the_floor(pnq, window):
     """At the shallowest passing chain window most words of a sweep are
     truncated, and whole arities check none, so the count's truncation
     rule and the evaluation's decide the most words here.  The mutated
     entry may then sit on no checked word, so no defect is required."""
-    model = group_minimal_model(GroupParams(*pnq), window=window).model
+    model = floor_model(pnq, window)
     for m in (model, mutated(model)):
         for exclude in ((), (model.unit,)):
-            for n in range(3, model.arity_bound + 1):
-                rep = stasheff_defect(m, n, exclude=exclude)
+            for n, rep in stasheff_sweep(m, exclude=exclude).items():
                 assert ((rep.checked, rep.truncated, list(rep.nonzero.items()))
                         == full_sweep(m, n, exclude)), (n, exclude)
 
 
 def test_sweep_beyond_the_arity_bound_is_refused():
     model = build_toy_model()
-    for exclude in ((), (model.unit,)):
-        with pytest.raises(ValueError):
-            stasheff_defect(model, model.arity_bound + 1, exclude=exclude)
+    n = model.arity_bound + 1
+    with pytest.raises(ValueError):
+        stasheff_defect(model, n, [("t",) * n])
+
+
+def reference_count_sweep(model, n, exclude):
+    """(checked, truncated) of the arity-n sweep from a dynamic program of
+    its own n steps over (Q, min Q, max Q) of the prefixes that stay
+    inside, plus Q of those that already left: the per-arity count that
+    the one pass of stasheff_sweep replaced."""
+    window = model.space.window
+    lo, hi = window
+    steps = Counter(bd.s + 1 for bd in model.space.bidegrees()
+                    for lab in model.space.labels(bd) if lab not in exclude)
+    inside = Counter({(0, 0, 0): 1})
+    left = Counter()
+    for _ in range(n):
+        nxt_inside = Counter()
+        nxt_left = Counter()
+        for q, c in left.items():
+            for step, k in steps.items():
+                nxt_left[q + step] += c * k
+        for (q, qmin, qmax), c in inside.items():
+            for step, k in steps.items():
+                q2 = q + step
+                if _q_leaves_window(window, q2, qmin, qmax):
+                    nxt_left[q2] += c * k
+                else:
+                    nxt_inside[q2, min(qmin, q2), max(qmax, q2)] += c * k
+        inside, left = nxt_inside, nxt_left
+    checked = sum(c for (q, _, _), c in inside.items() if lo <= q - 3 <= hi)
+    truncated = sum(c for q, c in left.items() if lo <= q - 3 <= hi)
+    return checked, truncated
+
+
+@pytest.mark.parametrize("pnq,window", [((5, 2, 2), None), ((3, 2, 2), None),
+                                        *FLOORS])
+def test_one_pass_counts_every_arity_like_the_per_arity_program(pnq, window):
+    """The counts read only the space, so the closed forms at their
+    published windows stand in for the transferred (5,2,2) (arity bound
+    26) and (3,2,2); the floor windows are the transferred models.  With
+    the unit in the alphabet the per-arity reference at (5,2,2) takes
+    about 5 s up to arity 26, so that case stops at arity 12."""
+    model = (expected_minimal_model(GroupParams(*pnq)) if window is None
+             else floor_model(pnq, window))
+    for exclude, top in (((model.unit,), model.arity_bound),
+                         ((), min(model.arity_bound, 12))):
+        m = replace(model, arity_bound=top)
+        sweep = stasheff_sweep(m, exclude=exclude)
+        assert list(sweep) == list(range(3, top + 1))
+        for n, rep in sweep.items():
+            assert ((rep.checked, rep.truncated)
+                    == reference_count_sweep(m, n, exclude)), (n, exclude)

@@ -8,11 +8,12 @@ expected minimal models by the identity sweeps from the A-infinity kit.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ainfbg.ainf import epsilon_sign, monomial_label, stasheff_defect
+from ainfbg.ainf import epsilon_sign, monomial_label, stasheff_sweep
 from ainfbg.dga import validate_dga
 from ainfbg.glin import Bidegree, TruncationExceeded, rank_nullspace
 from ainfbg.grp import (
@@ -278,8 +279,8 @@ def test_expected_models_satisfy_identities():
         gp = GroupParams(*pnq)
         model = expected_minimal_model(gp)
         top = min(gp.default_arity_bound(), 7)
-        for arity in range(3, top + 1):
-            rep = stasheff_defect(model, arity)
+        sweep = stasheff_sweep(replace(model, arity_bound=top))
+        for arity, rep in sweep.items():
             assert rep.ok(), (pnq, arity, list(rep.nonzero)[:3])
 
 
@@ -302,8 +303,8 @@ def test_expected_loop_models():
     assert loop.op_value(2, ("xi", "xi")) == {"tau^3": 2}        # -tau^3
     assert loop.space.bidegree_of("tau") == Bidegree(2, 4)
     assert loop.space.bidegree_of("xi") == Bidegree(3, 6)
-    for arity in range(3, loop.arity_bound + 1):
-        assert stasheff_defect(loop, arity).ok()
+    for rep in stasheff_sweep(loop).values():
+        assert rep.ok()
 
     gp5 = GroupParams(5, 1, 2)
     loop5 = expected_loop_model(gp5)
@@ -311,8 +312,8 @@ def test_expected_loop_models():
     assert loop5.op_value(3, ("xi",) * 3) == {"tau^5": 4}        # -tau^5
     assert loop5.space.bidegree_of("tau") == Bidegree(2, 6)
     assert loop5.space.bidegree_of("xi") == Bidegree(3, 10)
-    for arity in range(3, 5):
-        assert stasheff_defect(loop5, arity).ok()
+    for rep in stasheff_sweep(replace(loop5, arity_bound=4)).values():
+        assert rep.ok()
 
     gp7 = GroupParams(7, 1, 3)
     loop7 = expected_loop_model(gp7)

@@ -17,7 +17,7 @@ from ainfbg.ainf import (
     AInfinityAlgebra,
     epsilon_sign,
     monomial_label,
-    stasheff_defect,
+    stasheff_sweep,
 )
 from ainfbg.dga import cobar, contraction
 from ainfbg.glin import Bidegree, GradedVectorSpace
@@ -100,8 +100,7 @@ def test_generic_family(computations):
 def test_loop_identities_hold(computations, pnq):
     comp = computations[pnq]
     checked = 0
-    for n in range(3, comp.model.arity_bound + 1):
-        rep = stasheff_defect(comp.model, n)
+    for n, rep in stasheff_sweep(comp.model).items():
         assert rep.ok(), (n, rep.nonzero)
         checked += rep.checked
     assert checked > 0

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 import ainfbg.transfer
-from ainfbg.ainf import stasheff_defect
+from ainfbg.ainf import stasheff_sweep
 from ainfbg.cli import main
 from ainfbg.dga import Contraction, massey_power
 from ainfbg.glin import TruncationExceeded
@@ -74,8 +74,7 @@ def test_minimality_between_product_and_family(computations, pnq):
 @pytest.mark.parametrize("pnq", CASES)
 def test_structure_identities_hold(computations, pnq):
     comp = computations[pnq]
-    for n in range(3, comp.model.arity_bound + 1):
-        rep = stasheff_defect(comp.model, n)
+    for n, rep in stasheff_sweep(comp.model).items():
         assert rep.checked > 0
         assert rep.ok(), rep.nonzero
 
@@ -160,8 +159,8 @@ def model_with_sign(monkeypatch, name, reorder=None):
 
 
 def identity_defects(comp):
-    return [n for n in range(3, comp.model.arity_bound + 1)
-            if not stasheff_defect(comp.model, n).ok()]
+    return [n for n, rep in stasheff_sweep(comp.model).items()
+            if not rep.ok()]
 
 
 def test_split_sign_is_the_pinned_candidate():
@@ -176,8 +175,7 @@ def test_all_splitting_signs_give_consistent_structures(monkeypatch):
     splitting sign; every candidate yields some A-infinity structure."""
     for name in SPLIT_SIGNS:
         comp = model_with_sign(monkeypatch, name)
-        for n in range(3, comp.model.arity_bound + 1):
-            rep = stasheff_defect(comp.model, n)
+        for n, rep in stasheff_sweep(comp.model).items():
             assert rep.ok(), (name, n, rep.nonzero)
 
 
@@ -187,8 +185,8 @@ def test_scrambled_basis_separates_the_splitting_signs(monkeypatch):
     structure, while a representative wrong rule produces a genuine
     identity defect."""
     comp = group_minimal_model(GroupParams(3, 1, 1), reorder=scrambled_labels)
-    for n in range(3, comp.model.arity_bound + 1):
-        assert stasheff_defect(comp.model, n).ok(), n
+    for n, rep in stasheff_sweep(comp.model).items():
+        assert rep.ok(), n
 
     wrong = model_with_sign(monkeypatch, "plus", reorder=scrambled_labels)
     assert identity_defects(wrong) == [4]

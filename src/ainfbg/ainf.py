@@ -170,18 +170,6 @@ def _q_leaves_window(window: tuple[int, int], q: int, qmin: int,
     return q - qmax < lo + 2 or q - qmin > hi + 2
 
 
-def _subword_leaves_window(window: tuple[int, int], degrees: list[int]) -> bool:
-    """Whether m on some contiguous subword of a word with these letter
-    degrees lands outside the window."""
-    q = qmin = qmax = 0
-    for s in degrees:
-        q += s + 1
-        if _q_leaves_window(window, q, qmin, qmax):
-            return True
-        qmin, qmax = min(qmin, q), max(qmax, q)
-    return False
-
-
 def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict[str, int]:
     """Left-hand side of the arity-n identity on one word.
 
@@ -203,10 +191,14 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
             f"{model.arity_bound}")
     space = model.space
     degrees = [space.bidegree_of(lab) for lab in word]
-    if _subword_leaves_window(space.window, [bd.s for bd in degrees]):
-        raise TruncationExceeded(
-            f"an operation on a subword of {word} leaves the window "
-            f"{space.window}")
+    q = qmin = qmax = 0
+    for bd in degrees:
+        q += bd.s + 1
+        if _q_leaves_window(space.window, q, qmin, qmax):
+            raise TruncationExceeded(
+                f"an operation on a subword of {word} leaves the window "
+                f"{space.window}")
+        qmin, qmax = min(qmin, q), max(qmax, q)
     out = Bidegree(sum(bd.s for bd in degrees) + n - 3,
                    sum(bd.w for bd in degrees))
     in_window = space.in_window(out.s)
@@ -337,6 +329,7 @@ def _count_sweep(model: AInfinityAlgebra, bound: int,
     lo, hi = window = model.space.window
     steps = Counter(bd.s + 1 for bd in model.space.bidegrees()
                     for lab in model.space.labels(bd) if lab not in exclude)
+    step_lo, step_hi = min(steps, default=0), max(steps, default=0)
     inside: Counter = Counter({(0, 0, 0): 1})
     left: Counter = Counter()
     counts: dict[int, tuple[int, int]] = {}
@@ -352,10 +345,17 @@ def _count_sweep(model: AInfinityAlgebra, bound: int,
                     nxt_left[q2] += c * k
                 else:
                     nxt_inside[q2, min(qmin, q2), max(qmax, q2)] += c * k
-        inside, left = nxt_inside, nxt_left
         counts[n] = (
-            sum(c for (q, _, _), c in inside.items() if lo <= q - 3 <= hi),
-            sum(c for q, c in left.items() if lo <= q - 3 <= hi))
+            sum(c for (q, _, _), c in nxt_inside.items() if lo <= q - 3 <= hi),
+            sum(c for q, c in nxt_left.items() if lo <= q - 3 <= hi))
+        # drop a state no remaining steps bring back into the window: Q
+        # after r more steps lies in [Q + r step_lo, Q + r step_hi]
+        live = {q for q in {key[0] for key in nxt_inside} | set(nxt_left)
+                if any(q + r * step_lo <= hi + 3 and q + r * step_hi >= lo + 3
+                       for r in range(1, bound - n + 1))}
+        inside = Counter({key: c for key, c in nxt_inside.items()
+                          if key[0] in live})
+        left = Counter({q: c for q, c in nxt_left.items() if q in live})
     return counts
 
 

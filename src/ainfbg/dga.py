@@ -120,12 +120,6 @@ class DGAlgebra:
                     out[olab] = (out.get(olab, 0) + ca * cb * oc) % p
         return {k: v for k, v in out.items() if v}
 
-    def bidegree_of(self, vec: Vector) -> Bidegree:
-        bds = {self.space.bidegree_of(lab) for lab in vec}
-        if len(bds) != 1:
-            raise ValueError(f"vector is not homogeneous: bidegrees {bds}")
-        return bds.pop()
-
     def diff_block(self, bd) -> np.ndarray:
         """Matrix of d on the block at bd, mapping into bd + (-1, 0)."""
         bd = Bidegree(*bd)

@@ -162,23 +162,25 @@ class GroupParams:
         return window, pub, arity
 
     def loop_window_hi(self) -> int:
-        """Word-degree ceiling for the loop-side cobar computation.
+        """Word-degree ceiling of the loop-side cobar: the published
+        ceiling plus one, whose pivots split the ceiling block.
 
-        The published ceiling (this minus arity slack) must contain the
-        top of the ell-fold staircase of xi plus one homotopy application
-        ((2q-2)p^n + 1, which also covers tau^(p^n) and the full-xi
-        identity sweep at arity h+1); two more letters of margin widen
-        the verified family table.
+        The published ceiling must contain the top of the ell-fold
+        staircase of xi plus one homotopy application ((2q-2)p^n + 1,
+        which also covers tau^(p^n) and the full-xi identity sweep at
+        arity h+1); two more letters of margin widen the verified family
+        table.  Loop classes sit in degrees >= 0, so no inner evaluation
+        of a published word climbs above its output degree.
         """
         pub = (2 * self.q - 2) * self.pn + 2 * (2 * self.q - 1) + 1
-        return pub + self.loop_arity_bound() - 1
+        return pub + 1
 
     def loop_run(self, window: tuple[int, int] | None = None,
                  arity: int | None = None) -> tuple[tuple, tuple, int]:
         """(word window, published window, arity) of a loop run, with
         defaults (0, loop_window_hi()) and loop_arity_bound(); the
-        published window (0, s_hi - arity + 1) sits arity - 1 degrees
-        below the word-degree ceiling s_hi."""
+        published window (0, s_hi - 1) sits one degree below the
+        word-degree ceiling s_hi, whatever the arity."""
         if self.q == 1:
             raise ParameterError(
                 "the loop pipeline needs q >= 2: with q = 1 the cochain model "
@@ -190,7 +192,7 @@ class GroupParams:
             window = (0, self.loop_window_hi())
         if window[0] != 0:
             raise ParameterError(f"loop window {window} does not start at 0")
-        pub = (0, window[1] - (arity - 1))
+        pub = (0, window[1] - 1)
         return window, _published(window, pub, arity, self.h), arity
 
     def loop_arity_bound(self) -> int:
@@ -235,7 +237,7 @@ def diff_exponent(i: int, pn: int) -> int:
 # ---------------------------------------------------------------------------
 
 def build_end_dga(params: GroupParams, *,
-                  window: tuple[int, int] | None = None) -> DGAlgebra:
+                  window: tuple[int, int]) -> DGAlgebra:
     """Invariant non-negative-weight endomorphisms of the truncated resolution.
 
     Basis label "i:d:a" is the map P_{i+d} -> P_i, e_{i+d} -> U^a e_i, of
@@ -250,9 +252,6 @@ def build_end_dga(params: GroupParams, *,
     pattern explicitly before using it.
     """
     pn, q, p = params.pn, params.q, params.p
-    if window is None:
-        lo, hi = params.model_window()
-        window = (lo - 1, hi + 1)
     lo, hi = window
     L = -lo + 6  # top stage: six past the longest map the window holds
 
@@ -369,10 +368,9 @@ def expected_minimal_model(params: GroupParams,
     |t| = (-(2q-1), q h); the only higher operations form the arity-p^n
     family m(x^{j_1} t, ..., x^{j_{p^n}} t) = epsilon(p^n) x^{h + sum j}.
     """
-    if window is None:
-        window = params.model_window()
-    if arity_bound is None:
-        arity_bound = params.default_arity_bound()
+    _, pub, arity = params.cochain_run()
+    window = pub if window is None else window
+    arity_bound = arity if arity_bound is None else arity_bound
     return _monomial_model(params.hp, params.internal_scale, params.p,
                            window, arity_bound, ("x", "t"))
 
@@ -389,8 +387,8 @@ def expected_loop_model(params: GroupParams,
     h = 2 and lands in the product: the ring is k[tau, xi]/(xi^2 + tau^3)
     with no higher operations.
     """
-    (_, s_hi), _, arity = params.loop_run()
-    window = (0, s_hi - 1) if window is None else window
+    _, pub, arity = params.loop_run()
+    window = pub if window is None else window
     arity_bound = arity if arity_bound is None else arity_bound
     return _monomial_model(params.hp.loop_dual(), params.internal_scale,
                            params.p, window, arity_bound, LOOP_GENERATORS)

@@ -91,13 +91,12 @@ def loop_minimal_model(params: GroupParams, *,
                        reorder=None) -> Computation:
     """Cobar of the cochain model -> retraction -> gate -> loop model.
 
-    The published window (0, s_hi - arity_bound + 1) sits arity_bound - 1
-    degrees below the word-space ceiling s_hi (`GroupParams.loop_run`),
-    the mirror image of the cochain side: operation outputs climb up to
-    arity_bound - 2 degrees above their inputs and one homotopy
-    application reaches one further.  Above the published ceiling the
-    homology may contain truncation junk; it is never renamed,
-    enumerated, or read.
+    The published window (0, s_hi - 1) sits one degree below the
+    word-space ceiling s_hi (`GroupParams.loop_run`), whatever the arity
+    bound: loop classes sit in degrees >= 0, so no inner evaluation of a
+    published word climbs above its output degree, and degree s_hi holds
+    only the pivots that split the published ceiling.  A read outside
+    the contracted range raises TruncationExceeded.
     """
     (_, s_hi), pub, arity_bound = params.loop_run(window, arity_bound)
     cochain = expected_minimal_model(

@@ -94,12 +94,13 @@ class MerkulovTransfer:
     bound, unit and internal scale are the model's.  That space must be
     gated (see `check_pattern`): an absent block inside its window is a
     zero space, so the tables only evaluate words whose output bidegree
-    carries a block.  The retraction itself should extend at least
+    carries a block.  On the cochain side the retraction should extend
     arity_bound - 2 degrees below it so every inner evaluation of a
     published word stays in the trusted range (unit letters spend arity
-    without spending degree, which is what makes the worst case that
-    deep).  An evaluation that leaves that range raises
-    TruncationExceeded; nothing here reads it as zero.
+    without spending degree); loop classes sit in degrees >= 0, so there
+    no inner value climbs above its word's output.  An evaluation that
+    leaves the contracted range raises TruncationExceeded; nothing here
+    reads it as zero.
     """
 
     def __init__(self, con: Contraction, closed_form: AInfinityAlgebra) -> None:
@@ -189,9 +190,10 @@ class PatternMismatch(Exception):
 
 def check_pattern(hom: GradedVectorSpace,
                   expected: GradedVectorSpace) -> dict[str, str]:
-    """Require dim-by-dim equality of two bigraded spaces on the range
-    their windows share, and return the renaming of hom's labels onto
-    expected's there: bidegree by bidegree, in basis order, so bijective.
+    """Require dim-by-dim equality of two bigraded spaces on expected's
+    window, which must lie in hom's (else TruncationExceeded), and return
+    the renaming of hom's labels onto expected's there: bidegree by
+    bidegree, in basis order, so bijective.
 
     This is the gate between the truncated computation and everything
     downstream: inside the compared range the computed homology must be
@@ -200,8 +202,10 @@ def check_pattern(hom: GradedVectorSpace,
     whose space is gated here may be handed to `MerkulovTransfer`, which
     skips every word whose output lands on an absent block.
     """
-    lo = max(hom.window[0], expected.window[0])
-    hi = min(hom.window[1], expected.window[1])
+    lo, hi = expected.window
+    if not hom.window[0] <= lo <= hi <= hom.window[1]:
+        raise TruncationExceeded(f"published window {expected.window} leaves "
+                                 f"the contracted range {hom.window}")
     problems = []
     mapping: dict[str, str] = {}
     bds = {bd for bd in hom.blocks if lo <= bd.s <= hi}
@@ -232,7 +236,6 @@ class Computation:
     con: Contraction            # homology labels renamed to monomials
     transfer: MerkulovTransfer
     model: AInfinityAlgebra     # monomial labels, machine coefficients
-    closed_form: AInfinityAlgebra  # the gate's closed-form model
     # words lost per arity: always empty, since a lost word raises
     # TruncationExceeded instead; kept for the benchmark's counters
     truncated: dict[int, list]
@@ -242,7 +245,7 @@ class Computation:
 
     def expected(self) -> AInfinityAlgebra:
         """Closed-form model over the same published window."""
-        return self.closed_form
+        return self.transfer.closed_form
 
 
 def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
@@ -286,8 +289,7 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     transfer = MerkulovTransfer(con, expected)
     model = transfer.minimal_model()
     return Computation(params=params, hp=hp, names=names, con=con,
-                       transfer=transfer, model=model, closed_form=expected,
-                       truncated={})
+                       transfer=transfer, model=model, truncated={})
 
 
 def group_minimal_model(params: GroupParams, *,

@@ -229,8 +229,10 @@ def test_window_without_the_unit_is_refused_by_name(capsys, command, window):
 
 def sweep_exit_codes(capsys, command, pnq, windows):
     """Exit codes of one command over windows; a passing `transfer` or
-    `loops` document must not call a model formal, and every failure is
-    reported by the CLI, never by an escaping exception."""
+    `loops` document must not call a model formal, a passing
+    `check-stasheff` or `verify` document must not pass a sweep of no
+    word, and every failure is reported by the CLI, never by an escaping
+    exception."""
     codes = {}
     for window in windows:
         codes[window], out, err = run_cli(capsys, command, *pnq, "--window",
@@ -239,6 +241,10 @@ def sweep_exit_codes(capsys, command, pnq, windows):
         assert codes[window] == 0 or "ainfbg: " in err, (command, window)
         if codes[window] == 0 and command in ("transfer", "loops"):
             assert not json.loads(out)["normalization"]["formal"], window
+        if codes[window] == 0 and command in ("check-stasheff", "verify"):
+            empty = [r["name"] for r in json.loads(out)["records"]
+                     if r["verdict"] == "pass" and "(0 words)" in r["got"]]
+            assert not empty, (command, window, empty)
     assert set(codes.values()) <= {0, 2, 3}, (command, codes)
     return codes
 
@@ -355,17 +361,17 @@ def test_json_output_is_byte_deterministic(capsys):
 # format moves them; a change that must move them says so and updates this.
 ACCEPTANCE_HASHES = {
     ("verify", (3, 1, 2)):
-        "18d461a57c4198cf730796bcd3d5d3212c020fc31128625301110c91eef23473",
+        "9e342b17b50e025e4aa53178961e1d215c5ee51f57fe580218e845043b31c2cb",
     ("transfer", (3, 1, 2)):
         "7a468841ca224bf1e7b964da737d35b609b3ccbca3de3a27b99039d5edefcfb8",
     ("loops", (3, 1, 2)):
-        "d61b9eb6a4375d5d2ed72401cdf21bf902ee69cabd883d6c62911729badb59b6",
+        "91bd79625df7e805e8fb058c77d916957a74fd7db1a252479ae08423b2bdde5d",
     ("verify", (5, 1, 2)):
-        "380f59f4ecc4a36fb4087ebb4cfbe9cb6efc4563ed97ba26f0b9508d74dcd577",
+        "44af29135411a6632d5eac344e87ae8193fb4a599158c094be91eaeba2e9d6e0",
     ("transfer", (5, 1, 2)):
         "c7a6d5e6c553a01cd102d29a80be1f97df63c163fc1a0b6120defc4fbc32c260",
     ("loops", (5, 1, 2)):
-        "293e3c7985cb82318a88cf339fe960e982f1416a66e03c24058db39cfa1d66eb",
+        "3e7d93c3a797b56f65b4be02de0bc2aba6d9bb68132b3d40f03dcbefc78282cd",
 }
 
 
@@ -379,10 +385,10 @@ def test_acceptance_content_hashes_are_pinned(capsys):
 
 
 # verify on a p^n = 11 tuple: the counted identity sweeps over 84,285
-# words, and a loop stage skipped by a cobar word count (578,949 words,
+# words, and a loop stage skipped by a cobar word count (85,626 words,
 # over VERIFY_LOOP_WORD_BUDGET) that builds no cobar algebra.
 VERIFY_11_1_2_HASH = (
-    "9034a7624614783751771e7c791c4f76d515cd41b6f29e42d963908760a55514")
+    "9fd0e21543959140ac03c5a59a94a93ed92a8f909006de0bddafb8fdc40b32a6")
 
 
 def test_verify_11_1_2_content_hash_is_pinned(capsys):
@@ -391,6 +397,20 @@ def test_verify_11_1_2_content_hash_is_pinned(capsys):
     doc = json.loads(out)
     assert doc["overall"] == "pass"
     assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
+
+
+# loops on the p^n = 9 tuple: 18,560 cobar words up to degree 26, one
+# above the published ceiling 25.
+LOOPS_3_2_2_HASH = (
+    "5a01dca03ec7989fd012ba7279a45e799d44b8f7d5dcdf45e91a972fa7931587")
+
+
+def test_loops_3_2_2_content_hash_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "loops", 3, 2, 2, "--json", "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"]["parameters"]["window"] == [0, 26]
+    assert doc["provenance"]["content_hash"] == LOOPS_3_2_2_HASH
 
 
 # transfer on a p^2 tuple: 170,068 nonzero end-DGA products in the

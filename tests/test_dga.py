@@ -57,7 +57,16 @@ from ainfbg.koszul import cochain_window_for_loops
 from ainfbg.transfer import group_minimal_model
 
 from test_glin import reference_eliminate
+from test_grp import model_end_dga
 from toymodels import build_toy_model
+
+
+def bidegree_of(dga, vec):
+    """The one bidegree of a nonzero homogeneous vector of `dga`."""
+    bds = {dga.space.bidegree_of(lab) for lab in vec}
+    if len(bds) != 1:
+        raise ValueError(f"vector is not homogeneous: bidegrees {bds}")
+    return bds.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +365,7 @@ def _loop_cobar(pnq):
 
 
 @pytest.mark.parametrize("order_seed", [0, 1])
-@pytest.mark.parametrize("build", [lambda: build_end_dga(GroupParams(3, 1, 2)),
+@pytest.mark.parametrize("build", [lambda: model_end_dga(GroupParams(3, 1, 2)),
                                    lambda: _loop_cobar((3, 1, 2))],
                          ids=["end(3,1,2)", "cobar(3,1,2)"])
 def test_contraction_matches_the_reference_on_the_pipeline_algebras(
@@ -390,7 +399,7 @@ def test_a_split_depends_only_on_d_and_d_above(pnq, shared):
 
 
 @pytest.mark.parametrize("order_seed", [1, 2])
-@pytest.mark.parametrize("build", [lambda: build_end_dga(GroupParams(5, 1, 2)),
+@pytest.mark.parametrize("build", [lambda: model_end_dga(GroupParams(5, 1, 2)),
                                    lambda: _loop_cobar((3, 1, 2))],
                          ids=["end(5,1,2)", "cobar(3,1,2)"])
 def test_the_splits_are_those_of_the_numpy_elimination(build, order_seed,
@@ -440,7 +449,7 @@ def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
 @pytest.mark.parametrize("pnq", [(3, 1, 1), (3, 1, 2), (5, 1, 2)])
 def test_end_contraction_matches_monomial_pattern(pnq):
     gp = GroupParams(*pnq)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     con = contraction(dga)
     expected = expected_minimal_model(gp)
     got = {bd: len(labs) for bd, labs in con.homology.blocks.items()}
@@ -455,7 +464,7 @@ def test_end_contraction_matches_monomial_pattern(pnq):
 
 def test_unit_class_is_the_algebra_unit():
     gp = GroupParams(3, 1, 2)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     con = contraction(dga)
     (ulab,) = con.homology.labels(Bidegree(0, 0))
     assert con.include({ulab: 1}) == dga.unit
@@ -473,7 +482,7 @@ def _h_label_at(con, bd):
 
 def massey_setup(pnq):
     gp = GroupParams(*pnq)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     con = contraction(dga)
     t = _h_label_at(con, (-(2 * gp.q - 1), gp.q * gp.h))
     x = _h_label_at(con, (-2 * gp.q, gp.q * gp.pn))
@@ -509,7 +518,7 @@ def test_massey_fifth_power_for_z5():
 
 def test_massey_reversal_still_lands_on_x():
     gp = GroupParams(3, 1, 1)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     dga_r = reorder_blocks(dga, lambda bd, labs: list(reversed(labs)))
     con_r = contraction(dga_r)
     t = _h_label_at(con_r, (-1, 1))
@@ -542,7 +551,7 @@ def reference_massey_power(con, cls, nfold):
     def bar(vec):
         if not vec:
             return {}
-        s = dga.bidegree_of(vec).s
+        s = bidegree_of(dga, vec).s
         return _scale(vec, (-1) ** ((1 + s) % 2), p)
 
     alphas = {1: con.include({cls: 1})}
@@ -556,7 +565,7 @@ def reference_massey_power(con, cls, nfold):
         if m == nfold:
             orientation = -(-1) ** (nfold * (nfold - 1) // 2 % 2)
             value = _scale(con.project(z), orientation, p)
-            bd = dga.bidegree_of(z) if z else None
+            bd = bidegree_of(dga, z) if z else None
             return ReferenceMassey(nfold=nfold, cls=cls, value=value,
                                    bidegree=bd, defined=True)
         obstruction = con.project(z)

@@ -28,6 +28,13 @@ from ainfbg.grp import (
     stage_weight,
 )
 
+
+def model_end_dga(gp):
+    """The end-DGA one degree outside the model window on either side."""
+    lo, hi = gp.model_window()
+    return build_end_dga(gp, window=(lo - 1, hi + 1))
+
+
 CASES = [
     # (p, n, q) -> (h, default gamma)
     ((3, 1, 2), (2, 2)),
@@ -195,7 +202,7 @@ def test_end_dga_differential_is_the_hom_differential(pnq, checked):
     endomorphisms of the certified resolution, on every basis map whose
     differential stays in the window."""
     gp = GroupParams(*pnq)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     lo, _ = dga.space.window
     top = -lo + 6
     count = 0
@@ -238,7 +245,7 @@ def test_end_dga_small_exhaustive():
 
 def test_end_dga_default_sampled():
     gp = GroupParams(3, 1, 2)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     rep = validate_dga(dga, pair_sample=2500, triple_sample=2500, seed=3)
     assert rep.d_squared_checked == sum(
         1 for bd in dga.space.bidegrees()
@@ -248,7 +255,7 @@ def test_end_dga_default_sampled():
 
 def test_end_dga_known_bidegrees():
     gp = GroupParams(3, 1, 2)
-    dga = build_end_dga(gp)
+    dga = model_end_dga(gp)
     # cocycles representing x and t live at stage-lowering degrees 2q, 2q-1
     assert dga.space.has_label("0:4:0")
     assert dga.space.bidegree_of("0:4:0") == Bidegree(-4, 6)

@@ -19,11 +19,12 @@ from ainfbg.ainf import (
     monomial_label,
     stasheff_sweep,
 )
-from ainfbg.dga import cobar, contraction
-from ainfbg.glin import Bidegree, GradedVectorSpace
+from ainfbg.dga import Contraction, cobar, contraction
+from ainfbg.glin import Bidegree, GradedVectorSpace, TruncationExceeded
 from ainfbg.grp import (
     LOOP_GENERATORS,
     GroupParams,
+    expected_loop_model,
     expected_minimal_model,
 )
 from ainfbg.koszul import (
@@ -154,10 +155,10 @@ def test_word_count_is_the_cobar_dimension(pnq):
 
 
 def test_word_counts_over_the_verify_budget():
-    # the cobar algebras behind these counts take seconds to minutes to
-    # build; the counts are the ones that building them gave
-    assert loop_word_count(GroupParams(3, 2, 2)) == 85_626
-    assert loop_word_count(GroupParams(11, 1, 2)) == 578_949
+    # the dimensions of the cobar algebras that the default loop runs
+    # build: (3, 2, 2) is within VERIFY_LOOP_WORD_BUDGET, (11, 1, 2) over it
+    assert loop_word_count(GroupParams(3, 2, 2)) == 18_560
+    assert loop_word_count(GroupParams(11, 1, 2)) == 85_626
 
 
 def test_cochain_window_reaches_every_letter():
@@ -167,6 +168,47 @@ def test_cochain_window_reaches_every_letter():
     assert hi == 0
     # a letter of word degree d comes from a cochain class in degree -d - 1
     assert lo == -(s_hi + 1)
+
+
+# ---------------------------------------------------------------------------
+# the word window ends one degree above the published ceiling
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2), (7, 1, 3)])
+def test_the_loop_stage_reads_no_block_above_the_published_ceiling(
+        monkeypatch, pnq):
+    """Every include, project and homotopy of the transfer and of the
+    Massey cross-check reads a block inside the published window, so the
+    cobar's one degree above it holds only the pivots of the ceiling."""
+    reads = []
+    block_map = Contraction._block_map
+
+    def recorded(self, name, source, target, vec, **kwargs):
+        if vec:
+            reads.append(source.bidegree_of(next(iter(vec))).s)
+        return block_map(self, name, source, target, vec, **kwargs)
+
+    monkeypatch.setattr(Contraction, "_block_map", recorded)
+    comp = loop_minimal_model(GroupParams(*pnq))
+    assert massey_versus_loop_transfer(comp).holds
+    (_, s_hi), (_, pub_hi), _ = comp.params.loop_run()
+    assert pub_hi == s_hi - 1
+    assert reads and max(reads) <= pub_hi
+
+
+@pytest.mark.parametrize("pnq", [(3, 1, 2), (5, 1, 2), (7, 1, 3)])
+def test_a_word_ceiling_at_the_published_ceiling_is_refused(pnq):
+    """Without the degree above it, the published ceiling is outside the
+    contracted range: the pipeline raises rather than answering, also
+    where no published block sits at the ceiling, as at (7, 1, 3)."""
+    params = GroupParams(*pnq)
+    _, pub, arity = params.loop_run()
+    cochain = expected_minimal_model(
+        params, window=cochain_window_for_loops(params, pub[1]))
+    expected = expected_loop_model(params, window=pub, arity_bound=arity)
+    with pytest.raises(TruncationExceeded):
+        transfer_pipeline(params, cobar(cochain, pub[1]), expected,
+                          params.hp.loop_dual(), LOOP_GENERATORS)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Three things live here:
     differential of bidegree (-1, 0), presented through basis-level
     callables so large complexes never materialize dense product tables;
   * contraction() -- a per-bidegree strong deformation retraction of such
-    an algebra onto its homology, with every identity checked exactly;
+    an algebra onto its homology, with d^2 = 0 checked exactly on every
+    block and the retraction identities on each block's first read;
   * massey_power() and cobar() -- the two constructions that consume a
     contraction or a minimal model: iterated Massey powers of a single
     class, and the cobar algebra of a minimal structure.
@@ -124,13 +125,20 @@ class DGAlgebra:
         """Matrix of d on the block at bd, mapping into bd + (-1, 0)."""
         bd = Bidegree(*bd)
         out = bd + (-1, 0)
-        rows = self.space.dim(out)
-        labels = self.space.labels(bd)
-        M = np.zeros((rows, len(labels)), dtype=np.int64)
+        space = self.space
+        labels = space.labels(bd)
+        M = np.zeros((space.dim(out), len(labels)), dtype=np.int64)
+        # each image is written into its column through the label index
+        at: list[int] = []
+        values: list[int] = []
         for j, lab in enumerate(labels):
-            img = self.diff(lab)
-            if img:
-                M[:, j] = self.space.to_array(out, img)
+            for olab, c in self.diff(lab).items():
+                where, i = space._index[olab]
+                if where != out:
+                    raise ValueError(f"label {olab!r} not in bidegree {out}")
+                at.append(i * M.shape[1] + j)
+                values.append(c % self.prime)
+        M.flat[at] = values
         return M
 
 
@@ -402,18 +410,32 @@ class Contraction:
         pi f1 = id,   d G + G d = id - f1 pi,
         pi G = 0,     G f1 = 0,   G G = 0.
 
-    `splits` holds the three block matrices for every block of the
-    contracted range, the window of `homology`; the block's labels are
-    those of `dga.space` and its homology labels those of `homology`.
-    The homotopy identity is certified on the `trusted` bidegrees: every
-    block of the contracted range except those at its floor whose block
-    below is nonzero (there d leaves the range and G d is unknown).
+    `contraction` certifies d^2 = 0 on every block of the contracted
+    range, the window of `homology`, whose block dimensions it reads off
+    the same eliminations.  A block is split, and its retraction
+    identities certified, on its first read: before any value leaves it,
+    its neighbours s +- 1 in range are split too, since the identities
+    read them.  `splits` holds the three block matrices of every block
+    split so far; the block's labels are those of `dga.space` and its
+    homology labels those of `homology`.  The homotopy identity is
+    certified on the `trusted` bidegrees: every block read so far except
+    those at the range's floor whose block below is nonzero (there d
+    leaves the range and G d is unknown).  A renamed copy shares all of
+    this state, so no block is split twice.
     """
 
     dga: DGAlgebra
     homology: GradedVectorSpace
-    splits: dict[Bidegree, _BlockSplit]
+    splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict)
     trusted: set[Bidegree] = field(default_factory=set)
+    # from the eliminations of d in `contraction`: the d blocks, the cycles
+    # of each block not yet split, the pivot columns of each block
+    _d: dict[Bidegree, np.ndarray] = field(default_factory=dict, repr=False)
+    _cycles: dict[Bidegree, np.ndarray] = field(default_factory=dict,
+                                                repr=False)
+    _pivots: dict[Bidegree, tuple[int, ...]] = field(default_factory=dict,
+                                                     repr=False)
+    _certified: set[Bidegree] = field(default_factory=set, repr=False)
 
     def include(self, hvec: Vector) -> Vector:
         return self._block_map("f1", self.homology, self.dga.space, hvec)
@@ -438,89 +460,40 @@ class Contraction:
             raise TruncationExceeded(
                 f"bidegree {bd} outside contracted range {(lo, hi)}")
         arr = source.to_array(bd, vec)
-        out = (getattr(self.splits[bd], name) @ arr) % self.dga.prime
+        split = self._certified_split(bd)
+        out = (getattr(split, name) @ arr) % self.dga.prime
         return target.to_dict(Bidegree(bd.s + shift, bd.w), out)
 
-    def renamed(self, mapping: dict[str, str]) -> "Contraction":
-        """Same retraction with homology basis labels renamed bijectively."""
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("renaming must be injective")
-        blocks = {bd: [mapping.get(lab, lab) for lab in labs]
-                  for bd, labs in self.homology.blocks.items()}
-        hom = GradedVectorSpace(prime=self.homology.prime,
-                                window=self.homology.window, blocks=blocks)
-        return replace(self, homology=hom)
+    def _split(self, bd: Bidegree) -> _BlockSplit | None:
+        """The splitting A = B + H + C of block bd and its homotopy, made
+        on the first call; None where no block of the range sits.
 
-
-def contraction(dga: DGAlgebra) -> Contraction:
-    """Split the complex per bidegree and assemble the retraction maps.
-
-    The usable range is one degree inside the window at the floor (where
-    d is not representable) and one at the ceiling (where incoming
-    boundaries are unknown).  Every structure identity that is checkable in
-    range is verified exactly before returning; a failure raises
-    CertificationError.
-
-    Each block A_s takes two eliminations.  `rank_nullspace` of
-    d: A_s -> A_{s-1} gives the cycles Z, one row per free column with
-    Z[:, F] = I on the free columns F, and the pivot columns P_s.  Every
-    cycle row ends at its free column, so the unit vectors e_j, j in P_s,
-    span the complement C of Z that a greedy scan of the unit vectors
-    would pick.  The columns d(e_j), j in P_{s+1}, are a basis B of the
-    boundaries, and B = B[:, F] Z.  One `row_reduce` of B[:, F], with F
-    scanned right to left, splits F into its pivot columns T and the rest
-    S: a greedy scan of Z extends B by exactly the rows on S, which are
-    the homology representatives H.  Its transform X is B[:, T]^-1, T in
-    pivot order, so a vector v has B coordinates X^T v[T] and H
-    coordinates v[S] - rref[:, S]^T v[T].  pi reads the H coordinates;
-    the homotopy is G(d e_j) = e_j for j in P_{s+1} and zero on H + C, so
-    G is X^T on the rows P_{s+1} and the columns T.
-
-    Every block product, from the d^2 check to the five identities, runs
-    through `matmul_mod`, and products with G read only its rows P_{s+1}.
-    They assume n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past
-    that bound is a ParameterError.
-    """
-    space = dga.space
-    p = dga.prime
-    lo, hi = space.window[0] + 1, space.window[1] - 1
-    largest = max(map(len, space.blocks.values()), default=0)
-    if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
-        raise ParameterError(
-            f"p = {p} with a block of dimension {largest} leaves int64: "
-            f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
-
-    # each differential block is built once per call and dropped with it
-    d_blocks: dict[Bidegree, np.ndarray] = {}
-
-    def diff_block(bd: Bidegree) -> np.ndarray:
-        if bd not in d_blocks:
-            d_blocks[bd] = dga.diff_block(bd)
-        return d_blocks[bd]
-
-    # pass 0: one elimination of d per block gives cycles and pivot columns;
-    # at ceiling + 1 only the pivot columns are trustworthy, and they are
-    # all the ceiling's homotopy needs
-    blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
-    cycles: dict[Bidegree, np.ndarray] = {}
-    pivots: dict[Bidegree, tuple[int, ...]] = {}
-    for bd in blocks + sorted(bd for bd in space.blocks if bd.s == hi + 1):
-        _, cycles[bd], pivots[bd] = rank_nullspace(diff_block(bd), p)
-
-    # pass 1: splittings A = B + H + C and the homotopies
-    splits: dict[Bidegree, _BlockSplit] = {}
-    hom_blocks: dict[Bidegree, list[str]] = {}
-    for bd in blocks:
+        `rank_nullspace` of d: A_s -> A_{s-1} gave the cycles Z, one row
+        per free column with Z[:, F] = I on the free columns F, and the
+        pivot columns P_s.  Every cycle row ends at its free column, so
+        the unit vectors e_j, j in P_s, span the complement C of Z that a
+        greedy scan of the unit vectors would pick.  The columns d(e_j),
+        j in P_{s+1}, are a basis B of the boundaries, and B = B[:, F] Z.
+        One `row_reduce` of B[:, F], with F scanned right to left, splits
+        F into its pivot columns T and the rest S: a greedy scan of Z
+        extends B by exactly the rows on S, which are the homology
+        representatives H.  Its transform X is B[:, T]^-1, T in pivot
+        order, so a vector v has B coordinates X^T v[T] and H coordinates
+        v[S] - rref[:, S]^T v[T].  pi reads the H coordinates; the
+        homotopy is G(d e_j) = e_j for j in P_{s+1} and zero on H + C, so
+        G is X^T on the rows P_{s+1} and the columns T.
+        """
+        if (sp := self.splits.get(bd)) is not None or bd not in self._cycles:
+            return sp
+        space = self.dga.space
+        p = self.dga.prime
         n = space.dim(bd)
-        z_rows = cycles.pop(bd)
+        z_rows = self._cycles[bd]
         above = Bidegree(bd.s + 1, bd.w)
-        up = list(pivots.get(above, ()))
-        b_rows = diff_block(above)[:, up].T if up else \
+        up = list(self._pivots.get(above, ()))
+        b_rows = self._d[above][:, up].T if up else \
             np.zeros((0, n), dtype=np.int64)
-        if np.any(matmul_mod(diff_block(bd), b_rows.T, p)):
-            raise CertificationError(
-                f"boundaries at {bd} are not cycles (d^2 != 0?)")
-        pivot_set = set(pivots[bd])
+        pivot_set = set(self._pivots[bd])
         free = [c for c in range(n) if c not in pivot_set]
         nb, nz = len(up), len(free)
         red = row_reduce(b_rows[:, free[::-1]], p)
@@ -538,46 +511,120 @@ def contraction(dga: DGAlgebra) -> Contraction:
         pi = np.zeros((nh, n), dtype=np.int64)
         pi[np.arange(nh), [free[k] for k in s_pos]] = 1
         pi[:, t_cols] = -red.rref[:, [nz - 1 - k for k in s_pos]].T % p
-        splits[bd] = _BlockSplit(f1=z_rows[s_pos].T.copy(), pi=pi, g=g)
-        hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
+        sp = self.splits[bd] = _BlockSplit(f1=z_rows[s_pos].T.copy(), pi=pi,
+                                           g=g)
+        del self._cycles[bd]
+        return sp
 
-    hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
-    con = Contraction(dga=dga, homology=hom, splits=splits)
+    def _certified_split(self, bd: Bidegree) -> _BlockSplit:
+        """The split of block bd, its retraction identities checked exactly
+        on the first call; a failure raises CertificationError, and the
+        block stays unread.
 
-    # exact certification of the retraction identities; G at bd is zero
-    # off the rows P_{s+1}, so products with it read only those rows
-    def rows(s: int, w: int) -> list[int]:
-        return list(pivots.get(Bidegree(s, w), ()))
+        Every block product runs through `matmul_mod`, and products with
+        G read only its rows P_{s+1}, where it can be nonzero.
+        """
+        if bd in self._certified:
+            return self.splits[bd]
+        p = self.dga.prime
+        below, above = Bidegree(bd.s - 1, bd.w), Bidegree(bd.s + 1, bd.w)
+        sp = self._split(bd)
+        sp_dn, sp_up = self._split(below), self._split(above)
 
-    for bd, sp in splits.items():
+        def rows(s: int) -> list[int]:
+            return list(self._pivots.get(Bidegree(s, bd.w), ()))
+
         nh, n = sp.pi.shape
-        up = rows(bd.s + 1, bd.w)
+        up = rows(bd.s + 1)
         g_up = sp.g[up]
         if np.any(matmul_mod(sp.pi, sp.f1, p) != np.eye(nh, dtype=np.int64)):
             raise CertificationError(f"pi f1 != id at {bd}")
         if np.any(matmul_mod(g_up, sp.f1, p)):
             raise CertificationError(f"G f1 != 0 at {bd}")
-        sp_up = splits.get(Bidegree(bd.s + 1, bd.w))
         if sp_up is not None:
             if np.any(matmul_mod(sp_up.pi[:, up], g_up, p)):
                 raise CertificationError(f"pi G != 0 at {bd}")
-            if np.any(matmul_mod(
-                    sp_up.g[np.ix_(rows(bd.s + 2, bd.w), up)], g_up, p)):
+            if np.any(matmul_mod(sp_up.g[np.ix_(rows(bd.s + 2), up)],
+                                 g_up, p)):
                 raise CertificationError(f"G G != 0 at {bd}")
-        below = Bidegree(bd.s - 1, bd.w)
-        if bd.s == lo and space.dim(below):
-            continue
-        ident = matmul_mod(sp.f1, sp.pi, p)
-        if (sp_dn := splits.get(below)) is not None:
-            here = rows(bd.s, bd.w)
-            ident[here] += matmul_mod(sp_dn.g[here], diff_block(bd), p)
-        if up:
-            d_up = diff_block(Bidegree(bd.s + 1, bd.w))
-            ident += matmul_mod(d_up[:, up], g_up, p)
-        if np.any(ident % p != np.eye(n, dtype=np.int64)):
-            raise CertificationError(f"homotopy identity fails at {bd}")
-        con.trusted.add(bd)
-    return con
+        if bd.s > self.homology.window[0] or not self.dga.space.dim(below):
+            ident = matmul_mod(sp.f1, sp.pi, p)
+            if sp_dn is not None:
+                here = rows(bd.s)
+                ident[here] += matmul_mod(sp_dn.g[here], self._d[bd], p)
+            if up:
+                ident += matmul_mod(self._d[above][:, up], g_up, p)
+            if np.any(ident % p != np.eye(n, dtype=np.int64)):
+                raise CertificationError(f"homotopy identity fails at {bd}")
+            self.trusted.add(bd)
+        self._certified.add(bd)
+        return sp
+
+    def renamed(self, mapping: dict[str, str]) -> "Contraction":
+        """Same retraction with homology basis labels renamed bijectively;
+        the copy shares the splits and certifications made so far and to
+        come."""
+        if len(set(mapping.values())) != len(mapping):
+            raise ValueError("renaming must be injective")
+        blocks = {bd: [mapping.get(lab, lab) for lab in labs]
+                  for bd, labs in self.homology.blocks.items()}
+        hom = GradedVectorSpace(prime=self.homology.prime,
+                                window=self.homology.window, blocks=blocks)
+        return replace(self, homology=hom)
+
+
+def contraction(dga: DGAlgebra) -> Contraction:
+    """Eliminate d on every block, certify d^2 = 0, and return the
+    retraction, whose blocks are split and certified on first read.
+
+    The usable range is one degree inside the window at the floor (where
+    d is not representable) and one at the ceiling (where incoming
+    boundaries are unknown).  `rank_nullspace` of d on every block of the
+    range and of the ceiling + 1 gives its cycles and pivot columns P_s;
+    the columns d(e_j), j in P_{s+1}, span the boundaries, and each block
+    checks that d kills them (d^2 = 0) before this returns.  The homology
+    of block s then has dimension n - |P_s| - |P_{s+1}|.  The retraction
+    identities of a block are checked exactly on its first read (see
+    `Contraction`); every failure raises CertificationError.
+
+    Every block product runs through `matmul_mod`.  They assume
+    n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past that bound
+    is a ParameterError.
+    """
+    space = dga.space
+    p = dga.prime
+    lo, hi = space.window[0] + 1, space.window[1] - 1
+    largest = max(map(len, space.blocks.values()), default=0)
+    if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
+        raise ParameterError(
+            f"p = {p} with a block of dimension {largest} leaves int64: "
+            f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
+
+    # at ceiling + 1 only the pivot columns are trustworthy, and they are
+    # all the ceiling's homotopy needs
+    blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
+    d_blocks: dict[Bidegree, np.ndarray] = {}
+    cycles: dict[Bidegree, np.ndarray] = {}
+    pivots: dict[Bidegree, tuple[int, ...]] = {}
+    for bd in blocks + sorted(bd for bd in space.blocks if bd.s == hi + 1):
+        d_blocks[bd] = dga.diff_block(bd)
+        _, z_rows, pivots[bd] = rank_nullspace(d_blocks[bd], p)
+        if bd.s <= hi:
+            cycles[bd] = z_rows
+
+    hom_blocks: dict[Bidegree, list[str]] = {}
+    for bd in blocks:
+        above = Bidegree(bd.s + 1, bd.w)
+        up = list(pivots.get(above, ()))
+        if up and np.any(matmul_mod(d_blocks[bd], d_blocks[above][:, up], p)):
+            raise CertificationError(
+                f"boundaries at {bd} are not cycles (d^2 != 0?)")
+        nh = space.dim(bd) - len(pivots[bd]) - len(up)
+        hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
+
+    hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
+    return Contraction(dga=dga, homology=hom, _d=d_blocks, _cycles=cycles,
+                       _pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def poincare_roundtrip(comp: Computation) -> RoundTrip:
     dimensions: letters of the second cobar land exactly on the cochain
     generators' bidegrees, so its homology must reproduce the monomial
     pattern of k[x] (x) Lambda(t) on the window the loop model supports.
+    Those dimensions come from the eliminations of d, on which the
+    contraction certifies d^2 = 0; no block is read, so none is split.
     """
     params = comp.params
     norm = comp.normalized().model

@@ -100,7 +100,9 @@ class MerkulovTransfer:
     without spending degree); loop classes sit in degrees >= 0, so there
     no inner value climbs above its word's output.  An evaluation that
     leaves the contracted range raises TruncationExceeded; nothing here
-    reads it as zero.
+    reads it as zero.  Each block the evaluations read is split and
+    certified by the retraction on its first read, so the tables cost
+    the blocks they touch, not the whole range.
     """
 
     def __init__(self, con: Contraction, closed_form: AInfinityAlgebra) -> None:
@@ -263,7 +265,9 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     before any work.  The homology of `dga` must then match the expected
     pattern on the published window, where its classes are renamed to
     the expected monomials and the operation tables are read off up to
-    `expected.arity_bound`.  The caller's chain window must leave enough
+    `expected.arity_bound`; the gate reads only homology dimensions, so
+    the retraction splits only the blocks the unit check and the
+    transfer read.  The caller's chain window must leave enough
     slack around the published one that no published word leaves the
     retraction's trusted range; a word that does raises
     TruncationExceeded (enlarge the window).

@@ -26,6 +26,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 import ainfbg
 from ainfbg.dga import (
     CertificationError,
+    Contraction,
     DGAlgebra,
     _add,
     _scale,
@@ -53,8 +54,13 @@ from ainfbg.grp import (
     expected_loop_model,
     expected_minimal_model,
 )
-from ainfbg.koszul import cochain_window_for_loops
-from ainfbg.transfer import group_minimal_model
+from ainfbg.koszul import (
+    cochain_window_for_loops,
+    loop_minimal_model,
+    massey_versus_loop_transfer,
+    poincare_roundtrip,
+)
+from ainfbg.transfer import group_minimal_model, massey_versus_transfer
 
 from test_glin import reference_eliminate
 from test_grp import model_end_dga
@@ -313,14 +319,24 @@ def reference_contraction(dga):
     return splits, trusted
 
 
+def read_every_block(con):
+    """Put every block of the contracted range through the split and
+    certification that its first read runs; returns con."""
+    lo, hi = con.homology.window
+    for bd in sorted(con.dga.space.blocks):
+        if lo <= bd.s <= hi:
+            con._certified_split(bd)
+    return con
+
+
 def assert_matches_reference(dga):
-    con = contraction(dga)
+    con = read_every_block(contraction(dga))
     splits, trusted = reference_contraction(dga)
     # the reference keeps a placeholder at ceiling + 1 for its G computation;
     # the contraction splits only the contracted range
     hi = con.homology.window[1]
     splits = {bd: ref for bd, ref in splits.items() if bd.s <= hi}
-    assert list(con.splits) == list(splits)
+    assert sorted(con.splits) == list(splits)
     for bd, ref in splits.items():
         sp = con.splits[bd]
         assert con.dga.space.labels(bd) == ref.labels, bd
@@ -382,7 +398,7 @@ def test_a_split_depends_only_on_d_and_d_above(pnq, shared):
     f1, pi and G, so one split can serve every block of such a group."""
     gp = GroupParams(*pnq)
     dga = build_end_dga(gp, window=gp.cochain_run()[0])
-    con = contraction(dga)
+    con = read_every_block(contraction(dga))
     groups = {}
     for bd in con.splits:
         key = tuple((m.shape, m.tobytes()) for m in (
@@ -410,10 +426,10 @@ def test_the_splits_are_those_of_the_numpy_elimination(build, order_seed,
     import ainfbg.glin
 
     dga = shuffled_blocks(build(), order_seed)
-    con = contraction(dga)
+    con = read_every_block(contraction(dga))
     monkeypatch.setattr(ainfbg.glin, "_eliminate", reference_eliminate)
-    ref = contraction(dga)
-    assert list(con.splits) == list(ref.splits)
+    ref = read_every_block(contraction(dga))
+    assert con.splits and sorted(con.splits) == sorted(ref.splits)
     for bd, sp in con.splits.items():
         for name in ("f1", "pi", "g"):
             got, want = getattr(sp, name), getattr(ref.splits[bd], name)
@@ -443,6 +459,126 @@ def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# blocks are split and certified on their first read
+# ---------------------------------------------------------------------------
+
+def _run_cochain_stage(pnq):
+    comp = group_minimal_model(GroupParams(*pnq))
+    assert massey_versus_transfer(comp).holds
+
+
+def _run_loop_stage(pnq):
+    comp = loop_minimal_model(GroupParams(*pnq))
+    assert massey_versus_loop_transfer(comp).holds
+    assert poincare_roundtrip(comp).blocks_checked
+
+
+@pytest.mark.parametrize("stage, pnq", [
+    (_run_loop_stage, (3, 1, 2)), (_run_loop_stage, (5, 1, 2)),
+    (_run_cochain_stage, (5, 1, 2))], ids=["loops(3,1,2)", "loops(5,1,2)",
+                                           "cochain(5,1,2)"])
+def test_the_blocks_split_are_those_read_and_their_neighbours(
+        monkeypatch, stage, pnq):
+    """After a pipeline, its Massey check and (on the loop side) the round
+    trip, each contraction has split exactly the blocks read and their
+    neighbours s +- 1 in the contracted range; the round trip reads no
+    block, so it splits none."""
+    import ainfbg.koszul
+    import ainfbg.transfer
+
+    made = []
+    reads = {}  # id of a contraction's shared splits -> bidegrees read
+
+    def recorded_contraction(dga):
+        con = contraction(dga)
+        made.append(con)
+        return con
+
+    block_map = Contraction._block_map
+
+    def recorded(self, name, source, target, vec, **kwargs):
+        if vec:
+            reads.setdefault(id(self.splits), set()).add(
+                source.bidegree_of(next(iter(vec))))
+        return block_map(self, name, source, target, vec, **kwargs)
+
+    for module in (ainfbg.transfer, ainfbg.koszul):
+        monkeypatch.setattr(module, "contraction", recorded_contraction)
+    monkeypatch.setattr(Contraction, "_block_map", recorded)
+    stage(pnq)
+    assert len(made) == (2 if stage is _run_loop_stage else 1)
+    for con in made:
+        lo, hi = con.homology.window
+        read = reads.get(id(con.splits), set())
+        near = {Bidegree(bd.s + k, bd.w) for bd in read for k in (-1, 0, 1)}
+        assert set(con.splits) == {bd for bd in near if lo <= bd.s <= hi
+                                   and con.dga.space.dim(bd)}
+    assert reads.get(id(made[0].splits))
+    if stage is _run_loop_stage:
+        assert not made[1].splits
+
+
+def test_the_round_trip_runs_no_split(monkeypatch):
+    """The round trip gates homology dimensions only, and those come from
+    the eliminations of d: its contraction reduces no boundary basis."""
+    import ainfbg.dga
+
+    comp = loop_minimal_model(GroupParams(3, 1, 2))
+    calls = []
+    monkeypatch.setattr(ainfbg.dga, "row_reduce",
+                        lambda *args: calls.append(args))
+    assert poincare_roundtrip(comp).blocks_checked
+    assert calls == []
+
+
+def _chain(p, blocks, diff):
+    """Zero-product DGA on the given blocks and differential on labels."""
+    space = GradedVectorSpace(prime=p, window=(-1, 5), blocks=blocks)
+    return DGAlgebra(space=space, unit={}, products=lambda a, b: {},
+                     diff=lambda lab: diff.get(lab, {}), name="chain")
+
+
+def test_d_squared_is_certified_on_blocks_never_read(monkeypatch):
+    """d^2 != 0 at internal degree 1 fails `contraction` itself, before
+    any block is read or split."""
+    import ainfbg.dga
+
+    calls = []
+    monkeypatch.setattr(ainfbg.dga, "row_reduce",
+                        lambda *args: calls.append(args))
+    blocks = {Bidegree(s, w): [f"a{s}_{w}"] for s in range(4) for w in (0, 1)}
+    diff = {"a2_0": {"a1_0": 1}, "a3_1": {"a2_1": 1}, "a2_1": {"a1_1": 2}}
+    with pytest.raises(CertificationError,
+                       match=r"boundaries at Bidegree\(s=2, w=1\)"):
+        contraction(_chain(5, blocks, diff))
+    assert calls == []
+
+
+def test_a_corrupted_split_never_leaves_its_block(monkeypatch):
+    """With every boundary transform doubled, only block s = 2 has a
+    boundary to split: its first read, and every later one, raises
+    CertificationError, while the blocks below it still answer."""
+    import ainfbg.dga
+
+    reduce = ainfbg.dga.row_reduce
+
+    def doubled(M, p):
+        red = reduce(M, p)
+        return replace(red, transform=red.transform * 2 % p)
+
+    monkeypatch.setattr(ainfbg.dga, "row_reduce", doubled)
+    blocks = {Bidegree(s, 0): [f"a{s}", f"b{s}"] for s in range(5)}
+    con = contraction(_chain(5, blocks, {"a3": {"a2": 1}}))
+    for _ in range(2):
+        with pytest.raises(CertificationError, match="homotopy identity"):
+            con.homotopy({"a2": 1})
+    assert Bidegree(2, 0) not in con.trusted
+    assert con.homotopy({"b1": 1}) == {}
+    assert con.project({"a0": 1}) and con.project({"b1": 1})
+    assert con.trusted == {Bidegree(0, 0), Bidegree(1, 0)}
+
+
+# ---------------------------------------------------------------------------
 # the End-DGA contracts onto the expected cohomology (pattern gate)
 # ---------------------------------------------------------------------------
 
@@ -450,13 +586,14 @@ def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
 def test_end_contraction_matches_monomial_pattern(pnq):
     gp = GroupParams(*pnq)
     dga = model_end_dga(gp)
-    con = contraction(dga)
+    con = read_every_block(contraction(dga))
     expected = expected_minimal_model(gp)
     got = {bd: len(labs) for bd, labs in con.homology.blocks.items()}
     want = {bd: len(labs) for bd, labs in expected.space.blocks.items()}
     assert got == want
     # every trusted-range block was certified by the homotopy identity
     lo, hi = con.homology.window
+    assert con.splits
     for bd in con.splits:
         if lo + 1 <= bd.s <= hi - 1 and bd.s > lo:
             assert bd in con.trusted or bd.s in (lo, hi)

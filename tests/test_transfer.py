@@ -298,15 +298,18 @@ def test_retraction_maps_read_only_trusted_bidegrees(monkeypatch, pipeline,
                                                      pnq):
     """Every include, project and homotopy call that a pipeline makes on a
     nonzero vector reads a bidegree whose homotopy identity was certified
-    (on the loop side that includes the unit degree s = 0, the floor)."""
+    (on the loop side that includes the unit degree s = 0, the floor).
+    The trusted set grows as blocks are read, so each read is checked
+    against it as that read returns."""
     reads = []
 
     def recorded(method, bidegree):
         def wrapper(self, vec):
+            out = method(self, vec)
             if vec:
-                reads.append((method.__name__, bidegree(self, vec),
-                              self.trusted))
-            return method(self, vec)
+                bd = bidegree(self, vec)
+                reads.append((method.__name__, bd, bd in self.trusted))
+            return out
         return wrapper
 
     monkeypatch.setattr(Contraction, "include", recorded(
@@ -318,5 +321,5 @@ def test_retraction_maps_read_only_trusted_bidegrees(monkeypatch, pipeline,
     pipeline(GroupParams(*pnq))
     assert reads
     untrusted = sorted({(name, bd) for name, bd, trusted in reads
-                        if bd not in trusted})
+                        if not trusted})
     assert not untrusted

@@ -32,6 +32,7 @@ ParameterError), 3 truncation-window error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -102,10 +103,10 @@ def document_hash_ok(doc: object) -> bool:
     prov = doc.get("provenance")
     if not isinstance(prov, dict) or "content_hash" not in prov:
         return False
-    stored = prov["content_hash"]
-    clone = json.loads(json.dumps(doc))
-    clone["provenance"]["content_hash"] = ""
-    return _hash_payload(clone) == stored
+    # doc is parsed JSON: blanking the hash on a copy of the two levels
+    # it changes leaves the input as it was
+    blanked = {**doc, "provenance": {**prov, "content_hash": ""}}
+    return _hash_payload(blanked) == prov["content_hash"]
 
 
 def format_vector(vec: dict[str, int], p: int) -> str:
@@ -295,9 +296,14 @@ def _atomic_write(path: str, data: str) -> None:
     if directory:
         os.makedirs(directory, exist_ok=True)
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _cache_dir(args) -> str:

@@ -176,11 +176,13 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     product table, one `products` call per ordered pair of labels, and the
     Leibniz, associativity and unit passes read every product from it; a
     pair whose product leaves the window is kept as such, and a product
-    naming a label outside the basis fails certification.  Exhaustive
-    associativity compares (ab)c with a(bc) only on the triples where some
-    side can be nonzero or leave the window; every other triple has both
-    sides zero and is counted without a visit.  The count and the checked
-    identity are those of trying every triple.
+    naming a label outside the basis fails certification.  Read from the
+    table, exhaustive Leibniz and associativity passes visit only the pairs
+    and triples where some side of the identity can be nonzero or leave the
+    window, in product order; every other pair or triple has all its sides
+    zero and is counted without a visit.  The counts, the checked
+    identities and the pair or triple a failure names are those of trying
+    every pair and triple.
     Without the table each product is computed when a check asks for it,
     on composable pairs only, as `DGAlgebra.mult` does: drawn pairs and
     triples hardly repeat a product.  A sampled pass draws all its pairs
@@ -193,8 +195,9 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     lo, hi = space.window
     labels = [lab for bd in space.bidegrees() for lab in space.labels(bd)]
     n = len(labels)
+    every_pair = pair_sample is None or pair_sample >= n ** 2
     every_triple = triple_sample is None or triple_sample >= n ** 3
-    tabled = every_triple or pair_sample is None or pair_sample >= n ** 2
+    tabled = every_pair or every_triple
     source, target = dga.source, dga.target
     # d of a label, None where it leaves the window; if tabled, the nonzero
     # products and, as None, the pairs whose product leaves it
@@ -241,9 +244,7 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
 
     rng = np.random.default_rng(seed)
 
-    def tuples(width: int, k: int | None):
-        if k is None or k >= n ** width:
-            return itertools.product(labels, repeat=width)
+    def tuples(width: int, k: int):
         drawn = np.array(labels, dtype=object)[rng.integers(0, n, (k, width))]
         return zip(*drawn.T)
 
@@ -268,7 +269,11 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
         rep.d_squared_checked += 1
 
     sign = {lab: -1 if space.bidegree_of(lab).s % 2 else 1 for lab in labels}
-    for a, b in tuples(2, pair_sample):
+    if every_pair:
+        pairs, rep.leibniz_checked = _leibniz_pairs(labels, table, d_label)
+    else:
+        pairs = tuples(2, pair_sample)
+    for a, b in pairs:
         try:
             lhs = d(product(a, b))
             rhs = _add(mult(d_label(a), {b: 1}),
@@ -323,6 +328,44 @@ def _product(dga: DGAlgebra, a: str, b: str) -> Vector:
         raise CertificationError(
             f"non-composable pair ({a!r}, {b!r}) has product {ab}")
     return ab
+
+
+def _leibniz_pairs(labels: list[str],
+                   table: dict[tuple[str, str], Vector | None],
+                   d_label: Callable[[str], Vector]
+                   ) -> tuple[list[tuple[str, str]], int]:
+    """The pairs of `labels` whose Leibniz identity can fail, in product
+    order, and the number of the other checkable pairs.
+
+    A pair is checkable when d of both its labels stays in the window
+    (`d_label` raises TruncationExceeded where it leaves).  `table` is as
+    for `_associative_triples`.  A checkable pair (a, b) outside the list
+    has ab = 0, xb = 0 for every x in d(a) and ay = 0 for every y in d(b),
+    none of them raising: all three sides of the identity are zero.
+    """
+    # right[x]: every b with xb nonzero or out of the window; left[y]:
+    # every a with ay nonzero or out of it.  Both from every pair of the
+    # table: x in d(a) or y in d(b) may have its own d leave the window.
+    right: dict[str, set[str]] = {lab: set() for lab in labels}
+    left: dict[str, set[str]] = {lab: set() for lab in labels}
+    for a, b in table:
+        right[a].add(b)
+        left[b].add(a)
+    diffs: dict[str, Vector] = {}
+    for lab in labels:
+        try:
+            diffs[lab] = d_label(lab)
+        except TruncationExceeded:
+            pass
+    # partners[a]: every b with ab, some xb or some ay nonzero or raising
+    partners = {a: right[a].union(*(right[x] for x in da))
+                for a, da in diffs.items()}
+    for b, db in diffs.items():
+        for a in partners.keys() & set().union(*(left[y] for y in db)):
+            partners[a].add(b)
+    pairs = [(a, b) for a, bs in partners.items()
+             for b in labels if b in bs and b in diffs]
+    return pairs, len(diffs) ** 2 - len(pairs)
 
 
 def _associative_triples(labels: list[str],

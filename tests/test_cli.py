@@ -7,8 +7,10 @@ over their own canonical form, and cached documents failing that hash
 are rebuilt.
 """
 
+import copy
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -535,6 +537,43 @@ def test_cache_misses_after_a_source_change(capsys, tmp_path, monkeypatch):
     assert second == first
     entries = set(cache.glob("verify-*.json"))
     assert len(entries) == 2 and old_entry in entries
+
+
+def test_the_hash_check_leaves_its_input_as_it_was(capsys, tmp_path):
+    """A cached document passes its hash check, the check changes nothing
+    in it, and a value tampered below the two levels the check copies is
+    still caught."""
+    cache = tmp_path / "cache"
+    run_cli(capsys, "verify", 3, 1, 1, "--json", "--cache-dir", cache)
+    (entry,) = cache.glob("verify-*.json")
+    doc = json.loads(entry.read_text())
+    before = copy.deepcopy(doc)
+    assert document_hash_ok(doc)
+    assert doc == before
+    for path, value in [(("provenance", "parameters", "arity"), 5),
+                        (("records", 0, "verdict"), "fail")]:
+        tampered = copy.deepcopy(doc)
+        *parents, leaf = path
+        node = tampered
+        for key in parents:
+            node = node[key]
+        assert node[leaf] != value
+        node[leaf] = value
+        assert not document_hash_ok(tampered)
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path,
+                                                       monkeypatch):
+    cache = tmp_path / "cache"
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        main(["verify", "3", "1", "1", "--json", "--cache-dir", str(cache)])
+    assert cache.is_dir()
+    assert not list(cache.glob("*.tmp*"))
 
 
 # ---------------------------------------------------------------------------

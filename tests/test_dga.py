@@ -1198,25 +1198,42 @@ def _labels_with_d(kind, bound):
     return out
 
 
-@settings(max_examples=60, deadline=None)
+def _named(exc):
+    """What a d^2 or Leibniz rejection names: its label or its pair."""
+    return re.match(r"d\^2 != 0 on '.*?'|Leibniz fails on \(.*\)",
+                    str(exc))[0]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_leibniz_from_the_table_matches_the_pair_loop(data):
     """With every pair tried, the Leibniz pass reads its products from the
-    table and gives the reference's count, or both reject the algebra and
-    the label or pair `validate_dga` names fails under the reference, or
-    both find d leaving the window in the d^2 pass.  Mutations change d on
-    one label: scale a term, redirect it to another label of the same
-    bidegree, or make it leave the window."""
+    table and gives the reference's count, or both reject the algebra at
+    the same label or pair (the reference's first failure in product
+    order), or both find d leaving the window in the d^2 pass.
+
+    Mutations change d on one label (scale a term, redirect it to another
+    label of the same bidegree, or make it leave the window), or one
+    product of two non-unit labels (the same three ways).  The "beside"
+    mutation makes d leave the window on a label x in d(a), where a is one
+    degree above the floor (so the d^2 pass never reads d(x)), and adds a
+    label to the product xb, which is zero or leaves the window: only the
+    x in d(a) route reaches (a, b)."""
     algebra = data.draw(st.sampled_from(SMALL_ALGEBRAS))
-    dga, _, _ = small_algebra(*algebra)
+    dga, free, nonzero = small_algebra(*algebra)
     space, p = dga.space, dga.prime
-    kind = data.draw(st.sampled_from(["none", "scale", "redirect", "leaves"]))
+    kind = data.draw(st.sampled_from(
+        ["none", "scale", "redirect", "leaves", "product scale",
+         "product redirect", "product leaves", "beside"]))
     if kind == "leaves":
         lab = data.draw(st.sampled_from(_labels(dga)))
-    elif kind != "none":
+    elif kind in ("scale", "redirect"):
         lab = data.draw(st.sampled_from(_labels_with_d(*algebra)))
         dlab = dga.diff(lab)
         term = data.draw(st.sampled_from(sorted(dlab)))
+    elif kind.startswith("product"):
+        pair = data.draw(st.sampled_from(nonzero))
+        ab = dga.products(*pair)
     if kind == "scale":
         factor = data.draw(st.integers(2, p - 1))
         new = dict(dlab, **{term: dlab[term] * factor % p})
@@ -1226,11 +1243,38 @@ def test_leibniz_from_the_table_matches_the_pair_loop(data):
         assume(others)
         new = dict(dlab)
         new[data.draw(st.sampled_from(others))] = new.pop(term)
-    if kind != "none":
+    elif kind == "product scale":
+        factor = data.draw(st.integers(2, p - 1))
+        new = {x: c * factor % p for x, c in ab.items()}
+    elif kind == "product redirect":
+        term = data.draw(st.sampled_from(sorted(ab)))
+        others = [x for x in space.labels(space.bidegree_of(term))
+                  if x not in ab]
+        assume(others)
+        new = dict(ab)
+        new[data.draw(st.sampled_from(others))] = new.pop(term)
+    elif kind == "beside":
+        floor = space.window[0]
+        above = [a for a in _labels_with_d(*algebra)
+                 if space.bidegree_of(a).s == floor + 1]
+        assume(above)
+        lab = data.draw(st.sampled_from(sorted(dga.diff(
+            data.draw(st.sampled_from(above))))))
+        b = data.draw(st.sampled_from(free))
+        term = data.draw(st.sampled_from(_labels(dga)))
+        try:
+            xb = dga.products(lab, b)
+        except TruncationExceeded:
+            xb = {}
+        pair, new = (lab, b), _vadd(xb, {term: 1}, p)
+    if kind.startswith("product") or kind == "beside":
+        dga = with_product(dga, pair, _leaves if kind == "product leaves"
+                           else lambda *_: new)
+    if kind in ("scale", "redirect", "leaves", "beside"):
         def diff(x, right=dga.diff):
             if x != lab:
                 return right(x)
-            if kind == "leaves":
+            if kind in ("leaves", "beside"):
                 raise TruncationExceeded("made to leave the window")
             return new
 
@@ -1239,8 +1283,8 @@ def test_leibniz_from_the_table_matches_the_pair_loop(data):
     try:
         want = (reference_d_squared(dga), reference_leibniz(dga))
     except CertificationError as exc:
-        want = CertificationError
-        event(f"{kind} mutation: rejected, {str(exc).split()[0]}")
+        want = _named(exc)
+        event(f"{kind} mutation: rejected, {want.split()[0]}")
     except TruncationExceeded:
         want = TruncationExceeded
         event(f"{kind} mutation: d leaves the window in the d^2 pass")
@@ -1251,17 +1295,17 @@ def test_leibniz_from_the_table_matches_the_pair_loop(data):
     except TruncationExceeded:
         assert want is TruncationExceeded
     except CertificationError as exc:
-        assert want is CertificationError, exc
-        if named := re.match(r"d\^2 != 0 on ('.*?'):", str(exc)):
-            with pytest.raises(CertificationError):
-                reference_d_squared(dga, [ast.literal_eval(named[1])])
-        else:
-            named = ast.literal_eval(
-                str(exc).removeprefix("Leibniz fails on "))
-            with pytest.raises(CertificationError):
-                reference_leibniz(dga, [named])
+        assert _named(exc) == want
     else:
         assert (rep.d_squared_checked, rep.leibniz_checked) == want
+
+
+@pytest.mark.parametrize("algebra", SMALL_ALGEBRAS + [("end", -8)])
+def test_a_pair_sample_of_n_squared_is_exhaustive(algebra):
+    """A pair sample of at least n^2 tries every pair, as no sample does."""
+    dga = small_algebra(*algebra)[0]
+    n = len(_labels(dga))
+    assert validate_dga(dga, pair_sample=n * n) == validate_dga(dga)
 
 
 def reference_sampled_counts(dga, pair_sample, triple_sample, seed):

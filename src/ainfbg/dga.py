@@ -26,7 +26,7 @@ default every label has the same key, so every pair composes.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -179,10 +179,10 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     naming a label outside the basis fails certification.  Read from the
     table, exhaustive Leibniz and associativity passes visit only the pairs
     and triples where some side of the identity can be nonzero or leave the
-    window, in product order; every other pair or triple has all its sides
-    zero and is counted without a visit.  The counts, the checked
-    identities and the pair or triple a failure names are those of trying
-    every pair and triple.
+    window; every other pair or triple has all its sides zero and is
+    counted without a visit.  The counts, the checked identities and the
+    pair or triple a failure names are those of trying every pair and
+    triple in product order, labels in basis order.
     Without the table each product is computed when a check asks for it,
     on composable pairs only, as `DGAlgebra.mult` does: drawn pairs and
     triples hardly repeat a product.  A sampled pass draws all its pairs
@@ -200,9 +200,12 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     tabled = every_pair or every_triple
     source, target = dga.source, dga.target
     # d of a label, None where it leaves the window; if tabled, the nonzero
-    # products and, as None, the pairs whose product leaves it
+    # products and, as None, the pairs whose product leaves it, with their
+    # neighbours: right[a] every b and left[b] every a of such a pair (a, b)
     diffs: dict[str, Vector | None] = {}
     table: dict[tuple[str, str], Vector | None] = {}
+    right: dict[str, set[str]] = defaultdict(set)
+    left: dict[str, set[str]] = defaultdict(set)
 
     def d_label(lab: str) -> Vector:
         if lab not in diffs:
@@ -251,10 +254,13 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     if tabled:
         for a, b in itertools.product(labels, repeat=2):
             try:
-                if ab := _product(dga, a, b):
-                    table[a, b] = ab
+                if not (ab := _product(dga, a, b)):
+                    continue
             except TruncationExceeded:
-                table[a, b] = None
+                ab = None
+            table[a, b] = ab
+            right[a].add(b)
+            left[b].add(a)
         outside = {x for ab in table.values() if ab for x in ab} - set(labels)
         if outside:
             raise CertificationError(
@@ -270,7 +276,8 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
 
     sign = {lab: -1 if space.bidegree_of(lab).s % 2 else 1 for lab in labels}
     if every_pair:
-        pairs, rep.leibniz_checked = _leibniz_pairs(labels, table, d_label)
+        pairs, rep.leibniz_checked = _leibniz_pairs(labels, right, left,
+                                                    d_label)
     else:
         pairs = tuples(2, pair_sample)
     for a, b in pairs:
@@ -285,7 +292,8 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
         rep.leibniz_checked += 1
 
     if every_triple:
-        rep.assoc_checked = _associative_triples(labels, table, mult)
+        rep.assoc_checked = _associative_triples(labels, table, right, left,
+                                                 mult)
     else:
         for a, b, c in tuples(3, triple_sample):
             try:
@@ -330,27 +338,19 @@ def _product(dga: DGAlgebra, a: str, b: str) -> Vector:
     return ab
 
 
-def _leibniz_pairs(labels: list[str],
-                   table: dict[tuple[str, str], Vector | None],
+def _leibniz_pairs(labels: list[str], right: dict[str, set[str]],
+                   left: dict[str, set[str]],
                    d_label: Callable[[str], Vector]
                    ) -> tuple[list[tuple[str, str]], int]:
     """The pairs of `labels` whose Leibniz identity can fail, in product
     order, and the number of the other checkable pairs.
 
     A pair is checkable when d of both its labels stays in the window
-    (`d_label` raises TruncationExceeded where it leaves).  `table` is as
-    for `_associative_triples`.  A checkable pair (a, b) outside the list
-    has ab = 0, xb = 0 for every x in d(a) and ay = 0 for every y in d(b),
-    none of them raising: all three sides of the identity are zero.
+    (`d_label` raises TruncationExceeded where it leaves).  `right` and
+    `left` are as for `_associative_triples`.  A checkable pair (a, b)
+    outside the list has ab = 0, xb = 0 for every x in d(a) and ay = 0 for
+    every y in d(b), none of them raising: all three sides are zero.
     """
-    # right[x]: every b with xb nonzero or out of the window; left[y]:
-    # every a with ay nonzero or out of it.  Both from every pair of the
-    # table: x in d(a) or y in d(b) may have its own d leave the window.
-    right: dict[str, set[str]] = {lab: set() for lab in labels}
-    left: dict[str, set[str]] = {lab: set() for lab in labels}
-    for a, b in table:
-        right[a].add(b)
-        left[b].add(a)
     diffs: dict[str, Vector] = {}
     for lab in labels:
         try:
@@ -370,26 +370,23 @@ def _leibniz_pairs(labels: list[str],
 
 def _associative_triples(labels: list[str],
                          table: dict[tuple[str, str], Vector | None],
+                         right: dict[str, set[str]],
+                         left: dict[str, set[str]],
                          mult: Callable[[Vector, Vector], Vector]) -> int:
     """Number of triples of `labels` whose associativity is checkable.
 
-    Raises CertificationError on a triple where (ab)c != a(bc).  `table`
-    holds the nonzero products and, as None, the pairs whose product leaves
-    the window; a pair absent from it is a zero product.  `mult` reads the
-    table and raises TruncationExceeded where a product leaves the window.
+    Raises CertificationError on the first triple in product order where
+    (ab)c != a(bc).  `table` holds the nonzero products and, as None, the
+    pairs whose product leaves the window; a pair absent from it is a zero
+    product.  right[x] holds every c with xc in the table, left[y] every a
+    with ay in it.  `mult` reads the table and raises TruncationExceeded
+    where a product leaves the window.
     """
     n = len(labels)
-    # right[x]: every c with xc nonzero or out of the window;
-    # left[y]: every a with ay nonzero or out of the window
-    right: dict[str, set[str]] = {lab: set() for lab in labels}
-    left: dict[str, set[str]] = {lab: set() for lab in labels}
-    for a, b in table:
-        right[a].add(b)
-        left[b].add(a)
-
     out_left = Counter(b for (_, b), ab in table.items() if ab is None)
     out_right = Counter(a for (a, _), ab in table.items() if ab is None)
     count = 0
+    failed: list[tuple[str, str, str]] = []
     for b in labels:
         # Count every triple whose outer products stay in the window, then
         # take off those an inner product leaves it for.  Outside `visit`,
@@ -405,7 +402,7 @@ def _associative_triples(labels: list[str],
             if bc := table.get((b, c)):
                 visit.update((a, c) for a in set().union(
                     *(left[y] for y in bc)))
-        for a, c in sorted(visit):
+        for a, c in visit:
             ab, bc = table.get((a, b), {}), table.get((b, c), {})
             if ab is None or bc is None:
                 continue
@@ -416,8 +413,11 @@ def _associative_triples(labels: list[str],
                 count -= 1
                 continue
             if lhs != rhs:
-                raise CertificationError(
-                    f"associativity fails on ({a!r},{b!r},{c!r})")
+                failed.append((a, b, c))
+    if failed:
+        a, b, c = min(failed, key=lambda abc: [labels.index(x) for x in abc])
+        raise CertificationError(
+            f"associativity fails on ({a!r},{b!r},{c!r})")
     return count
 
 
@@ -776,8 +776,9 @@ def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
             letters[lab] = lbd
     signs = {1 if lbd.s > 0 else -1 for lbd in letters.values()}
     if len(signs) != 1:
-        raise ValueError("letters on both sides of degree 0: the word "
-                         "space would be infinite per degree")
+        raise ValueError("letters on both sides of degree 0: the word space "
+                         "would be infinite per degree" if signs else
+                         "no letters: the model holds only its unit")
     (direction,) = signs
     if direction * s_bound <= 0:
         raise ValueError(f"word bound {s_bound} on the wrong side for "

@@ -90,7 +90,8 @@ class GroupParams:
     derived, not given: it is the smallest unit of exact order q mod p^n,
     since every unit of that order gives an isomorphic group and the same
     model.  Invalid parameters, here or in a run's window and arity, raise
-    ParameterError.
+    ParameterError; a run window that cannot state the family raises
+    TruncationExceeded.
     """
 
     p: int
@@ -154,11 +155,7 @@ class GroupParams:
             lo, hi = self.model_window()
             window = (lo - (arity - 1), hi + 1)
         pub = _published(window, (window[0] + arity - 1, window[1] - 1),
-                         arity, self.pn)
-        if not pub[0] <= 0 <= pub[1]:
-            raise TruncationExceeded(
-                f"window {window} publishes {pub}, which misses the unit "
-                "at degree 0; enlarge the window")
+                         arity, self.hp, ("x", "t"))
         return window, pub, arity
 
     def loop_window_hi(self) -> int:
@@ -192,8 +189,8 @@ class GroupParams:
             window = (0, self.loop_window_hi())
         if window[0] != 0:
             raise ParameterError(f"loop window {window} does not start at 0")
-        pub = (0, window[1] - 1)
-        return window, _published(window, pub, arity, self.h), arity
+        return window, _published(window, (0, window[1] - 1), arity,
+                                  self.hp.loop_dual(), LOOP_GENERATORS), arity
 
     def loop_arity_bound(self) -> int:
         # one past the family arity h on the dual side; the exceptional
@@ -205,13 +202,23 @@ class GroupParams:
 
 
 def _published(window: tuple[int, int], pub: tuple[int, int], arity: int,
-               family_arity: int) -> tuple[int, int]:
-    """pub, once the arity reaches the family arity and pub is not empty."""
-    if arity < family_arity:
+               hp: HypothesisParams, names: tuple[str, str]) -> tuple[int, int]:
+    """pub, once the arity reaches the family arity hp.ell and pub holds
+    1, x, t and x^h of shape hp (named by `names`), without which no table
+    states the family: read from degrees, before any algebra is built."""
+    if arity < hp.ell:
         raise ParameterError(f"arity bound {arity} is below the family "
-                             f"arity {family_arity}")
+                             f"arity {hp.ell}")
     if pub[0] > pub[1]:
         raise ParameterError(f"window {window} too small for arity {arity}")
+    # x^h is x itself when h = 1
+    missing = [monomial_label(j, e, names)
+               for j, e in dict.fromkeys([(0, 0), (1, 0), (0, 1), (hp.h, 0)])
+               if not pub[0] <= hp.monomial_bidegree(j, e).s <= pub[1]]
+    if missing:
+        raise TruncationExceeded(
+            f"window {window} publishes {pub}, which misses "
+            f"{', '.join(missing)}; enlarge the window")
     return pub
 
 

@@ -17,8 +17,8 @@ first s inputs is the Koszul factor written out.  Evaluations are
 memoized per contiguous subword, so sweeping all words of a given arity
 shares almost all work.
 
-The module also houses the pipeline both sides share: statement gate ->
-retraction -> pattern gate and canonical renaming -> transfer, its
+The module also houses the pipeline both sides share: retraction ->
+pattern gate and canonical renaming -> transfer, its
 cochain-side entry point (the endomorphism DGA), and the comparison
 helpers the verification commands and tests are built from.
 """
@@ -125,8 +125,6 @@ class MerkulovTransfer:
         return val
 
     def lam(self, word: tuple[str, ...]) -> Vector:
-        if len(word) < 2:
-            raise ValueError("lam needs at least two inputs")
         hit = self._lam.get(word)
         if hit is not None:
             return hit
@@ -153,10 +151,7 @@ class MerkulovTransfer:
         return total
 
     def op(self, word: tuple[str, ...]) -> Vector:
-        """m_n evaluated on a word of homology basis labels."""
-        bound = self.closed_form.arity_bound
-        if len(word) > bound:
-            raise ValueError(f"arity {len(word)} beyond bound {bound}")
+        """m_n evaluated on a word of two or more homology basis labels."""
         return self.con.project(self.lam(word))
 
     def table(self, n: int) -> MultiOp:
@@ -254,17 +249,17 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
                       expected: AInfinityAlgebra, hp: HypothesisParams,
                       names: tuple[str, str], *,
                       reorder: Callable | None = None) -> Computation:
-    """Statement gate -> retraction -> pattern gate and renaming ->
-    transferred minimal model.
+    """Retraction -> pattern gate and renaming -> transferred minimal
+    model.
 
-    `expected` is the closed-form model over the published window that
-    `GroupParams.cochain_run` or `loop_run` resolved, so its arity bound
-    reaches the family arity hp.ell.  No table can state the family
-    unless that window holds x, t and x^h (under `names`; tau, xi and
-    tau^(p^n) on the loop side), so the gate raises TruncationExceeded
-    before any work.  The homology of `dga` must then match the expected
-    pattern on the published window, where its classes are renamed to
-    the expected monomials and the operation tables are read off up to
+    Precondition: `expected` is the closed-form model over the published
+    window and arity bound of a run that `GroupParams.cochain_run` or
+    `loop_run` resolved, which has already refused every window missing
+    1, x, t or x^h of shape hp (under `names`); so its arity bound
+    reaches the family arity hp.ell and its tables can state the family.
+    The homology of `dga` must match the expected pattern on the
+    published window, where its classes are renamed to the expected
+    monomials and the operation tables are read off up to
     `expected.arity_bound`; the gate reads only homology dimensions, so
     the retraction splits only the blocks the unit check and the
     transfer read.  The caller's chain window must leave enough
@@ -273,15 +268,6 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     TruncationExceeded (enlarge the window).
     """
     space = expected.space
-    # x^h is x itself when h = 1
-    missing = [lab for lab in dict.fromkeys((monomial_label(1, 0, names),
-                                             monomial_label(0, 1, names),
-                                             monomial_label(hp.h, 0, names)))
-               if not space.has_label(lab)]
-    if missing:
-        raise TruncationExceeded(
-            f"published window {space.window} misses {', '.join(missing)}; "
-            "enlarge the window")
     if reorder is not None:
         dga = reorder_blocks(dga, reorder)
     con = contraction(dga)

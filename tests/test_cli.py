@@ -270,10 +270,32 @@ def test_massey_window_floor_sweep(capsys, pnq):
     assert len(passing_floors) == 1
     if pnq[2] >= 2:
         codes = sweep_exit_codes(capsys, "loops", pnq,
-                                 [(0, hi) for hi in range(2, 16)])
+                                 [(0, hi) for hi in range(1, 16)])
         passing = [hi for (_, hi), code in codes.items() if code == 0]
         assert passing == list(range(passing[0], 16))
         assert codes[0, passing[0] - 1] == 3
+
+
+@pytest.mark.parametrize("command, window", [
+    *((command, (-9, 1)) for command in COCHAIN_COMMANDS),
+    ("loops", (0, 1)), ("loops", (0, 6))])
+def test_a_refused_window_builds_no_algebra(capsys, monkeypatch, command,
+                                            window):
+    """A window whose published part misses x^2 (cochain side) or tau^3
+    (loop side; at (0, 1) also tau and xi) is refused from degrees alone:
+    no end-DGA or cobar is built and no cache is read."""
+    from ainfbg import cli, koszul, transfer
+
+    def built(*args, **kwargs):
+        raise AssertionError("reached past the window gate")
+
+    monkeypatch.setattr(transfer, "build_end_dga", built)
+    monkeypatch.setattr(koszul, "cobar", built)
+    monkeypatch.setattr(cli, "run_with_cache", built)
+    code, _, err = run_cli(capsys, command, 3, 1, 2, "--window", *window)
+    assert code == 3
+    assert "truncation-window error" in err
+    assert f"window ({window[0]}, {window[1]})" in err
 
 
 @pytest.mark.parametrize("pnq", [(3, 1, 1), (3, 1, 2), (5, 1, 2)])

@@ -7,7 +7,6 @@ class); exhaustive d^2 = 0 for the cobar differential's sign rule; the
 one-triple-at-a-time loop for exhaustive associativity.
 """
 
-import ast
 import functools
 import itertools
 import os
@@ -844,6 +843,14 @@ def test_cobar_rejects_degree_zero_letters():
         cobar(model, 8)
 
 
+def test_cobar_of_the_unit_alone_says_it_has_no_letters():
+    # the window (-2, 0) holds neither x (s = -4) nor t (s = -3)
+    model = expected_minimal_model(GroupParams(3, 1, 2), window=(-2, 0))
+    assert model.space.total_dim() == 1
+    with pytest.raises(ValueError, match="no letters"):
+        cobar(model, 1)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive associativity: the product table against the triple loop
 # ---------------------------------------------------------------------------
@@ -950,9 +957,10 @@ def with_product(dga, pair, product):
 @given(st.data())
 def test_table_engine_matches_the_triple_loop(data):
     """Exhaustive associativity gives the reference's count, or both
-    reject the algebra and the triple the table engine names fails under
-    the reference.  Mutations touch no unit label, so the unit check (and,
-    with no Leibniz pairs drawn, every other check) passes either way."""
+    reject the algebra at the same triple (the reference's first failure
+    in product order).  Mutations touch no unit label, so the unit check
+    (and, with no Leibniz pairs drawn, every other check) passes either
+    way."""
     algebra = data.draw(st.sampled_from(SMALL_ALGEBRAS))
     dga, free, nonzero = small_algebra(*algebra)
     p = dga.prime
@@ -988,19 +996,32 @@ def test_table_engine_matches_the_triple_loop(data):
 
     try:
         want = reference_triple_check(dga)
-    except CertificationError:
-        want = None
-    event(f"{kind} mutation, {'rejected' if want is None else 'accepted'}")
+    except CertificationError as exc:
+        want = str(exc)
+    event(f"{kind} mutation, "
+          f"{'rejected' if isinstance(want, str) else 'accepted'}")
     try:
         got = validate_dga(dga, pair_sample=0).assoc_checked
     except CertificationError as exc:
-        assert want is None, exc
-        named = ast.literal_eval(
-            str(exc).removeprefix("associativity fails on "))
-        with pytest.raises(CertificationError):
-            reference_triple_check(dga, [named])
-    else:
-        assert got == want
+        got = str(exc)
+    assert got == want
+
+
+def test_associativity_names_the_first_failure_in_product_order():
+    """Scaling one product breaks associativity on several triples; the
+    exhaustive pass names the first of them in product order, not the
+    first of its own walk."""
+    dga, _, _ = small_algebra("end", -3)
+    ab = dga.products("2:1:1", "3:1:0")
+    dga = with_product(dga, ("2:1:1", "3:1:0"), lambda *_: {
+        lab: 2 * c % dga.prime for lab, c in ab.items()})
+    named = "associativity fails on ('2:1:1','3:1:0','4:1:1')"
+    with pytest.raises(CertificationError) as want:
+        reference_triple_check(dga)
+    assert str(want.value) == named
+    with pytest.raises(CertificationError) as got:
+        validate_dga(dga, pair_sample=0)
+    assert str(got.value) == named
 
 
 def test_product_outside_the_basis_fails_certification():

@@ -543,16 +543,15 @@ def admissible_shapes(hp: HypothesisParams, max_arity: int) -> list[AdmissibleSh
         raise ValueError("classification needs ell > 2")
     out: list[AdmissibleShape] = []
     for i in range(3, max_arity + 1):
-        for bsum in range(0, i + 1):
+        for beta in range(0, i + 1, hp.ell):
+            alpha = -(beta // hp.ell) * hp.h
+            if 2 * hp.a * alpha + (2 * hp.b + 1) * beta != i - 2:
+                continue
             for eps_t in (0, 1):
-                beta = bsum - eps_t
-                if beta % hp.ell:
-                    continue
-                alpha = -(beta // hp.ell) * hp.h
-                if 2 * hp.a * alpha + (2 * hp.b + 1) * beta != i - 2:
-                    continue
+                bsum = beta + eps_t
                 for positions in itertools.combinations(range(i), bsum):
-                    eps = tuple(1 if k in positions else 0 for k in range(i))
+                    chosen = set(positions)
+                    eps = tuple(1 if k in chosen else 0 for k in range(i))
                     out.append(AdmissibleShape(
                         arity=i, exponents=eps, target_exponent=eps_t,
                         power_excess=alpha))
@@ -695,8 +694,7 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
                                   unit=monomial_label(0, 0, names),
                                   internal_scale=scale)
     return NormalizedModel(model=normalized, raw_coefficient=raw_coeff,
-                           formal=not raw_coeff, x_scale=lam, t_scale=mu,
-                           hp=hp)
+                           formal=not raw_coeff, x_scale=lam, t_scale=mu)
 
 
 @dataclass
@@ -714,4 +712,3 @@ class NormalizedModel:
     formal: bool
     x_scale: int
     t_scale: int
-    hp: HypothesisParams

@@ -28,7 +28,6 @@ invariant exactly when its weight is divisible by q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .ainf import (
@@ -46,7 +45,6 @@ from .glin import (Bidegree, GradedVectorSpace, ParameterError,
 
 __all__ = [
     "GroupParams",
-    "multiplicative_order",
     "default_gamma",
     "stage_weight",
     "diff_exponent",
@@ -60,23 +58,14 @@ __all__ = [
 LOOP_GENERATORS = ("tau", "xi")
 
 
-def multiplicative_order(x: int, m: int) -> int:
-    if math.gcd(x, m) != 1:
-        raise ParameterError(f"{x} is not a unit mod {m}")
-    k, y = 1, x % m
-    while y != 1:
-        y = y * x % m
-        k += 1
-    return k
-
-
 def default_gamma(p: int, n: int, q: int) -> int:
-    """Smallest unit of multiplicative order exactly q mod p^n."""
-    if q == 1:
-        return 1
+    """Smallest unit of multiplicative order exactly q mod p^n: the first
+    g >= 1 with g^q = 1 (so g is a unit) and g^(q/r) != 1 for every
+    prime r dividing q."""
     m = p ** n
-    for g in range(2, m):
-        if math.gcd(g, m) == 1 and multiplicative_order(g, m) == q:
+    primes = [r for r in range(2, q + 1) if q % r == 0 and is_prime(r)]
+    for g in range(1, m):
+        if pow(g, q, m) == 1 and all(pow(g, q // r, m) != 1 for r in primes):
             return g
     raise ValueError(f"no element of order {q} mod {m}")
 

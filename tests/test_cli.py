@@ -11,6 +11,7 @@ import copy
 import itertools
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ainfbg.ainf import AdmissibleOp, AInfinityAlgebra, classify_admissible
 from ainfbg.cli import (
     COMMANDS,
     FORMAT_VERSION,
+    _sweep_records,
     build_parser,
     canonical_json,
     document_hash_ok,
@@ -26,7 +28,7 @@ from ainfbg.cli import (
     model_document,
 )
 from ainfbg.glin import Bidegree, GradedVectorSpace
-from ainfbg.grp import GroupParams
+from ainfbg.grp import GroupParams, expected_minimal_model
 
 
 @pytest.fixture(autouse=True)
@@ -326,6 +328,40 @@ def test_certification_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "transfer", 3, 1, 2, "--no-cache")
     assert code == 1
     assert "verification failure" in err
+
+
+def test_a_pattern_mismatch_fails_the_verify_document(capsys, monkeypatch):
+    """A cochain side that fails its pattern gate writes a failed pattern
+    record and no table comparison; the document fails and exits 1."""
+    from ainfbg import cli
+    from ainfbg.transfer import PatternMismatch
+
+    def mismatched(*args, **kwargs):
+        raise PatternMismatch("dimension 2 != 1 at bidegree (0, 0)")
+
+    monkeypatch.setattr(cli, "group_minimal_model", mismatched)
+    code, out, _ = run_cli(capsys, "verify", 3, 1, 2, "--json", "--no-cache")
+    assert code == 1
+    assert '"overall": "fail"' in out
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    assert records["cochain homology pattern"] == {
+        "name": "cochain homology pattern",
+        "expected": "closed-form dimensions",
+        "got": "dimension 2 != 1 at bidegree (0, 0)", "verdict": "fail"}
+    assert "cochain operation tables vs closed form" not in records
+
+
+def test_a_defective_sweep_is_a_fail_record():
+    """One product of the (3,1,2) closed form moved off its value breaks
+    the arity-3 identity on some word: the sweep records a fail."""
+    model = expected_minimal_model(GroupParams(3, 1, 2))
+    m2 = dict(model.ops[2])
+    word = next(w for w in sorted(m2) if model.unit not in w)
+    m2[word] = {lab: 2 * c % 3 for lab, c in m2[word].items()}
+    records = _sweep_records(replace(model, ops={**model.ops, 2: m2}), "test")
+    verdicts = {r["name"]: r["verdict"] for r in records}
+    assert verdicts["test strict unitality"] == "pass"
+    assert verdicts["test identity defect, arity 3"] == "fail"
 
 
 def test_internal_value_error_is_not_a_parameter_error(capsys, monkeypatch):

@@ -577,6 +577,46 @@ def test_a_corrupted_split_never_leaves_its_block(monkeypatch):
     assert con.trusted == {Bidegree(0, 0), Bidegree(1, 0)}
 
 
+def _split_chain():
+    """Blocks (a_s, b_s, c_s), s = 0..5, with d(a_s) = b_(s-1): block 1
+    has a class c_1, G of block 1 sends b_1 to a_2, and G of block 2
+    reaches a_3."""
+    blocks = {Bidegree(s, 0): [f"a{s}", f"b{s}", f"c{s}"] for s in range(6)}
+    diff = {f"a{s}": {f"b{s - 1}": 1} for s in range(1, 6)}
+    return contraction(_chain(5, blocks, diff))
+
+
+def _break_identity(named, here, above):
+    """Break the retraction identity `named` at a block of `_split_chain`
+    by editing its own split or the split above, which the identity reads;
+    every identity certified before it still holds.  Index 0 is a, the
+    one pivot of each block, so it is the row of G and the column of the
+    block above that the identities read."""
+    if named == "pi f1 != id":
+        here.f1[:] = 2 * here.f1
+    elif named == "G f1 != 0":
+        here.g[0] += here.pi[0]
+    elif named == "pi G != 0":
+        above.pi[:, 0] += 1
+    else:
+        above.g[0, 0] += 1
+
+
+@pytest.mark.parametrize("named", ["pi f1 != id", "G f1 != 0", "pi G != 0",
+                                   "G G != 0"])
+def test_each_retraction_identity_failure_is_named(named):
+    """A split made without certification, then broken in one identity,
+    fails its first read and every later one by that identity's name."""
+    con = _split_chain()
+    bd = Bidegree(1, 0)
+    _break_identity(named, con._split(bd), con._split(Bidegree(2, 0)))
+    for _ in range(2):
+        with pytest.raises(CertificationError,
+                           match=re.escape(f"{named} at {bd}")):
+            con.project({"c1": 1})
+    assert bd not in con.trusted
+
+
 # ---------------------------------------------------------------------------
 # the End-DGA contracts onto the expected cohomology (pattern gate)
 # ---------------------------------------------------------------------------
@@ -748,6 +788,24 @@ def test_massey_power_matches_the_reference(pnq, cls):
         for i, power in rep.powers.items():
             assert power == reference_massey_power(con, cls, i).value, (
                 nfold, i)
+
+
+def test_a_staircase_sum_that_is_no_cycle_fails_certification():
+    """One composable pair of the representative of t, its product moved
+    by a label with nonzero d, makes the stage-2 sum a non-cycle."""
+    _, con, t, _ = massey_setup((3, 1, 2))
+    dga = con.dga
+    alpha = con.include({t: 1})
+    a, b = next((a, b) for a in alpha for b in alpha
+                if dga.source(a) == dga.target(b))
+    ab = dga.products(a, b)
+    bd = bidegree_of(dga, ab)
+    lab = next(lab for lab in dga.space.labels(bd) if dga.d({lab: 1}))
+    broken = with_product(dga, (a, b),
+                          lambda *_: _add(ab, {lab: 1}, dga.prime))
+    with pytest.raises(CertificationError,
+                       match="staircase sum at stage 2 is not a cycle"):
+        massey_power(replace(con, dga=broken), t, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1087,41 @@ def test_product_outside_the_basis_fails_certification():
     dga = with_product(dga, nonzero[0], lambda *_: {"nowhere": 1})
     with pytest.raises(CertificationError, match="outside the basis"):
         validate_dga(dga, pair_sample=0)
+
+
+def _truncated_polynomial():
+    """k[u]/(u^3) over F_3 on one bidegree: labels 1, u, v = u^2, d = 0."""
+    space = GradedVectorSpace(prime=3, window=(-1, 1),
+                              blocks={Bidegree(0, 0): ["1", "u", "v"]})
+    table = {("u", "u"): {"v": 1}}
+
+    def products(a, b):
+        if a == "1" or b == "1":
+            return {b if a == "1" else a: 1}
+        return table.get((a, b), {})
+    return DGAlgebra(space=space, unit={"1": 1}, products=products,
+                     diff=lambda lab: {}, name="u^3 = 0")
+
+
+def test_a_sampled_associativity_failure_is_named():
+    """With v * u = u, four of the 27 triples fail; a sample of 26 draws
+    (one short of exhaustive) names the first one it meets."""
+    dga = _truncated_polynomial()
+    assert validate_dga(dga).assoc_checked == 27
+    broken = with_product(dga, ("v", "u"), lambda *_: {"u": 1})
+    with pytest.raises(CertificationError, match="associativity fails on"):
+        validate_dga(broken, pair_sample=0, triple_sample=26)
+
+
+@pytest.mark.parametrize("side, pair", [("left", ("1", "u")),
+                                        ("right", ("u", "1"))])
+def test_a_unit_failure_is_named(side, pair):
+    """1 * u = 2u (or u * 1 = 2u) fails the unit pass on u; with no pair
+    or triple drawn, no earlier pass sees the mutation."""
+    broken = with_product(_truncated_polynomial(), pair,
+                          lambda *_: {"u": 2})
+    with pytest.raises(CertificationError, match=f"{side} unit on 'u'"):
+        validate_dga(broken, pair_sample=0, triple_sample=0)
 
 
 # ---------------------------------------------------------------------------

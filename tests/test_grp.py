@@ -8,6 +8,7 @@ expected minimal models by the identity sweeps from the A-infinity kit.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from ainfbg.ainf import epsilon_sign, monomial_label, stasheff_sweep
 from ainfbg.dga import validate_dga
-from ainfbg.glin import Bidegree, TruncationExceeded, rank_nullspace
+from ainfbg.glin import Bidegree, TruncationExceeded, is_prime, rank_nullspace
 from ainfbg.grp import (
     LOOP_GENERATORS,
     GroupParams,
@@ -24,7 +25,6 @@ from ainfbg.grp import (
     diff_exponent,
     expected_loop_model,
     expected_minimal_model,
-    multiplicative_order,
     stage_weight,
 )
 
@@ -58,12 +58,50 @@ def test_parameter_table():
         assert gp.hp.ell == p ** n
 
 
+def multiplicative_order(x, m):
+    """The length of the orbit of x under multiplication mod m."""
+    if math.gcd(x, m) != 1:
+        raise ValueError(f"{x} is not a unit mod {m}")
+    k, y = 1, x % m
+    while y != 1:
+        y = y * x % m
+        k += 1
+    return k
+
+
+def walked_gamma(p, n, q):
+    """The reference for `default_gamma`: walk the units below p^n in
+    order and return the first whose orbit has length q."""
+    if q == 1:
+        return 1
+    m = p ** n
+    for g in range(2, m):
+        if math.gcd(g, m) == 1 and multiplicative_order(g, m) == q:
+            return g
+    raise ValueError(f"no element of order {q} mod {m}")
+
+
 def test_gamma_orders():
     assert multiplicative_order(2, 9) == 6
     assert multiplicative_order(8, 9) == 2
-    assert default_gamma(7, 1, 6) == 3  # 2 has order 3 mod 7, 3 is primitive
+    # 2 has order 3 mod 7, and 3 is the first primitive root
+    assert default_gamma(7, 1, 6) == walked_gamma(7, 1, 6) == 3
     with pytest.raises(ValueError):
         multiplicative_order(3, 9)
+
+
+def test_gamma_is_the_walked_unit_below_a_thousand():
+    """The order test picks the unit the walk picks, for every valid
+    (p, n, q) with p^n < 1000."""
+    checked = 0
+    for p in filter(is_prime, range(3, 1000, 2)):
+        for n in itertools.takewhile(lambda n: p ** n < 1000,
+                                     itertools.count(1)):
+            for q in (q for q in range(1, p) if (p - 1) % q == 0):
+                assert GroupParams(p, n, q).gamma == walked_gamma(p, n, q), (
+                    p, n, q)
+                checked += 1
+    assert checked == 1869
 
 
 def test_parameter_validation():

@@ -9,6 +9,7 @@ coefficient through a ratio that no basis or scaling choice can move.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from ainfbg.ainf import stasheff_sweep
 from ainfbg.cli import main
 from ainfbg.dga import Contraction, massey_power
 from ainfbg.glin import TruncationExceeded
-from ainfbg.grp import GroupParams, expected_minimal_model
+from ainfbg.grp import GroupParams, build_end_dga, expected_minimal_model
 from ainfbg.koszul import loop_minimal_model
 from ainfbg.transfer import (
     MerkulovTransfer,
@@ -26,6 +27,7 @@ from ainfbg.transfer import (
     compare_models,
     group_minimal_model,
     massey_versus_transfer,
+    transfer_pipeline,
 )
 
 from test_dga import bidegree_of
@@ -261,6 +263,19 @@ def test_pattern_renaming_is_bidegreewise_bijective():
                                      for lab in pub.labels(bd))
     assert sorted(mapping) == sorted(mapping.values())
     assert all(k == v for k, v in mapping.items())
+
+
+def test_a_unit_the_class_does_not_represent_fails_the_gate():
+    """The (3,1,2) end-DGA with its unit scaled by 2 keeps its homology
+    pattern, but its unit class no longer includes to the strict unit."""
+    params = GroupParams(3, 1, 2)
+    window, pub, arity = params.cochain_run()
+    dga = build_end_dga(params, window=window)
+    scaled = replace(dga, unit={lab: 2 * c % 3 for lab, c in dga.unit.items()})
+    expected = expected_minimal_model(params, window=pub, arity_bound=arity)
+    with pytest.raises(PatternMismatch, match=r"the class at bidegree "
+                       r"\(0, 0\) is not represented by the strict unit"):
+        transfer_pipeline(params, scaled, expected, params.hp, ("x", "t"))
 
 
 def test_window_too_small_for_arity_bound_is_rejected():

@@ -675,7 +675,11 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every parse starts
+    from a new namespace, so no call carries an option over to the
+    next."""
     parser = argparse.ArgumentParser(
         prog="ainfbg",
         description="minimal A-infinity models for the cohomology of "

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,12 +37,13 @@ from .glin import (
     GradedVectorSpace,
     ParameterError,
     TruncationExceeded,
+    back_substitute,
+    echelon,
     matmul_mod,
-    rank_nullspace,
     row_reduce,
 )
 # unused here, but the benchmark's tracer rebinds these names in this module
-from .glin import greedy_extend, invert, solve  # noqa: F401
+from .glin import greedy_extend, invert, rank_nullspace, solve  # noqa: F401
 
 __all__ = [
     "CertificationError",
@@ -121,13 +122,14 @@ class DGAlgebra:
                     out[olab] = (out.get(olab, 0) + ca * cb * oc) % p
         return {k: v for k, v in out.items() if v}
 
-    def diff_block(self, bd) -> np.ndarray:
-        """Matrix of d on the block at bd, mapping into bd + (-1, 0)."""
+    def diff_block(self, bd) -> SparseBlock:
+        """Matrix of d on the block at bd, mapping into bd + (-1, 0), by
+        its nonzero entries."""
         bd = Bidegree(*bd)
         out = bd + (-1, 0)
         space = self.space
         labels = space.labels(bd)
-        M = np.zeros((space.dim(out), len(labels)), dtype=np.int64)
+        n = len(labels)
         # each image is written into its column through the label index
         at: list[int] = []
         values: list[int] = []
@@ -136,9 +138,49 @@ class DGAlgebra:
                 where, i = space._index[olab]
                 if where != out:
                     raise ValueError(f"label {olab!r} not in bidegree {out}")
-                at.append(i * M.shape[1] + j)
-                values.append(c % self.prime)
-        M.flat[at] = values
+                if c % self.prime:
+                    at.append(i * n + j)
+                    values.append(c % self.prime)
+        return SparseBlock((space.dim(out), n), at, values)
+
+
+class SparseBlock(NamedTuple):
+    """A block matrix by the flat indices and values of its nonzero
+    entries.  The elimination reads its rows; a product reads an int64
+    array that `dense` builds for that read alone."""
+
+    shape: tuple[int, int]
+    at: list[int]
+    values: list[int]
+
+    def rows(self) -> list[dict[int, int]]:
+        """One {column: value} dict per row, as `glin.echelon` takes them."""
+        out: list[dict[int, int]] = [{} for _ in range(self.shape[0])]
+        for f, v in zip(self.at, self.values):
+            i, j = divmod(f, self.shape[1])
+            out[i][j] = v
+        return out
+
+    def kills(self, other: SparseBlock, cols: list[int], p: int) -> bool:
+        """Whether self @ other[:, cols] = 0 over F_p, multiplied out on
+        the nonzero entries alone."""
+        n, width = self.shape[1], other.shape[1]
+        by_col = defaultdict(list)
+        for f, v in zip(self.at, self.values):
+            k, i = divmod(f, n)
+            by_col[i].append((k, v))
+        want = set(cols)
+        out: dict[tuple[int, int], int] = defaultdict(int)
+        for f, w in zip(other.at, other.values):
+            i, j = divmod(f, width)
+            if j in want:
+                for k, v in by_col.get(i, ()):
+                    out[k, j] += v * w
+        return not any(x % p for x in out.values())
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros(self.shape, dtype=np.int64)
+        M.flat[self.at] = self.values
         return M
 
 
@@ -464,20 +506,23 @@ class Contraction:
     certified on the `trusted` bidegrees: every block read so far except
     those at the range's floor whose block below is nonzero (there d
     leaves the range and G d is unknown).  A renamed copy shares all of
-    this state, so no block is split twice.
+    this state, so no block is split twice.  Until a block is split, what
+    it keeps of pass 0 is sparse: d by its nonzero entries, and the
+    block's pivot columns and pivot rows.
     """
 
     dga: DGAlgebra
     homology: GradedVectorSpace
     splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict)
     trusted: set[Bidegree] = field(default_factory=set)
-    # from the eliminations of d in `contraction`: the d blocks, the cycles
-    # of each block not yet split, the pivot columns of each block
-    _d: dict[Bidegree, np.ndarray] = field(default_factory=dict, repr=False)
-    _cycles: dict[Bidegree, np.ndarray] = field(default_factory=dict,
-                                                repr=False)
+    # from the forward eliminations of d in `contraction`: the d blocks,
+    # the pivot columns of each block and the pivot rows of each block not
+    # yet split
+    _d: dict[Bidegree, SparseBlock] = field(default_factory=dict, repr=False)
     _pivots: dict[Bidegree, tuple[int, ...]] = field(default_factory=dict,
                                                      repr=False)
+    _pivot_rows: dict[Bidegree, list[dict[int, int]]] = field(
+        default_factory=dict, repr=False)
     _certified: set[Bidegree] = field(default_factory=set, repr=False)
 
     def include(self, hvec: Vector) -> Vector:
@@ -511,30 +556,32 @@ class Contraction:
         """The splitting A = B + H + C of block bd and its homotopy, made
         on the first call; None where no block of the range sits.
 
-        `rank_nullspace` of d: A_s -> A_{s-1} gave the cycles Z, one row
-        per free column with Z[:, F] = I on the free columns F, and the
-        pivot columns P_s.  Every cycle row ends at its free column, so
-        the unit vectors e_j, j in P_s, span the complement C of Z that a
-        greedy scan of the unit vectors would pick.  The columns d(e_j),
-        j in P_{s+1}, are a basis B of the boundaries, and B = B[:, F] Z.
-        One `row_reduce` of B[:, F], with F scanned right to left, splits
-        F into its pivot columns T and the rest S: a greedy scan of Z
-        extends B by exactly the rows on S, which are the homology
-        representatives H.  Its transform X is B[:, T]^-1, T in pivot
-        order, so a vector v has B coordinates X^T v[T] and H coordinates
-        v[S] - rref[:, S]^T v[T].  pi reads the H coordinates; the
-        homotopy is G(d e_j) = e_j for j in P_{s+1} and zero on H + C, so
-        G is X^T on the rows P_{s+1} and the columns T.
+        The forward elimination of d: A_s -> A_{s-1} in `contraction` gave
+        the pivot columns P_s and the pivot rows.  The cycles Z are the
+        rows of `rank_nullspace`'s nullspace basis, one per free column
+        with Z[:, F] = I on the free columns F; every cycle row ends at
+        its free column, so the unit vectors e_j, j in P_s, span the
+        complement C of Z that a greedy scan of the unit vectors would
+        pick.  The columns d(e_j), j in P_{s+1}, are a basis B of the
+        boundaries, and B = B[:, F] Z.  One `row_reduce` of B[:, F], with
+        F scanned right to left, splits F into its pivot columns T and the
+        rest S: a greedy scan of Z extends B by exactly the rows on S,
+        which are the homology representatives H, so only those rows are
+        back-substituted through the pivot rows.  The transform X is
+        B[:, T]^-1, T in pivot order, so a vector v has B coordinates
+        X^T v[T] and H coordinates v[S] - rref[:, S]^T v[T].  pi reads the
+        H coordinates; the homotopy is G(d e_j) = e_j for j in P_{s+1} and
+        zero on H + C, so G is X^T on the rows P_{s+1} and the columns T.
         """
-        if (sp := self.splits.get(bd)) is not None or bd not in self._cycles:
+        if (sp := self.splits.get(bd)) is not None or \
+                bd not in self._pivot_rows:
             return sp
         space = self.dga.space
         p = self.dga.prime
         n = space.dim(bd)
-        z_rows = self._cycles[bd]
         above = Bidegree(bd.s + 1, bd.w)
         up = list(self._pivots.get(above, ()))
-        b_rows = self._d[above][:, up].T if up else \
+        b_rows = self._d[above].dense()[:, up].T if up else \
             np.zeros((0, n), dtype=np.int64)
         pivot_set = set(self._pivots[bd])
         free = [c for c in range(n) if c not in pivot_set]
@@ -548,15 +595,16 @@ class Contraction:
         t_pos = [nz - 1 - c for c in red.pivot_cols]
         s_pos = sorted(set(range(nz)) - set(t_pos))
         t_cols = [free[k] for k in t_pos]
+        s_cols = [free[k] for k in s_pos]
         nh = len(s_pos)
         g = np.zeros((space.dim(above), n), dtype=np.int64)
         g[np.ix_(up, t_cols)] = red.transform.T
         pi = np.zeros((nh, n), dtype=np.int64)
-        pi[np.arange(nh), [free[k] for k in s_pos]] = 1
+        pi[np.arange(nh), s_cols] = 1
         pi[:, t_cols] = -red.rref[:, [nz - 1 - k for k in s_pos]].T % p
-        sp = self.splits[bd] = _BlockSplit(f1=z_rows[s_pos].T.copy(), pi=pi,
-                                           g=g)
-        del self._cycles[bd]
+        f1 = back_substitute(self._pivots[bd], self._pivot_rows.pop(bd),
+                             s_cols, n, p)
+        sp = self.splits[bd] = _BlockSplit(f1=f1.T.copy(), pi=pi, g=g)
         return sp
 
     def _certified_split(self, bd: Bidegree) -> _BlockSplit:
@@ -594,9 +642,10 @@ class Contraction:
             ident = matmul_mod(sp.f1, sp.pi, p)
             if sp_dn is not None:
                 here = rows(bd.s)
-                ident[here] += matmul_mod(sp_dn.g[here], self._d[bd], p)
+                ident[here] += matmul_mod(sp_dn.g[here], self._d[bd].dense(),
+                                          p)
             if up:
-                ident += matmul_mod(self._d[above][:, up], g_up, p)
+                ident += matmul_mod(self._d[above].dense()[:, up], g_up, p)
             if np.any(ident % p != np.eye(n, dtype=np.int64)):
                 raise CertificationError(f"homotopy identity fails at {bd}")
             self.trusted.add(bd)
@@ -622,13 +671,18 @@ def contraction(dga: DGAlgebra) -> Contraction:
 
     The usable range is one degree inside the window at the floor (where
     d is not representable) and one at the ceiling (where incoming
-    boundaries are unknown).  `rank_nullspace` of d on every block of the
-    range and of the ceiling + 1 gives its cycles and pivot columns P_s;
+    boundaries are unknown).  Pass 0 runs the forward half of the
+    elimination (`glin.echelon`) on the sparse rows of d of every block of
+    the range and of the ceiling + 1, which gives its pivot columns P_s;
     the columns d(e_j), j in P_{s+1}, span the boundaries, and each block
-    checks that d kills them (d^2 = 0) before this returns.  The homology
-    of block s then has dimension n - |P_s| - |P_{s+1}|.  The retraction
-    identities of a block are checked exactly on its first read (see
-    `Contraction`); every failure raises CertificationError.
+    checks on the nonzero entries of d that d kills them (d^2 = 0) before
+    this returns.  The homology of block s then has dimension
+    n - |P_s| - |P_{s+1}|.  The contraction keeps d sparse, the pivot
+    columns, and the pivot rows of each block until its split reads its
+    homology representatives from them; no dense array outlives the
+    read that builds it.  The retraction identities of a block are
+    checked exactly on its first read (see `Contraction`); every failure
+    raises CertificationError.
 
     Every block product runs through `matmul_mod`.  They assume
     n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past that bound
@@ -646,28 +700,28 @@ def contraction(dga: DGAlgebra) -> Contraction:
     # at ceiling + 1 only the pivot columns are trustworthy, and they are
     # all the ceiling's homotopy needs
     blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
-    d_blocks: dict[Bidegree, np.ndarray] = {}
-    cycles: dict[Bidegree, np.ndarray] = {}
+    d_blocks: dict[Bidegree, SparseBlock] = {}
     pivots: dict[Bidegree, tuple[int, ...]] = {}
+    pivot_rows: dict[Bidegree, list[dict[int, int]]] = {}
     for bd in blocks + sorted(bd for bd in space.blocks if bd.s == hi + 1):
         d_blocks[bd] = dga.diff_block(bd)
-        _, z_rows, pivots[bd] = rank_nullspace(d_blocks[bd], p)
+        pivots[bd], rows = echelon(d_blocks[bd].rows(), p, space.dim(bd))
         if bd.s <= hi:
-            cycles[bd] = z_rows
+            pivot_rows[bd] = rows
 
     hom_blocks: dict[Bidegree, list[str]] = {}
     for bd in blocks:
         above = Bidegree(bd.s + 1, bd.w)
         up = list(pivots.get(above, ()))
-        if up and np.any(matmul_mod(d_blocks[bd], d_blocks[above][:, up], p)):
+        if up and not d_blocks[bd].kills(d_blocks[above], up, p):
             raise CertificationError(
                 f"boundaries at {bd} are not cycles (d^2 != 0?)")
         nh = space.dim(bd) - len(pivots[bd]) - len(up)
         hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
 
     hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
-    return Contraction(dga=dga, homology=hom, _d=d_blocks, _cycles=cycles,
-                       _pivots=pivots)
+    return Contraction(dga=dga, homology=hom, _d=d_blocks, _pivots=pivots,
+                       _pivot_rows=pivot_rows)
 
 
 # ---------------------------------------------------------------------------

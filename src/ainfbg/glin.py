@@ -12,19 +12,24 @@ Conventions:
   * differentials lower homological degree s by one and preserve the
     internal degree w.
 
-All elimination runs through one kernel, `_eliminate`, which reduces an
-int64 array in place but works on sparse rows inside.  Only `row_reduce`
+All elimination runs through one kernel, `_eliminate`, which reduces a
+matrix held as sparse rows ({column: value} dicts) in place; `_reduce`
+runs it on an int64 array and writes the rows back.  Only `row_reduce`
 builds a transform (it reduces [M | I]); `invert` and `solve` read that
-transform, while `rank_nullspace` and `greedy_extend` reduce M alone and
-need only its echelon form and pivot columns.  Block products run through
-`matmul_mod`: in float64 BLAS while every partial sum is an integer below
-2^53 (Dumas, Giorgi & Pernet, "Dense linear algebra over word-size prime
-fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008), in int64
-past that bound.
+transform, while `rank_nullspace` and `greedy_extend` reduce M alone.
+The kernel's forward half, which skips back substitution, picks the same
+pivot columns: `echelon` runs it and keeps the pivot rows, from which
+`back_substitute` reads just the nullspace rows asked for, and
+`dga.contraction` runs that pair on the sparse rows of d.  Block
+products run through `matmul_mod`: in float64 BLAS while every partial
+sum is an integer below 2^53 (Dumas, Giorgi & Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
+TOMS 35(3), 2008), in int64 past that bound.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -40,6 +45,8 @@ __all__ = [
     "matmul_mod",
     "row_reduce",
     "rank_nullspace",
+    "echelon",
+    "back_substitute",
     "solve",
     "invert",
     "greedy_extend",
@@ -120,25 +127,28 @@ class PivotData:
         return len(self.pivot_cols)
 
 
-def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
-    """Reduce A in place to reduced row echelon form on its first ncols
-    columns; returns the pivot columns.
+def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
+               back: bool = True) -> tuple[int, ...]:
+    """Row-reduce a matrix in place on its first ncols columns; returns
+    the pivot columns.
 
-    A holds int64 entries in [0, p).  Row operations act on whole rows, so
-    columns past ncols are carried along without pivoting in them.  The
-    pivot rule (first nonzero entry in the first unused column) is what
-    keeps splittings deterministic.  Each pivot is inverted as a^(p-2).
+    The matrix is a list of rows, each a {column: value} dict of its
+    nonzero entries, Python ints in [0, p): the blocks are small and
+    sparse, so no pivot makes an array call.  Row operations act on whole
+    rows, so columns past ncols are carried along without pivoting in
+    them.  The pivot rule (first nonzero entry in the first unused column)
+    is what keeps splittings deterministic.  Each pivot is inverted as
+    a^(p-2).
 
-    The blocks are small and sparse, so the rows are reduced as
-    {column: value} dicts of Python ints, with no array call per pivot,
-    and written back into A at the end.
+    With `back`, each pivot also clears its column above it, and the rows
+    end in reduced row echelon form.  Without it, the forward half, only
+    the rows below a pivot are cleared: the first rank rows end as those
+    of a row echelon form, each with a 1 at its pivot and nothing to its
+    left.  Both halves do the same operations on the rows at and below the
+    current one, so they pick the same pivot columns.
     """
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    at, cols = np.nonzero(A)
-    rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
-    for i, j, v in zip(at.tolist(), cols.tolist(), A[at, cols].tolist()):
-        rows[i][j] = v
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -150,7 +160,7 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][c], p - 2, p)
         piv = rows[r] = {j: v * inv % p for j, v in rows[r].items()}
-        for row in rows:
+        for row in rows if back else rows[r + 1:]:
             if (f := row.get(c)) and row is not piv:
                 for j, v in piv.items():
                     # row[j] is present whenever this is zero: f v != 0
@@ -160,11 +170,23 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
                         del row[j]
         pivots.append(c)
         r += 1
+    return tuple(pivots)
+
+
+def _reduce(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
+    """Reduce the int64 array A (entries in [0, p)) in place to reduced row
+    echelon form on its first ncols columns through `_eliminate`; returns
+    the pivot columns."""
+    at, cols = np.nonzero(A)
+    rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
+    for i, j, v in zip(at.tolist(), cols.tolist(), A[at, cols].tolist()):
+        rows[i][j] = v
+    pivots = _eliminate(rows, p, ncols)
     if pivots:  # with no pivot no row operation ran and A is reduced
         A[...] = 0
         A.flat[[i * A.shape[1] + j for i, row in enumerate(rows)
                 for j in row]] = [v for row in rows for v in row.values()]
-    return tuple(pivots)
+    return pivots
 
 
 def row_reduce(M, p: int) -> PivotData:
@@ -176,7 +198,7 @@ def row_reduce(M, p: int) -> PivotData:
     A = _as_matrix(M, p)
     rows, cols = A.shape
     A = np.hstack([A, np.eye(rows, dtype=np.int64)])
-    pivots = _eliminate(A, p, cols)
+    pivots = _reduce(A, p, cols)
     return PivotData(rref=A[:, :cols], transform=A[:, cols:],
                      pivot_cols=pivots, prime=p)
 
@@ -192,13 +214,45 @@ def rank_nullspace(M, p: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """
     A = _as_matrix(M, p)
     cols = A.shape[1]
-    pivots = _eliminate(A, p, cols)
+    pivots = _reduce(A, p, cols)
     free = sorted(set(range(cols)).difference(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     if pivots:
         basis[:, pivots] = (-A[:len(pivots), free].T) % p
     return len(pivots), basis, pivots
+
+
+def echelon(rows: list[dict[int, int]], p: int, ncols: int
+            ) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """The forward half of the elimination on the rows of a matrix of
+    ncols columns, given as for `_eliminate` and reduced in place: the
+    pivot columns of `rank_nullspace`, and the pivot rows of a row echelon
+    form, from which `back_substitute` reads nullspace rows."""
+    pivots = _eliminate(rows, p, ncols, back=False)
+    return pivots, rows[:len(pivots)]
+
+
+def back_substitute(pivots: tuple[int, ...], rows: list[dict[int, int]],
+                    free: list[int], n: int, p: int) -> np.ndarray:
+    """The rows of `rank_nullspace`'s nullspace basis at the free columns
+    `free`, from the pivot columns and rows that `echelon` gives for the
+    same matrix of n columns.
+
+    The row at free column f has a 1 at f, zeros at the other free
+    columns, and at each pivot column c < f the value that the pivot row
+    of c leaves no choice for, found from the last such pivot back; the
+    solution is unique, so it is the row that the reduced echelon form
+    gives.
+    """
+    out = np.zeros((len(free), n), dtype=np.int64)
+    for k, f in enumerate(free):
+        x = {f: 1}
+        for i in reversed(range(bisect.bisect(pivots, f))):
+            if v := -sum(a * x[j] for j, a in rows[i].items() if j in x) % p:
+                x[pivots[i]] = v
+        out[k, list(x)] = list(x.values())
+    return out
 
 
 def solve(pd: PivotData, b) -> np.ndarray | None:
@@ -238,7 +292,7 @@ def greedy_extend(basis: np.ndarray, candidates: np.ndarray, p: int) -> list[int
     candidates = _as_matrix(candidates, p)
     basis = np.array(basis, dtype=np.int64).reshape(-1, candidates.shape[1])
     A = _as_matrix(np.vstack([basis, candidates]).T, p)
-    pivots = _eliminate(A, p, A.shape[1])
+    pivots = _reduce(A, p, A.shape[1])
     return [c - len(basis) for c in pivots if c >= len(basis)]
 
 

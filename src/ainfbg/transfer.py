@@ -25,7 +25,7 @@ helpers the verification commands and tests are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .ainf import (
@@ -236,9 +236,16 @@ class Computation:
     # words lost per arity: always empty, since a lost word raises
     # TruncationExceeded instead; kept for the benchmark's counters
     truncated: dict[int, list]
+    _normalized: NormalizedModel | None = field(default=None, compare=False,
+                                                repr=False)
 
     def normalized(self) -> NormalizedModel:
-        return normalize_generators(self.model, self.hp, names=self.names)
+        """The model normalized once, on the first call, and shared by
+        every later caller; they only read it."""
+        if self._normalized is None:
+            self._normalized = normalize_generators(self.model, self.hp,
+                                                    names=self.names)
+        return self._normalized
 
     def expected(self) -> AInfinityAlgebra:
         """Closed-form model over the same published window."""

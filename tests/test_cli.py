@@ -183,6 +183,39 @@ def test_an_option_the_command_ignores_is_refused(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_a_refused_option_after_a_run_shows_the_subcommand_usage(capsys):
+    """The parser is built once per process; a refusal after a successful
+    call still prints the subcommand's own usage and exits 2."""
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--json")
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "3", "1", "2", "--window", "5", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: ainfbg classify ")
+    assert "unrecognized arguments: --window 5 10" in captured.err
+
+
+def test_no_option_carries_over_to_the_next_call(capsys, tmp_path):
+    """A --json --out call, then a plain call of the same command in the
+    same process: the second prints text to standard output, the same
+    text as a first call would."""
+    out_path = tmp_path / "classify.json"
+    code, out, _ = run_cli(capsys, "classify", 3, 1, 2, "--json", "--out",
+                           out_path)
+    assert code == 0 and out == f"wrote {out_path}\n"
+    assert json.loads(out_path.read_text())["overall"] == "pass"
+    code, text, _ = run_cli(capsys, "classify", 3, 1, 2)
+    assert code == 0 and not text.startswith("{")
+    assert "overall" in text
+    args = build_parser().parse_args(["classify", "3", "1", "2"])
+    assert (args.json, args.out, args.arity) == (False, None, None)
+    out_path.unlink()
+    assert run_cli(capsys, "classify", 3, 1, 2) == (0, text, "")
+    assert not out_path.exists()
+
+
 def test_loops_needs_q_at_least_two(capsys):
     code, _, err = run_cli(capsys, "loops", 3, 1, 1)
     assert code == 2

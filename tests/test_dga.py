@@ -8,6 +8,7 @@ one-triple-at-a-time loop for exhaustive associativity.
 """
 
 import functools
+import gc
 import itertools
 import os
 import random
@@ -15,6 +16,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -240,11 +242,11 @@ def reference_contraction(dga):
             continue
         labels = space.labels(bd)
         n = len(labels)
-        d_out = dga.diff_block(bd)
+        d_out = dga.diff_block(bd).dense()
         _, z_rows, _ = rank_nullspace(d_out, p)
         above = Bidegree(bd.s + 1, bd.w)
         if bd.s <= hi and space.in_window(above.s) and space.dim(above):
-            d_in = dga.diff_block(above)
+            d_in = dga.diff_block(above).dense()
         else:
             d_in = np.zeros((n, 0), dtype=np.int64)
         pd_in = row_reduce(d_in.T, p)
@@ -282,7 +284,7 @@ def reference_contraction(dga):
         if nb == 0 or sp_up is None:
             sp.g = np.zeros((n_up, n), dtype=np.int64)
             continue
-        dc = (dga.diff_block(above) @ sp_up.c_rows.T) % p
+        dc = (dga.diff_block(above).dense() @ sp_up.c_rows.T) % p
         assert dc.shape[1] == nb
         pd_b = row_reduce(sp.b_rows.T, p)
         x = np.zeros((nb, nb), dtype=np.int64)
@@ -309,9 +311,10 @@ def reference_contraction(dga):
         sp_dn = splits.get(below)
         if space.dim(below) and (bd.s - 1 < lo or sp_dn is None):
             continue
-        gd = (sp_dn.g @ dga.diff_block(bd)) % p if sp_dn is not None else 0
-        d_up = dga.diff_block(Bidegree(bd.s + 1, bd.w)) if sp.g.shape[0] \
-            else np.zeros((n, 0), dtype=np.int64)
+        gd = (sp_dn.g @ dga.diff_block(bd).dense()) % p \
+            if sp_dn is not None else 0
+        d_up = dga.diff_block(Bidegree(bd.s + 1, bd.w)).dense() \
+            if sp.g.shape[0] else np.zeros((n, 0), dtype=np.int64)
         ident = (((d_up @ sp.g) % p) + gd + sp.f1 @ sp.pi) % p
         assert np.all(ident == np.eye(n, dtype=np.int64))
         trusted.add(bd)
@@ -401,7 +404,8 @@ def test_a_split_depends_only_on_d_and_d_above(pnq, shared):
     groups = {}
     for bd in con.splits:
         key = tuple((m.shape, m.tobytes()) for m in (
-            dga.diff_block(bd), dga.diff_block(Bidegree(bd.s + 1, bd.w))))
+            dga.diff_block(bd).dense(),
+            dga.diff_block(Bidegree(bd.s + 1, bd.w)).dense()))
         groups.setdefault(key, []).append(bd)
     groups = [bds for bds in groups.values() if len(bds) > 1]
     assert len(groups) == shared
@@ -438,12 +442,50 @@ def test_the_splits_are_those_of_the_numpy_elimination(build, order_seed,
     assert con.trusted == ref.trusted
 
 
+def reachable_arrays(root, skip):
+    """The numpy arrays reachable from `root` through its fields and
+    containers, not entering the objects in `skip`, nor types, modules or
+    functions."""
+    seen = {id(obj) for obj in skip}
+    arrays, todo = [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        else:
+            todo.extend(gc.get_referents(obj))
+    return arrays
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_end_dga(GroupParams(5, 1, 2),
+                          window=GroupParams(5, 1, 2).cochain_run()[0]),
+    lambda: _loop_cobar((3, 2, 2))], ids=["end(5,1,2)", "cobar(3,2,2)"])
+def test_a_contraction_keeps_no_dense_array_but_its_splits(build):
+    """Pass 0 keeps d and the pivot rows sparse: right after `contraction`
+    no array is reachable from it outside its DGA, and after every block
+    is read the only arrays are the f1, pi and G of its splits."""
+    dga = build()
+    con = contraction(dga)
+    assert con._d and con._pivot_rows and not con.splits
+    assert reachable_arrays(con, [dga]) == []
+    read_every_block(con)
+    assert not con._pivot_rows
+    held = {id(a) for a in reachable_arrays(con, [dga])}
+    assert held == {id(getattr(sp, name)) for sp in con.splits.values()
+                    for name in ("f1", "pi", "g")}
+
+
 def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):
     """At p = 2^31 - 1 a block of three already overflows int64 products;
     the guard must fire before any elimination runs."""
     import ainfbg.glin
 
-    def no_elimination(A, p, ncols):
+    def no_elimination(rows, p, ncols, *, back=True):
         raise AssertionError(f"_eliminate reached at p = {p}")
 
     monkeypatch.setattr(ainfbg.glin, "_eliminate", no_elimination)

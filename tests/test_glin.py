@@ -18,6 +18,8 @@ from ainfbg.glin import (
     Bidegree,
     GradedVectorSpace,
     TruncationExceeded,
+    back_substitute,
+    echelon,
     greedy_extend,
     invert,
     is_prime,
@@ -61,32 +63,45 @@ def oracle_rank(M, p):
     return 0
 
 
-def reference_eliminate(A, p, ncols):
+def rows_of(A):
+    """The nonzero entries of an int64 array as the kernel takes them, one
+    {column: value} dict of Python ints per row."""
+    return [dict(zip(np.flatnonzero(x).tolist(), x[x != 0].tolist()))
+            for x in np.asarray(A)]
+
+
+def reference_eliminate(rows, p, ncols, *, back=True):
     """`glin._eliminate` on whole numpy rows, eight or so array calls per
-    pivot: the reference for the sparse-row kernel, which must give the
-    same array and pivots because it does the same row operations in the
-    same order."""
+    pivot: the reference for the sparse-row kernel, which must leave the
+    same rows and give the same pivots because it does the same row
+    operations in the same order.  The rows come in and go out as the
+    kernel takes them, one {column: value} dict per row, and without
+    `back` only the rows below each pivot are cleared."""
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    rows = A.shape[0]
+    width = max([ncols, *(j + 1 for row in rows for j in row)])
+    R = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        R[i, list(row)] = list(row.values())
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        if r == rows:
+        if r == len(rows):
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = np.nonzero(R[r:, c])[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = (A[r] * pow(A.item(r, c), p - 2, p)) % p
-        other = np.nonzero(A[:, c])[0]
-        other = other[other != r]
+            R[[r, pr]] = R[[pr, r]]
+        R[r] = (R[r] * pow(R.item(r, c), p - 2, p)) % p
+        other = np.nonzero(R[:, c])[0]
+        other = other[other != r] if back else other[other > r]
         if other.size:
-            A[other] = (A[other] - A[other, c][:, None] * A[r]) % p
+            R[other] = (R[other] - R[other, c][:, None] * R[r]) % p
         pivots.append(c)
         r += 1
+    rows[:] = rows_of(R)
     return tuple(pivots)
 
 
@@ -214,15 +229,17 @@ def test_pivot_columns_agree_with_the_cycle_complement(seed, p, rows, cols,
 @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 2**31 - 1]),
        st.integers(0, 12), st.integers(0, 12),
        st.sampled_from(["zero", "rank1", "full", "sparse", "random"]),
-       st.sampled_from(["M", "M, first columns", "[M | I]", "M^T"]))
+       st.sampled_from(["M", "M, first columns", "[M | I]", "M^T"]),
+       st.booleans())
 def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
-                                               layout):
-    """The sparse-row kernel gives the reference's int64 array and pivots:
-    on M with every column a pivot candidate, on M pivoting in a prefix of
-    its columns only, on [M | I] as `row_reduce` reduces it, where the
-    transform's rows below the rank record the row operations themselves,
-    not only the rref, and on a column-major M^T as `greedy_extend`
-    reduces it."""
+                                               layout, back):
+    """The sparse-row kernel leaves the reference's rows and gives its
+    pivots: on M with every column a pivot candidate, on M pivoting in a
+    prefix of its columns only, on [M | I] as `row_reduce` reduces it,
+    where the transform's rows below the rank record the row operations
+    themselves, not only the rref, and on a column-major M^T as
+    `greedy_extend` reduces it; in both halves.  With back substitution,
+    the array that `_reduce` writes back holds those rows."""
     rng = np.random.default_rng(seed)
     A = random_matrix(rng, p, rows, cols, kind).astype(np.int64) % p
     ncols = cols
@@ -232,10 +249,44 @@ def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
         A = np.hstack([A, np.eye(rows, dtype=np.int64)])
     elif layout == "M^T":
         A, ncols = np.array(A.T), rows
-    want, got = A.copy(), A.copy()
-    assert ainfbg.glin._eliminate(got, p, ncols) == \
-        reference_eliminate(want, p, ncols)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    got, want = rows_of(A), rows_of(A)
+    assert ainfbg.glin._eliminate(got, p, ncols, back=back) == \
+        reference_eliminate(want, p, ncols, back=back)
+    assert got == want
+    if back:
+        reduced = A.copy()
+        ainfbg.glin._reduce(reduced, p, ncols)
+        assert reduced.dtype == np.int64
+        assert rows_of(reduced) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 7, 2**31 - 1]),
+       st.integers(0, 14), st.integers(0, 14),
+       st.sampled_from(["zero", "rank1", "full", "sparse", "random"]),
+       st.integers(0, 2**32 - 1))
+def test_forward_elimination_reads_the_nullspace_back(seed, p, rows, cols,
+                                                      kind, pick):
+    """`echelon` picks the pivot columns of `rank_nullspace` and the pivot
+    rows of the numpy reference's forward half, and `back_substitute`
+    gives, for any subset of the free columns in any order, the matching
+    rows of `rank_nullspace`'s basis: what `contraction` keeps of a block
+    and what `_split` reads back from it."""
+    rng = np.random.default_rng(seed)
+    M = random_matrix(rng, p, rows, cols, kind).astype(np.int64) % p
+    rank, null, pivots = rank_nullspace(M, p)
+    got_pivots, pivot_rows = echelon(rows_of(M), p, cols)
+    assert got_pivots == pivots and len(pivot_rows) == rank
+    want = rows_of(M)
+    assert reference_eliminate(want, p, cols, back=False) == pivots
+    assert pivot_rows == want[:rank]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    draw = np.random.default_rng(pick)
+    chosen = draw.permutation(len(free))[:draw.integers(0, len(free) + 1)]
+    reps = back_substitute(pivots, pivot_rows, [free[k] for k in chosen],
+                           cols, p)
+    assert reps.dtype == np.int64 and reps.shape == (len(chosen), cols)
+    assert np.array_equal(reps, null[chosen].reshape(len(chosen), cols))
 
 
 @settings(max_examples=40, deadline=None)

@@ -131,6 +131,30 @@ def test_poincare_roundtrip(computations, pnq):
     assert trip.blocks_checked > 0
 
 
+def test_a_computation_is_normalized_once(monkeypatch):
+    """`verify` and the benchmark normalize the loop model, then the round
+    trip cobars the normalized model: one normalization serves all of
+    them."""
+    import ainfbg.transfer
+
+    normalize = ainfbg.transfer.normalize_generators
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(ainfbg.transfer, "normalize_generators", counted)
+    comp = loop_minimal_model(GroupParams(3, 1, 2))
+    assert comp._normalized is None
+    norm = comp.normalized()
+    assert comp.normalized() is norm
+    assert poincare_roundtrip(comp).blocks_checked
+    assert len(calls) == 1
+    assert compare_models(norm.model, comp.expected()) == []
+    assert "_normalized" not in repr(comp)
+
+
 # ---------------------------------------------------------------------------
 # input validation
 # ---------------------------------------------------------------------------

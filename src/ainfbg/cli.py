@@ -67,11 +67,11 @@ from .transfer import (
 
 FORMAT_VERSION = 1
 
-# verify skips its loop stage above this cobar word count (the dense
-# block elimination behind the retraction is cubic in block size, and
-# blocks grow with the word space); an explicit `ainfbg loops` run is
-# never budgeted.
-VERIFY_LOOP_WORD_BUDGET = 30_000
+# verify skips its loop stage above this cobar word count, which covers
+# (11, 1, 2) (85,626 words) and not (13, 1, 2) (395,033): the sparse
+# eliminations of pass 0 grow with the word space, and their time and
+# memory with them; an explicit `ainfbg loops` run is never budgeted.
+VERIFY_LOOP_WORD_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------

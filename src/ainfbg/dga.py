@@ -506,23 +506,19 @@ class Contraction:
     certified on the `trusted` bidegrees: every block read so far except
     those at the range's floor whose block below is nonzero (there d
     leaves the range and G d is unknown).  A renamed copy shares all of
-    this state, so no block is split twice.  Until a block is split, what
-    it keeps of pass 0 is sparse: d by its nonzero entries, and the
-    block's pivot columns and pivot rows.
+    this state, so no block is split twice.  Of pass 0 it keeps d by its
+    nonzero entries and each block's pivot columns, nothing per row.
     """
 
     dga: DGAlgebra
     homology: GradedVectorSpace
     splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict)
     trusted: set[Bidegree] = field(default_factory=set)
-    # from the forward eliminations of d in `contraction`: the d blocks,
-    # the pivot columns of each block and the pivot rows of each block not
-    # yet split
+    # from the forward eliminations of d in `contraction`: the d blocks
+    # and the pivot columns of each block
     _d: dict[Bidegree, SparseBlock] = field(default_factory=dict, repr=False)
     _pivots: dict[Bidegree, tuple[int, ...]] = field(default_factory=dict,
                                                      repr=False)
-    _pivot_rows: dict[Bidegree, list[dict[int, int]]] = field(
-        default_factory=dict, repr=False)
     _certified: set[Bidegree] = field(default_factory=set, repr=False)
 
     def include(self, hvec: Vector) -> Vector:
@@ -557,24 +553,26 @@ class Contraction:
         on the first call; None where no block of the range sits.
 
         The forward elimination of d: A_s -> A_{s-1} in `contraction` gave
-        the pivot columns P_s and the pivot rows.  The cycles Z are the
-        rows of `rank_nullspace`'s nullspace basis, one per free column
-        with Z[:, F] = I on the free columns F; every cycle row ends at
-        its free column, so the unit vectors e_j, j in P_s, span the
+        the pivot columns P_s.  The cycles Z are the rows of
+        `rank_nullspace`'s nullspace basis, one per free column with
+        Z[:, F] = I on the free columns F; every cycle row ends at its
+        free column, so the unit vectors e_j, j in P_s, span the
         complement C of Z that a greedy scan of the unit vectors would
         pick.  The columns d(e_j), j in P_{s+1}, are a basis B of the
         boundaries, and B = B[:, F] Z.  One `row_reduce` of B[:, F], with
         F scanned right to left, splits F into its pivot columns T and the
         rest S: a greedy scan of Z extends B by exactly the rows on S,
-        which are the homology representatives H, so only those rows are
-        back-substituted through the pivot rows.  The transform X is
-        B[:, T]^-1, T in pivot order, so a vector v has B coordinates
-        X^T v[T] and H coordinates v[S] - rref[:, S]^T v[T].  pi reads the
-        H coordinates; the homotopy is G(d e_j) = e_j for j in P_{s+1} and
-        zero on H + C, so G is X^T on the rows P_{s+1} and the columns T.
+        which are the homology representatives H.  Only where S is
+        nonempty does the split rerun the forward elimination of d, which
+        is deterministic, and back-substitute those rows through its pivot
+        rows.  The transform X is B[:, T]^-1, T in pivot order, so a
+        vector v has B coordinates X^T v[T] and H coordinates
+        v[S] - rref[:, S]^T v[T].  pi reads the H coordinates; the
+        homotopy is G(d e_j) = e_j for j in P_{s+1} and zero on H + C, so
+        G is X^T on the rows P_{s+1} and the columns T.
         """
-        if (sp := self.splits.get(bd)) is not None or \
-                bd not in self._pivot_rows:
+        if (sp := self.splits.get(bd)) is not None or bd not in self._d \
+                or bd.s > self.homology.window[1]:
             return sp
         space = self.dga.space
         p = self.dga.prime
@@ -602,8 +600,8 @@ class Contraction:
         pi = np.zeros((nh, n), dtype=np.int64)
         pi[np.arange(nh), s_cols] = 1
         pi[:, t_cols] = -red.rref[:, [nz - 1 - k for k in s_pos]].T % p
-        f1 = back_substitute(self._pivots[bd], self._pivot_rows.pop(bd),
-                             s_cols, n, p)
+        f1 = back_substitute(*echelon(self._d[bd].rows(), p, n), s_cols,
+                             n, p) if s_cols else np.zeros((0, n), np.int64)
         sp = self.splits[bd] = _BlockSplit(f1=f1.T.copy(), pi=pi, g=g)
         return sp
 
@@ -677,12 +675,10 @@ def contraction(dga: DGAlgebra) -> Contraction:
     the columns d(e_j), j in P_{s+1}, span the boundaries, and each block
     checks on the nonzero entries of d that d kills them (d^2 = 0) before
     this returns.  The homology of block s then has dimension
-    n - |P_s| - |P_{s+1}|.  The contraction keeps d sparse, the pivot
-    columns, and the pivot rows of each block until its split reads its
-    homology representatives from them; no dense array outlives the
-    read that builds it.  The retraction identities of a block are
-    checked exactly on its first read (see `Contraction`); every failure
-    raises CertificationError.
+    n - |P_s| - |P_{s+1}|.  The contraction keeps d sparse and the pivot
+    columns; no dense array outlives the read that builds it.  The
+    retraction identities of a block are checked exactly on its first
+    read (see `Contraction`); every failure raises CertificationError.
 
     Every block product runs through `matmul_mod`.  They assume
     n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past that bound
@@ -702,12 +698,9 @@ def contraction(dga: DGAlgebra) -> Contraction:
     blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
     d_blocks: dict[Bidegree, SparseBlock] = {}
     pivots: dict[Bidegree, tuple[int, ...]] = {}
-    pivot_rows: dict[Bidegree, list[dict[int, int]]] = {}
     for bd in blocks + sorted(bd for bd in space.blocks if bd.s == hi + 1):
         d_blocks[bd] = dga.diff_block(bd)
-        pivots[bd], rows = echelon(d_blocks[bd].rows(), p, space.dim(bd))
-        if bd.s <= hi:
-            pivot_rows[bd] = rows
+        pivots[bd] = echelon(d_blocks[bd].rows(), p, space.dim(bd))[0]
 
     hom_blocks: dict[Bidegree, list[str]] = {}
     for bd in blocks:
@@ -720,8 +713,7 @@ def contraction(dga: DGAlgebra) -> Contraction:
         hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
 
     hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
-    return Contraction(dga=dga, homology=hom, _d=d_blocks, _pivots=pivots,
-                       _pivot_rows=pivot_rows)
+    return Contraction(dga=dga, homology=hom, _d=d_blocks, _pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ builds a transform (it reduces [M | I]); `invert` and `solve` read that
 transform, while `rank_nullspace` and `greedy_extend` reduce M alone.
 The kernel's forward half, which skips back substitution, picks the same
 pivot columns: `echelon` runs it and keeps the pivot rows, from which
-`back_substitute` reads just the nullspace rows asked for, and
-`dga.contraction` runs that pair on the sparse rows of d.  Block
+`back_substitute` reads just the nullspace rows asked for.
+`dga.contraction` keeps only the pivot columns of d's sparse rows; a
+split with homology reruns `echelon` for that pair.  Block
 products run through `matmul_mod`: in float64 BLAS while every partial
 sum is an integer below 2^53 (Dumas, Giorgi & Pernet, "Dense linear
 algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM

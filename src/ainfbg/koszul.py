@@ -69,9 +69,9 @@ def loop_word_count(params: GroupParams) -> int:
     ways[s - deg] over the letters, the count is the sum of ways[s] up to
     the window ceiling.  So a caller can budget the much more expensive
     contraction: the word count is roughly exponential in the window
-    ceiling divided by the smallest letter degree, and the dense block
-    elimination downstream is cubic in the largest block.  Raises the
-    ParameterError of `GroupParams.loop_run` on q = 1.
+    ceiling divided by the smallest letter degree, and the sparse block
+    eliminations downstream grow with it.  Raises the ParameterError of
+    `GroupParams.loop_run` on q = 1.
     """
     s_hi = params.loop_run()[0][1]
     cochain = expected_minimal_model(

@@ -478,10 +478,10 @@ def test_acceptance_content_hashes_are_pinned(capsys):
 
 
 # verify on a p^n = 11 tuple: the counted identity sweeps over 84,285
-# words, and a loop stage skipped by a cobar word count (85,626 words,
-# over VERIFY_LOOP_WORD_BUDGET) that builds no cobar algebra.
+# words, and the loop stage on 85,626 cobar words, within
+# VERIFY_LOOP_WORD_BUDGET.
 VERIFY_11_1_2_HASH = (
-    "9fd0e21543959140ac03c5a59a94a93ed92a8f909006de0bddafb8fdc40b32a6")
+    "841813420cffc54596ed1599861b25351c8b7fae6d41555dbbfb4821fca40b37")
 
 
 def test_verify_11_1_2_content_hash_is_pinned(capsys):
@@ -490,6 +490,25 @@ def test_verify_11_1_2_content_hash_is_pinned(capsys):
     doc = json.loads(out)
     assert doc["overall"] == "pass"
     assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
+
+
+def test_verify_skips_a_loop_stage_over_the_word_budget(capsys, monkeypatch):
+    from ainfbg import cli
+
+    def no_cobar(*args, **kwargs):
+        raise AssertionError("a budgeted loop stage built its cobar")
+
+    monkeypatch.setattr(cli, "VERIFY_LOOP_WORD_BUDGET", 188)
+    monkeypatch.setattr(cli, "loop_minimal_model", no_cobar)
+    code, out, _ = run_cli(capsys, "verify", 3, 1, 2, "--json", "--no-cache")
+    assert code == 0
+    loop = [r for r in json.loads(out)["records"]
+            if r["name"] == "loop pipeline"]
+    assert loop == [{
+        "name": "loop pipeline",
+        "expected": "cobar word space within budget (188)",
+        "got": "skipped (189 words; run `ainfbg loops` explicitly)",
+        "verdict": "skip"}]
 
 
 # loops on the p^n = 9 tuple: 18,560 cobar words up to degree 26, one

@@ -17,7 +17,7 @@ import subprocess
 import sys
 import textwrap
 import types
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,7 @@ from ainfbg.glin import (
     GradedVectorSpace,
     ParameterError,
     TruncationExceeded,
+    echelon,
     greedy_extend,
     invert,
     rank_nullspace,
@@ -466,18 +467,46 @@ def reachable_arrays(root, skip):
                           window=GroupParams(5, 1, 2).cochain_run()[0]),
     lambda: _loop_cobar((3, 2, 2))], ids=["end(5,1,2)", "cobar(3,2,2)"])
 def test_a_contraction_keeps_no_dense_array_but_its_splits(build):
-    """Pass 0 keeps d and the pivot rows sparse: right after `contraction`
-    no array is reachable from it outside its DGA, and after every block
-    is read the only arrays are the f1, pi and G of its splits."""
+    """Pass 0 keeps d sparse and each block's pivot columns, nothing else
+    per block: right after `contraction` no array is reachable from it
+    outside its DGA, and after every block is read the only arrays are
+    the f1, pi and G of its splits."""
     dga = build()
     con = contraction(dga)
-    assert con._d and con._pivot_rows and not con.splits
+    assert {f.name for f in fields(con)} == {
+        "dga", "homology", "splits", "trusted", "_d", "_pivots",
+        "_certified"}
+    assert con._d and set(con._d) == set(con._pivots)
+    assert not con.splits and not con.trusted and not con._certified
     assert reachable_arrays(con, [dga]) == []
     read_every_block(con)
-    assert not con._pivot_rows
     held = {id(a) for a in reachable_arrays(con, [dga])}
     assert held == {id(getattr(sp, name)) for sp in con.splits.values()
                     for name in ("f1", "pi", "g")}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_end_dga(GroupParams(5, 1, 2),
+                          window=GroupParams(5, 1, 2).cochain_run()[0]),
+    lambda: _loop_cobar((3, 1, 2))], ids=["end(5,1,2)", "cobar(3,1,2)"])
+def test_a_split_eliminates_only_where_it_has_homology(build, monkeypatch):
+    """Pass 0 runs one forward elimination per block; a split reruns its
+    block's only to back-substitute homology representatives, so reading
+    every block adds one per split block of nonzero homology."""
+    import ainfbg.dga
+    calls = []
+
+    def counted(rows, p, ncols):
+        calls.append(ncols)
+        return echelon(rows, p, ncols)
+
+    monkeypatch.setattr(ainfbg.dga, "echelon", counted)
+    con = contraction(build())
+    assert len(calls) == len(con._d)
+    read_every_block(con)
+    with_h = [bd for bd in con.splits if con.homology.dim(bd)]
+    assert with_h and len(with_h) < len(con.splits)
+    assert len(calls) == len(con._d) + len(with_h)
 
 
 def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):

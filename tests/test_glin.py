@@ -270,8 +270,9 @@ def test_forward_elimination_reads_the_nullspace_back(seed, p, rows, cols,
     """`echelon` picks the pivot columns of `rank_nullspace` and the pivot
     rows of the numpy reference's forward half, and `back_substitute`
     gives, for any subset of the free columns in any order, the matching
-    rows of `rank_nullspace`'s basis: what `contraction` keeps of a block
-    and what `_split` reads back from it."""
+    rows of `rank_nullspace`'s basis: the pivot columns that `contraction`
+    keeps of a block, and the representatives that `_split` reads back
+    from a rerun of its elimination."""
     rng = np.random.default_rng(seed)
     M = random_matrix(rng, p, rows, cols, kind).astype(np.int64) % p
     rank, null, pivots = rank_nullspace(M, p)

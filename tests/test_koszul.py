@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from ainfbg import cli
 from ainfbg.ainf import (
     AInfinityAlgebra,
     epsilon_sign,
@@ -180,9 +181,13 @@ def test_word_count_is_the_cobar_dimension(pnq):
 
 def test_word_counts_over_the_verify_budget():
     # the dimensions of the cobar algebras that the default loop runs
-    # build: (3, 2, 2) is within VERIFY_LOOP_WORD_BUDGET, (11, 1, 2) over it
+    # build: VERIFY_LOOP_WORD_BUDGET covers (3, 2, 2) and (11, 1, 2), and
+    # not (13, 1, 2)
     assert loop_word_count(GroupParams(3, 2, 2)) == 18_560
     assert loop_word_count(GroupParams(11, 1, 2)) == 85_626
+    assert loop_word_count(GroupParams(13, 1, 2)) == 395_033
+    assert loop_word_count(GroupParams(11, 1, 2)) <= \
+        cli.VERIFY_LOOP_WORD_BUDGET < loop_word_count(GroupParams(13, 1, 2))
 
 
 def test_cochain_window_reaches_every_letter():

@@ -114,17 +114,17 @@ def format_vector(vec: dict[str, int], p: int) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def space_records(space: GradedVectorSpace) -> list[dict]:
+def space_records(space: GradedVectorSpace, spell=str) -> list[dict]:
     recs = []
     for bd in sorted(space.bidegrees()):
         labels = space.labels(bd)
         recs.append({"s": bd.s, "w": bd.w, "dim": len(labels),
-                     "labels": list(labels)})
+                     "labels": list(map(spell, labels))})
     return recs
 
 
-def _vector_record(vec: dict[str, int], p: int) -> dict[str, int]:
-    return {lab: c % p for lab, c in sorted(vec.items()) if c % p}
+def _vector_record(vec: dict, p: int, spell=str) -> dict[str, int]:
+    return dict(sorted((spell(lab), c % p) for lab, c in vec.items() if c % p))
 
 
 def operation_records(model: AInfinityAlgebra) -> dict[str, list[dict]]:
@@ -170,21 +170,26 @@ def model_document(command: str, params: GroupParams, parameters: dict,
 
 def dga_document(command: str, params: GroupParams, parameters: dict,
                  dga) -> dict:
-    """Serialize a DG-algebra: differential and product entries whose
+    """Serialize an end-DGA: differential and product entries whose
     output bidegree lies in the window (absences there mean zero; pairs
     whose output leaves the window are not representable and are left
-    out, which the grading makes unambiguous)."""
+    out, which the grading makes unambiguous).  A basis label (i, d, a)
+    is spelled "i:d:a", before anything is sorted."""
     p = dga.prime
     lo, hi = dga.space.window
+
+    def spell(lab: tuple[int, int, int]) -> str:
+        return ":".join(map(str, lab))
+
     labeled = [(bd, lab) for bd in sorted(dga.space.bidegrees())
                for lab in dga.space.labels(bd)]
     d_entries = []
     for bd, lab in labeled:
         if not lo <= bd.s - 1 <= hi:
             continue
-        vec = _vector_record(dga.diff(lab), p)
+        vec = _vector_record(dga.diff(lab), p, spell)
         if vec:
-            d_entries.append({"inputs": [lab], "output": vec})
+            d_entries.append({"inputs": [spell(lab)], "output": vec})
     # products(a, b) is {} unless source(a) == target(b), the contract
     # that validate_dga certifies
     by_target: dict[object, list] = {}
@@ -195,16 +200,17 @@ def dga_document(command: str, params: GroupParams, parameters: dict,
         for bb, lb in by_target.get(dga.source(la), ()):
             if not lo <= ba.s + bb.s <= hi:
                 continue
-            vec = _vector_record(dga.products(la, lb), p)
+            vec = _vector_record(dga.products(la, lb), p, spell)
             if vec:
-                m_entries.append({"inputs": [la, lb], "output": vec})
+                m_entries.append({"inputs": [spell(la), spell(lb)],
+                                  "output": vec})
     m_entries.sort(key=lambda e: e["inputs"])
     doc = _base_document("dg-algebra", command, params, parameters)
     doc.update({
         "window": [lo, hi],
         "name": dga.name,
-        "unit": _vector_record(dga.unit, p),
-        "spaces": space_records(dga.space),
+        "unit": _vector_record(dga.unit, p, spell),
+        "spaces": space_records(dga.space, spell),
         "operations": {"1": d_entries, "2": m_entries},
     })
     return finalize_document(doc)

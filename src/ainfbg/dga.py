@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +59,8 @@ __all__ = [
     "reorder_blocks",
 ]
 
-Vector = dict[str, int]
+# a vector by its nonzero coefficients on basis labels, any hashables
+Vector = dict[Hashable, int]
 
 
 class CertificationError(Exception):
@@ -70,7 +71,7 @@ class CertificationError(Exception):
 # container
 # ---------------------------------------------------------------------------
 
-def _same_key(lab: str) -> int:
+def _same_key(lab: Hashable) -> int:
     """The default composability key: every pair of labels composes."""
     return 0
 
@@ -83,6 +84,7 @@ class DGAlgebra:
     Both must be degree-homogeneous (product adds bidegrees, d shifts by
     (-1, 0)) and must raise TruncationExceeded whenever a nonzero part of
     the answer would leave the window -- returning {} means provably zero.
+    Basis labels are any hashables, read only through these callables.
 
     source and target are label keys with the contract: products(a, b) is
     {} and never raises unless source(a) == target(b).  `mult` multiplies
@@ -92,11 +94,11 @@ class DGAlgebra:
 
     space: GradedVectorSpace
     unit: Vector
-    products: Callable[[str, str], Vector]
-    diff: Callable[[str], Vector]
+    products: Callable[[Hashable, Hashable], Vector]
+    diff: Callable[[Hashable], Vector]
     name: str = ""
-    source: Callable[[str], object] = _same_key
-    target: Callable[[str], object] = _same_key
+    source: Callable[[Hashable], object] = _same_key
+    target: Callable[[Hashable], object] = _same_key
 
     @property
     def prime(self) -> int:
@@ -104,7 +106,7 @@ class DGAlgebra:
 
     def d(self, vec: Vector) -> Vector:
         p = self.prime
-        out: dict[str, int] = {}
+        out: Vector = {}
         for lab, c in vec.items():
             for olab, oc in self.diff(lab).items():
                 out[olab] = (out.get(olab, 0) + c * oc) % p
@@ -112,10 +114,10 @@ class DGAlgebra:
 
     def mult(self, u: Vector, v: Vector) -> Vector:
         p = self.prime
-        by_target: dict[object, list[tuple[str, int]]] = {}
+        by_target: dict[object, list[tuple[Hashable, int]]] = {}
         for lb, cb in v.items():
             by_target.setdefault(self.target(lb), []).append((lb, cb))
-        out: dict[str, int] = {}
+        out: Vector = {}
         for la, ca in u.items():
             for lb, cb in by_target.get(self.source(la), ()):
                 for olab, oc in self.products(la, lb).items():
@@ -244,12 +246,12 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     # d of a label, None where it leaves the window; if tabled, the nonzero
     # products and, as None, the pairs whose product leaves it, with their
     # neighbours: right[a] every b and left[b] every a of such a pair (a, b)
-    diffs: dict[str, Vector | None] = {}
-    table: dict[tuple[str, str], Vector | None] = {}
-    right: dict[str, set[str]] = defaultdict(set)
-    left: dict[str, set[str]] = defaultdict(set)
+    diffs: dict[Hashable, Vector | None] = {}
+    table: dict[tuple[Hashable, Hashable], Vector | None] = {}
+    right: dict[Hashable, set] = defaultdict(set)
+    left: dict[Hashable, set] = defaultdict(set)
 
-    def d_label(lab: str) -> Vector:
+    def d_label(lab: Hashable) -> Vector:
         if lab not in diffs:
             try:
                 diffs[lab] = dga.d({lab: 1})
@@ -260,13 +262,13 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
         return dl
 
     def d(vec: Vector) -> Vector:
-        out: dict[str, int] = {}
+        out: Vector = {}
         for x, cx in vec.items():
             for y, cy in d_label(x).items():
                 out[y] = (out.get(y, 0) + cx * cy) % p
         return {k: c for k, c in out.items() if c} if out else out
 
-    def product(a: str, b: str) -> Vector:
+    def product(a: Hashable, b: Hashable) -> Vector:
         """_product(dga, a, b), read from the table if there is one."""
         if not tabled:
             return _product(dga, a, b)
@@ -277,7 +279,7 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
 
     def mult(u: Vector, v: Vector) -> Vector:
         """DGAlgebra.mult through `product`: composable pairs only."""
-        out: dict[str, int] = {}
+        out: Vector = {}
         for x, cx in u.items():
             sx = source(x)
             for y, cy in v.items():
@@ -290,7 +292,7 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     rng = np.random.default_rng(seed)
 
     def tuples(width: int, k: int):
-        drawn = np.array(labels, dtype=object)[rng.integers(0, n, (k, width))]
+        drawn = np.fromiter(labels, object, n)[rng.integers(0, n, (k, width))]
         return zip(*drawn.T)
 
     if tabled:
@@ -364,7 +366,7 @@ def validate_dga(dga: DGAlgebra, *, pair_sample: int | None = None,
     return rep
 
 
-def _product(dga: DGAlgebra, a: str, b: str) -> Vector:
+def _product(dga: DGAlgebra, a: Hashable, b: Hashable) -> Vector:
     """dga.products(a, b), failing certification if the pair breaks the
     composability contract."""
     if dga.source(a) == dga.target(b):
@@ -380,10 +382,10 @@ def _product(dga: DGAlgebra, a: str, b: str) -> Vector:
     return ab
 
 
-def _leibniz_pairs(labels: list[str], right: dict[str, set[str]],
-                   left: dict[str, set[str]],
-                   d_label: Callable[[str], Vector]
-                   ) -> tuple[list[tuple[str, str]], int]:
+def _leibniz_pairs(labels: list, right: dict[Hashable, set],
+                   left: dict[Hashable, set],
+                   d_label: Callable[[Hashable], Vector]
+                   ) -> tuple[list[tuple], int]:
     """The pairs of `labels` whose Leibniz identity can fail, in product
     order, and the number of the other checkable pairs.
 
@@ -393,7 +395,7 @@ def _leibniz_pairs(labels: list[str], right: dict[str, set[str]],
     outside the list has ab = 0, xb = 0 for every x in d(a) and ay = 0 for
     every y in d(b), none of them raising: all three sides are zero.
     """
-    diffs: dict[str, Vector] = {}
+    diffs: dict[Hashable, Vector] = {}
     for lab in labels:
         try:
             diffs[lab] = d_label(lab)
@@ -410,10 +412,10 @@ def _leibniz_pairs(labels: list[str], right: dict[str, set[str]],
     return pairs, len(diffs) ** 2 - len(pairs)
 
 
-def _associative_triples(labels: list[str],
-                         table: dict[tuple[str, str], Vector | None],
-                         right: dict[str, set[str]],
-                         left: dict[str, set[str]],
+def _associative_triples(labels: list,
+                         table: dict[tuple, Vector | None],
+                         right: dict[Hashable, set],
+                         left: dict[Hashable, set],
                          mult: Callable[[Vector, Vector], Vector]) -> int:
     """Number of triples of `labels` whose associativity is checkable.
 
@@ -428,14 +430,14 @@ def _associative_triples(labels: list[str],
     out_left = Counter(b for (_, b), ab in table.items() if ab is None)
     out_right = Counter(a for (a, _), ab in table.items() if ab is None)
     count = 0
-    failed: list[tuple[str, str, str]] = []
+    failed: list[tuple] = []
     for b in labels:
         # Count every triple whose outer products stay in the window, then
         # take off those an inner product leaves it for.  Outside `visit`,
         # ab = 0 or xc = 0 for every x in ab, and bc = 0 or ay = 0 for
         # every y in bc, none of them raising: both sides are zero.
         count += (n - out_left[b]) * (n - out_right[b])
-        visit: set[tuple[str, str]] = set()
+        visit: set[tuple] = set()
         for a in left[b]:
             if ab := table.get((a, b)):
                 cs = right[b].union(*(right[x] for x in ab))
@@ -793,13 +795,10 @@ def massey_power(con: Contraction, cls: str, nfold: int) -> MasseyReport:
 # cobar construction
 # ---------------------------------------------------------------------------
 
-EMPTY_WORD = "()"
-
-
 def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
-    """The letters of the cobar algebra of `model` with their bidegrees,
-    and the sign of their degrees; raises the ValueError of any input
-    that `cobar` rejects (see there)."""
+    """The letters of the cobar algebra of `model`, its non-unit labels
+    whatever they spell, with their bidegrees, and the sign of their
+    degrees; raises the ValueError of any input that `cobar` rejects."""
     from .ainf import AInfinityAlgebra  # deferred: avoid import cycle
 
     if not isinstance(model, AInfinityAlgebra):
@@ -812,8 +811,6 @@ def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
         for lab in space.labels(bd):
             if lab == model.unit:
                 continue
-            if "|" in lab or lab == EMPTY_WORD:
-                raise ValueError(f"label {lab!r} clashes with word syntax")
             lbd = Bidegree(-bd.s - 1, bd.w)
             if lbd.s == 0:
                 raise ValueError(
@@ -835,16 +832,18 @@ def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
 def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     """Cobar algebra of a minimal structure, up to word degree s_bound.
 
-    Letters are the non-unit basis labels of the model; the letter of a
-    basis element in bidegree (s, w) sits in (-s - 1, w).  A model
-    concentrated in degrees s <= -2 yields a connected algebra in
-    non-negative degrees, enumerated up to degree s_bound > 0; a model
-    concentrated in degrees s >= 2 yields one in non-positive degrees,
-    enumerated down to s_bound < 0.  A letter in degree 0 (from a model
-    class in degree -1) would allow arbitrarily long words of bounded
-    degree, which no finite window can hold, so mixed or degree-zero
-    letters are rejected.  Words multiply by concatenation; the
-    differential is the derivation extension of the operation tables,
+    Letters are the non-unit basis labels of the model, which are strings;
+    the letter of a basis element in bidegree (s, w) sits in (-s - 1, w).
+    A word is the tuple of its letters, the empty word () the unit, and
+    each block lists its words in the order of their letters joined by
+    "|".  A model concentrated in degrees s <= -2 yields a connected
+    algebra in non-negative degrees, enumerated up to degree s_bound > 0;
+    a model concentrated in degrees s >= 2 yields one in non-positive
+    degrees, enumerated down to s_bound < 0.  A letter in degree 0 (from a
+    model class in degree -1) would allow arbitrarily long words of
+    bounded degree, which no finite window can hold, so mixed or
+    degree-zero letters are rejected.  Words multiply by concatenation;
+    the differential is the derivation extension of the operation tables,
     with one summand per table entry.
     """
     letters, direction = cobar_letters(model, s_bound)
@@ -868,8 +867,7 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
                 if out == model.unit:
                     continue
                 target = letter_d[out]
-                key = "|".join(word)
-                target[key] = (target.get(key, 0) + sign * c) % p
+                target[word] = (target.get(word, 0) + sign * c) % p
     letter_d = {lab: {k: v for k, v in vec.items() if v}
                 for lab, vec in letter_d.items()}
 
@@ -879,48 +877,42 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
     bound = direction * s_bound
     steps = sorted((direction * lbd.s, lbd.w, lab)
                    for lab, lbd in letters.items())
-    found: dict[tuple[int, int], list[str]] = {(0, 0): [EMPTY_WORD]}
+    found: dict[tuple[int, int], list[tuple[str, ...]]] = {(0, 0): [()]}
 
-    def grow(prefix: str, s: int, w: int) -> None:
+    def grow(prefix: tuple[str, ...], s: int, w: int) -> None:
         for ds, dw, lab in steps:
             if s + ds > bound:
                 break
-            word = f"{prefix}|{lab}" if prefix else lab
+            word = prefix + (lab,)
             found.setdefault((s + ds, w + dw), []).append(word)
             grow(word, s + ds, w + dw)
 
-    grow("", 0, 0)
-    blocks = {Bidegree(direction * s, w): sorted(labs)
-              for (s, w), labs in found.items()}
+    grow((), 0, 0)
+    blocks = {Bidegree(direction * s, w): sorted(words, key="|".join)
+              for (s, w), words in found.items()}
     window = (-1, s_bound) if direction > 0 else (s_bound, 1)
     wspace = GradedVectorSpace(prime=p, window=window, blocks=blocks)
 
-    def products(u: str, v: str) -> Vector:
-        if u == EMPTY_WORD:
-            return {v: 1}
-        if v == EMPTY_WORD:
-            return {u: 1}
+    def products(u: tuple, v: tuple) -> Vector:
         bd = wspace.bidegree_of(u) + wspace.bidegree_of(v)
         if direction * bd.s > direction * s_bound:
             raise TruncationExceeded(
                 f"concatenation of degree {bd.s} exceeds window {s_bound}")
-        return {f"{u}|{v}": 1}
+        return {u + v: 1}
 
-    def diff(word: str) -> Vector:
-        if word == EMPTY_WORD:
-            return {}
-        parts = word.split("|")
-        out: dict[str, int] = {}
+    def diff(word: tuple) -> Vector:
+        out: dict[tuple, int] = {}
         sign = 1
-        for j, lab in enumerate(parts):
+        for j, lab in enumerate(word):
+            head, tail = word[:j], word[j + 1:]
             for repl, c in letter_d[lab].items():
-                new = "|".join(parts[:j] + [repl] + parts[j + 1:])
+                new = head + repl + tail
                 out[new] = (out.get(new, 0) + sign * c) % p
             if parity[lab]:
                 sign = -sign
         return {k: v for k, v in out.items() if v}
 
-    return DGAlgebra(space=wspace, unit={EMPTY_WORD: 1}, products=products,
+    return DGAlgebra(space=wspace, unit={(): 1}, products=products,
                      diff=diff, name=name)
 
 
@@ -929,7 +921,7 @@ def cobar(model, s_bound: int, *, name: str = "cobar") -> DGAlgebra:
 # ---------------------------------------------------------------------------
 
 def reorder_blocks(dga: DGAlgebra,
-                   key: Callable[[Bidegree, list[str]], list[str]]) -> DGAlgebra:
+                   key: Callable[[Bidegree, list], list]) -> DGAlgebra:
     """Same algebra, new basis order inside each bidegree block.
 
     The structure callables are label-based, so only the stored order (and

@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Hashable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -315,15 +315,16 @@ class Bidegree(NamedTuple):
 class GradedVectorSpace:
     """Finite bigraded F_p vector space with ordered basis labels per bidegree.
 
-    The window gives inclusive bounds on the homological degree s.  Inside
-    the window an absent bidegree means a zero space; outside it nothing is
+    Labels are any hashables: strings, (i, d, a) maps, letter tuples.  The
+    window gives inclusive bounds on the homological degree s.  Inside the
+    window an absent bidegree means a zero space; outside it nothing is
     known.  Treated as immutable once built.
     """
 
     prime: int
     window: tuple[int, int]
-    blocks: dict[Bidegree, list[str]]
-    _index: dict[str, tuple[Bidegree, int]] = field(default_factory=dict, repr=False)
+    blocks: dict[Bidegree, list[Hashable]]
+    _index: dict[Hashable, tuple[Bidegree, int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.prime):
@@ -331,7 +332,7 @@ class GradedVectorSpace:
         lo, hi = self.window
         if lo > hi:
             raise ValueError(f"empty window {self.window}")
-        clean: dict[Bidegree, list[str]] = {}
+        clean: dict[Bidegree, list[Hashable]] = {}
         for bd, labels in self.blocks.items():
             bd = Bidegree(*bd)
             if not lo <= bd.s <= hi:
@@ -359,15 +360,15 @@ class GradedVectorSpace:
         self.require_in_window(bd.s)
         return len(self.blocks.get(bd, ()))
 
-    def labels(self, bd) -> list[str]:
+    def labels(self, bd) -> list[Hashable]:
         bd = Bidegree(*bd)
         self.require_in_window(bd.s)
         return self.blocks.get(bd, [])
 
-    def bidegree_of(self, label: str) -> Bidegree:
+    def bidegree_of(self, label: Hashable) -> Bidegree:
         return self._index[label][0]
 
-    def has_label(self, label: str) -> bool:
+    def has_label(self, label: Hashable) -> bool:
         return label in self._index
 
     def bidegrees(self) -> Iterator[Bidegree]:
@@ -378,7 +379,7 @@ class GradedVectorSpace:
 
     # -- converters between sparse dict vectors and dense block arrays ----
 
-    def to_array(self, bd, vec: dict[str, int]) -> np.ndarray:
+    def to_array(self, bd, vec: dict[Hashable, int]) -> np.ndarray:
         bd = Bidegree(*bd)
         arr = np.zeros(self.dim(bd), dtype=np.int64)
         for lab, c in vec.items():
@@ -388,7 +389,7 @@ class GradedVectorSpace:
             arr[i] = c % self.prime
         return arr
 
-    def to_dict(self, bd, arr: np.ndarray) -> dict[str, int]:
+    def to_dict(self, bd, arr: np.ndarray) -> dict[Hashable, int]:
         bd = Bidegree(*bd)
         labels = self.labels(bd)
         return {labels[i]: int(c % self.prime)

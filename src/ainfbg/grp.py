@@ -29,6 +29,7 @@ invariant exactly when its weight is divisible by q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .ainf import (
     AInfinityAlgebra,
@@ -236,12 +237,13 @@ def build_end_dga(params: GroupParams, *,
                   window: tuple[int, int]) -> DGAlgebra:
     """Invariant non-negative-weight endomorphisms of the truncated resolution.
 
-    Basis label "i:d:a" is the map P_{i+d} -> P_i, e_{i+d} -> U^a e_i, of
+    Basis label (i, d, a) is the map P_{i+d} -> P_i, e_{i+d} -> U^a e_i, of
     bidegree (-d, w_{i+d} - w_i - a); it is kept when the weight is
-    non-negative and divisible by q.  Composition is the product (weights
-    add, so this part is a unital subalgebra) and the differential is the
-    endomorphism-complex one: D(f) = d o f - (-1)^{deg f} f o d, the
-    second term cut off by the truncation at the top stage.
+    non-negative and divisible by q.  The `model` document spells it
+    "i:d:a".  Composition is the product (weights add, so this part is a
+    unital subalgebra) and the differential is the endomorphism-complex
+    one: D(f) = d o f - (-1)^{deg f} f o d, the second term cut off by the
+    truncation at the top stage.
 
     Cohomology of the result equals H*(B(Z/p^n x| Z/q); k) in bidegrees
     far enough from the window floor; the retraction pipeline checks that
@@ -251,8 +253,7 @@ def build_end_dga(params: GroupParams, *,
     lo, hi = window
     L = -lo + 6  # top stage: six past the longest map the window holds
 
-    triples: dict[str, tuple[int, int, int]] = {}
-    blocks: dict[Bidegree, list[str]] = {}
+    blocks: dict[Bidegree, list[tuple[int, int, int]]] = {}
     for i in range(L + 1):          # target stage
         for src in range(L + 1):    # source stage
             d = src - i
@@ -264,15 +265,12 @@ def build_end_dga(params: GroupParams, *,
                 w = wdiff - a
                 if w < 0 or w % q:
                     continue
-                lab = f"{i}:{d}:{a}"
-                triples[lab] = (i, d, a)
-                blocks.setdefault(Bidegree(s, w), []).append(lab)
+                blocks.setdefault(Bidegree(s, w), []).append((i, d, a))
 
     space = GradedVectorSpace(prime=p, window=window, blocks=blocks)
 
-    def products(la: str, lb: str) -> dict[str, int]:
-        i1, d1, a1 = triples[la]
-        i2, d2, a2 = triples[lb]
+    def products(la: tuple, lb: tuple) -> dict[tuple, int]:
+        (i1, d1, a1), (i2, d2, a2) = la, lb
         if i2 != i1 + d1:
             return {}
         if a1 + a2 >= pn:
@@ -281,33 +279,32 @@ def build_end_dga(params: GroupParams, *,
         if not lo <= s <= hi:
             raise TruncationExceeded(
                 f"product {la} * {lb} in degree {s} leaves window {window}")
-        return {f"{i1}:{d1 + d2}:{a1 + a2}": 1}
+        return {(i1, d1 + d2, a1 + a2): 1}
 
-    def diff(lab: str) -> dict[str, int]:
-        i, d, a = triples[lab]
+    def diff(lab: tuple) -> dict[tuple, int]:
+        i, d, a = lab
         if -(d + 1) < lo:
             raise TruncationExceeded(
                 f"differential of {lab} leaves window {window}")
-        out: dict[str, int] = {}
+        out: dict[tuple, int] = {}
         if i >= 1:
             anew = a + diff_exponent(i, pn)
             if anew < pn:
-                out[f"{i - 1}:{d + 1}:{anew}"] = 1
+                out[i - 1, d + 1, anew] = 1
         src = i + d
         if src + 1 <= L:
             anew = a + diff_exponent(src + 1, pn)
             if anew < pn:
-                lab2 = f"{i}:{d + 1}:{anew}"
+                lab2 = (i, d + 1, anew)
                 out[lab2] = (out.get(lab2, 0) - (-1) ** (d % 2)) % p
         return {k: v for k, v in out.items() if v}
 
-    # "i:d:a" maps P_{i+d} -> P_i, so "i:d:a" * "j:e:b" needs j = i + d
-    source = {lab: i + d for lab, (i, d, _) in triples.items()}
-    target = {lab: i for lab, (i, _, _) in triples.items()}
-    unit = {f"{i}:0:0": 1 for i in range(L + 1)}
+    # (i, d, a) maps P_{i+d} -> P_i, so (i, d, a) * (j, e, b) needs j = i + d
+    unit = {(i, 0, 0): 1 for i in range(L + 1)}
     return DGAlgebra(space=space, unit=unit, products=products, diff=diff,
                      name=f"End({params.label()},L={L})",
-                     source=source.__getitem__, target=target.__getitem__)
+                     source=lambda lab: lab[0] + lab[1],
+                     target=itemgetter(0))
 
 
 # ---------------------------------------------------------------------------

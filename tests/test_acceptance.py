@@ -536,8 +536,8 @@ def test_criterion_6_basis_ordering_determinism(cochain_runs):
         return list(reversed(labels))
 
     def scrambled_labels(bd, labels):
-        return sorted(labels,
-                      key=lambda lab: hashlib.md5(lab.encode()).hexdigest())
+        return sorted(labels, key=lambda lab: hashlib.md5(
+            ":".join(map(str, lab)).encode()).hexdigest())
 
     for pnq in [(3, 1, 2), (5, 1, 2)]:
         params = GroupParams(*pnq)

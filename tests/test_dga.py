@@ -887,12 +887,12 @@ def test_cobar_letters_and_unit():
     model = build_toy_model()
     cb = cobar(model, 12)
     sp = cb.space
-    assert sp.bidegree_of("t") == Bidegree(2, 4)    # was (-3, 4)
-    assert sp.bidegree_of("x") == Bidegree(3, 6)    # was (-4, 6)
-    assert sp.bidegree_of("t|t") == Bidegree(4, 8)
-    assert not sp.has_label("1")                     # the unit is not a letter
-    assert cb.mult({"t|x": 1}, {"t": 1}) == {"t|x|t": 1}
-    assert cb.mult(cb.unit, {"t|x": 1}) == {"t|x": 1}
+    assert sp.bidegree_of(("t",)) == Bidegree(2, 4)    # was (-3, 4)
+    assert sp.bidegree_of(("x",)) == Bidegree(3, 6)    # was (-4, 6)
+    assert sp.bidegree_of(("t", "t")) == Bidegree(4, 8)
+    assert not sp.has_label(("1",))                     # the unit is not a letter
+    assert cb.mult({("t", "x"): 1}, {("t",): 1}) == {("t", "x", "t"): 1}
+    assert cb.mult(cb.unit, {("t", "x"): 1}) == {("t", "x"): 1}
 
 
 def test_cobar_differential_squares_to_zero_everywhere():
@@ -911,10 +911,10 @@ def test_cobar_differential_of_generators():
     cb = cobar(model, 12)
     # d[x] picks up every way x arises in an operation: from m_2 as
     # t * (x t)-type words nothing lands on x itself; the family hits x^2
-    dx2 = cb.d({"x^2": 1})
-    assert ("t|t|t" in dx2), "the arity-3 family must appear in d of x^2"
+    dx2 = cb.d({("x^2",): 1})
+    assert ("t", "t", "t") in dx2, "the arity-3 family must appear in d of x^2"
     # m_2 pieces: x^2 = x * x
-    assert ("x|x" in dx2)
+    assert ("x", "x") in dx2
 
 
 def test_cobar_leibniz_sampled():
@@ -944,6 +944,12 @@ def reference_cobar_blocks(model, s_bound):
     return {bd: sorted(labs) for bd, labs in blocks.items()}
 
 
+def spelled_blocks(blocks):
+    """Word blocks spelled as `reference_cobar_blocks` spells them."""
+    return {bd: ["|".join(word) or "()" for word in words]
+            for bd, words in blocks.items()}
+
+
 def _poincare_cobar_input(pnq):
     """The loop model and word bound that `poincare_roundtrip` cobars."""
     gp = GroupParams(*pnq)
@@ -960,9 +966,44 @@ def test_cobar_word_basis_matches_the_bidegree_enumeration(build, pnq):
     model, s_bound = build(pnq)
     want = reference_cobar_blocks(model, s_bound)
     got = cobar(model, s_bound).space.blocks
-    assert got == want
+    assert spelled_blocks(got) == want
     assert sum(map(len, got.values())) > 50
     assert (min if s_bound < 0 else max)(bd.s for bd in got) == s_bound
+
+
+def relabeled(model, names):
+    """The same model with its labels renamed by the dict `names`."""
+    def name(lab):
+        return names.get(lab, lab)
+    space = GradedVectorSpace(prime=model.space.prime,
+                              window=model.space.window, blocks={
+                                  bd: [name(lab) for lab in labs]
+                                  for bd, labs in model.space.blocks.items()})
+    ops = {n: {tuple(map(name, word)): {name(lab): c for lab, c in vec.items()}
+               for word, vec in table.items()}
+           for n, table in model.ops.items()}
+    return replace(model, space=space, ops=ops, unit=name(model.unit))
+
+
+def test_cobar_takes_letters_that_spell_like_words():
+    """A word is the tuple of its letters, so a letter may contain "|" or
+    be "()": the word basis is the bidegree enumeration's, and renaming
+    the letters renames every word and its differential."""
+    names = {"t": "t|t", "x": "()"}
+    model = relabeled(build_toy_model(), names)
+    cb, plain = cobar(model, 12), cobar(build_toy_model(), 12)
+    assert spelled_blocks(cb.space.blocks) == reference_cobar_blocks(model, 12)
+    assert cb.space.bidegree_of(("()",)) == Bidegree(3, 6)
+    assert cb.space.bidegree_of(("t|t", "()")) == Bidegree(5, 10)
+
+    def rename(word):
+        return tuple(names.get(x, x) for x in word)
+
+    for bd, words in plain.space.blocks.items():
+        assert sorted(cb.space.blocks[bd]) == sorted(map(rename, words))
+        for word in words:
+            assert cb.d({rename(word): 1}) == {
+                rename(w): c for w, c in plain.d({word: 1}).items()}
 
 
 def test_cobar_rejects_degree_zero_letters():
@@ -1141,10 +1182,10 @@ def test_associativity_names_the_first_failure_in_product_order():
     exhaustive pass names the first of them in product order, not the
     first of its own walk."""
     dga, _, _ = small_algebra("end", -3)
-    ab = dga.products("2:1:1", "3:1:0")
-    dga = with_product(dga, ("2:1:1", "3:1:0"), lambda *_: {
+    ab = dga.products((2, 1, 1), (3, 1, 0))
+    dga = with_product(dga, ((2, 1, 1), (3, 1, 0)), lambda *_: {
         lab: 2 * c % dga.prime for lab, c in ab.items()})
-    named = "associativity fails on ('2:1:1','3:1:0','4:1:1')"
+    named = "associativity fails on ((2, 1, 1),(3, 1, 0),(4, 1, 1))"
     with pytest.raises(CertificationError) as want:
         reference_triple_check(dga)
     assert str(want.value) == named
@@ -1309,7 +1350,7 @@ def _leaves(*_):
     raise TruncationExceeded("made to leave the window")
 
 
-@pytest.mark.parametrize("product", [lambda *_: {"0:0:0": 1}, _leaves],
+@pytest.mark.parametrize("product", [lambda *_: {(0, 0, 0): 1}, _leaves],
                          ids=["nonzero", "raises"])
 def test_non_composable_product_fails_certification(product):
     dga, free, _ = small_algebra("end", -2)
@@ -1385,7 +1426,7 @@ def _labels_with_d(kind, bound):
 
 def _named(exc):
     """What a d^2 or Leibniz rejection names: its label or its pair."""
-    return re.match(r"d\^2 != 0 on '.*?'|Leibniz fails on \(.*\)",
+    return re.match(r"d\^2 != 0 on .*?(?=: \{)|Leibniz fails on \(.*\)",
                     str(exc))[0]
 
 
@@ -1421,7 +1462,7 @@ def test_leibniz_from_the_table_matches_the_pair_loop(data):
         ab = dga.products(*pair)
     if kind == "scale":
         factor = data.draw(st.integers(2, p - 1))
-        new = dict(dlab, **{term: dlab[term] * factor % p})
+        new = {**dlab, term: dlab[term] * factor % p}
     elif kind == "redirect":
         others = [x for x in space.labels(space.bidegree_of(term))
                   if x not in dlab]
@@ -1537,4 +1578,36 @@ def test_batched_draws_give_the_counts_of_one_draw_each(kind, seed, samples):
                        seed=seed)
     assert (rep.d_squared_checked, rep.leibniz_checked, rep.assoc_checked,
             rep.unit_checked) == reference_sampled_counts(dga, *samples,
+                                                          seed)
+
+
+def exponent_algebra():
+    """k[u, v, w] with d = 0 and every generator in bidegree (-2, 1), cut
+    at the window floor -8: its labels are the exponent triples."""
+    blocks = {}
+    for abc in itertools.product(range(5), repeat=3):
+        if sum(abc) <= 4:
+            blocks.setdefault(Bidegree(-2 * sum(abc), sum(abc)), []).append(abc)
+
+    def products(x, y):
+        xy = tuple(i + j for i, j in zip(x, y))
+        if sum(xy) > 4:
+            raise TruncationExceeded(f"{x} * {y} leaves the window")
+        return {xy: 1}
+
+    return DGAlgebra(space=GradedVectorSpace(prime=3, window=(-8, 0),
+                                             blocks=blocks),
+                     unit={(0, 0, 0): 1}, products=products,
+                     diff=lambda lab: {}, name="k[u,v,w]")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_draws_of_tuple_labels_are_labels(seed):
+    """Labels that are tuples of one length are drawn whole, as any other
+    label: the draws stay one label per entry."""
+    dga = exponent_algebra()
+    assert len(_labels(dga)) == 35
+    rep = validate_dga(dga, pair_sample=600, triple_sample=300, seed=seed)
+    assert (rep.d_squared_checked, rep.leibniz_checked, rep.assoc_checked,
+            rep.unit_checked) == reference_sampled_counts(dga, 600, 300,
                                                           seed)

@@ -209,10 +209,10 @@ def test_resolution_weights_and_exactness():
 
 
 def hom_differential(lab, pn, p, top):
-    """D(f) = d o f - (-1)^d f o d for f = "i:d:a" (e_{i+d} -> U^a e_i)
+    """D(f) = d o f - (-1)^d f o d for f = (i, d, a) (e_{i+d} -> U^a e_i)
     on the resolution truncated at stage `top`, composed from the shift
     matrices and read back as labels."""
-    i, d, a = map(int, lab.split(":"))
+    i, d, a = lab
     terms = []   # (target stage, source stage, block matrix)
     if i >= 1:
         terms.append((i - 1, i + d, shift(diff_exponent(i, pn), pn)
@@ -228,7 +228,7 @@ def hom_differential(lab, pn, p, top):
             block, sum(c * shift(k, pn) for k, c in enumerate(block[:, 0])) % p)
         for k, c in enumerate(block[:, 0]):
             if c:
-                key = f"{tgt}:{src - tgt}:{k}"
+                key = (tgt, src - tgt, k)
                 out[key] = (out.get(key, 0) + int(c)) % p
     return {k: c for k, c in out.items() if c}
 
@@ -270,7 +270,7 @@ def test_end_dga_small_exhaustive():
               for lab in dga.space.labels(bd)]
     assert labels
     for lab in labels:
-        i, d, a = map(int, lab.split(":"))
+        i, d, a = lab
         w = stage_weight(i + d, 3) - stage_weight(i, 3) - a
         assert w >= 0 and w % 2 == 0
         assert dga.space.bidegree_of(lab) == Bidegree(-d, w)
@@ -295,10 +295,10 @@ def test_end_dga_known_bidegrees():
     gp = GroupParams(3, 1, 2)
     dga = model_end_dga(gp)
     # cocycles representing x and t live at stage-lowering degrees 2q, 2q-1
-    assert dga.space.has_label("0:4:0")
-    assert dga.space.bidegree_of("0:4:0") == Bidegree(-4, 6)
-    assert dga.space.has_label("0:3:0")
-    assert dga.space.bidegree_of("0:3:0") == Bidegree(-3, 4)
+    assert dga.space.has_label((0, 4, 0))
+    assert dga.space.bidegree_of((0, 4, 0)) == Bidegree(-4, 6)
+    assert dga.space.has_label((0, 3, 0))
+    assert dga.space.bidegree_of((0, 3, 0)) == Bidegree(-3, 4)
     # the weight filter keeps only invariant maps
     for bd in dga.space.bidegrees():
         assert bd.w % gp.q == 0 and bd.w >= 0

@@ -263,7 +263,8 @@ def test_transferred_cochain_model_feeds_the_loop_pipeline(computations):
 
 def test_basis_reordering_leaves_the_loop_model_fixed(computations):
     def scrambled_labels(bd, labs):
-        return sorted(labs, key=lambda lab: hashlib.md5(lab.encode()).hexdigest())
+        return sorted(labs, key=lambda lab: hashlib.md5(
+            "|".join(lab).encode()).hexdigest())
 
     params = GroupParams(3, 1, 2)
     scrambled = loop_minimal_model(params, reorder=scrambled_labels)

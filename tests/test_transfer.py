@@ -126,7 +126,8 @@ def reversed_labels(bd, labs):
 
 
 def scrambled_labels(bd, labs):
-    return sorted(labs, key=lambda lab: hashlib.md5(lab.encode()).hexdigest())
+    return sorted(labs, key=lambda lab: hashlib.md5(
+        ":".join(map(str, lab)).encode()).hexdigest())
 
 
 def test_transfer_independent_of_chain_basis_order(computations):

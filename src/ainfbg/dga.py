@@ -32,6 +32,7 @@ from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
+from .ainf import AInfinityAlgebra
 from .glin import (
     Bidegree,
     GradedVectorSpace,
@@ -127,13 +128,12 @@ class DGAlgebra:
     def diff_block(self, bd) -> SparseBlock:
         """Matrix of d on the block at bd, mapping into bd + (-1, 0), by
         its nonzero entries."""
-        bd = Bidegree(*bd)
-        out = bd + (-1, 0)
+        out = Bidegree(bd[0] - 1, bd[1])
         space = self.space
         labels = space.labels(bd)
-        n = len(labels)
         # each image is written into its column through the label index
-        at: list[int] = []
+        row: list[int] = []
+        col: list[int] = []
         values: list[int] = []
         for j, lab in enumerate(labels):
             for olab, c in self.diff(lab).items():
@@ -141,40 +141,38 @@ class DGAlgebra:
                 if where != out:
                     raise ValueError(f"label {olab!r} not in bidegree {out}")
                 if c % self.prime:
-                    at.append(i * n + j)
+                    row.append(i)
+                    col.append(j)
                     values.append(c % self.prime)
-        return SparseBlock((space.dim(out), n), at, values)
+        return SparseBlock((space.dim(out), len(labels)), row, col, values)
 
 
 class SparseBlock(NamedTuple):
-    """A block matrix by the flat indices and values of its nonzero
-    entries.  The elimination reads its rows; a product reads an int64
-    array that `dense` builds for that read alone."""
+    """A block matrix by its nonzero entries: entry k is values[k] at
+    (row[k], col[k]).  The elimination reads its rows; a product reads an
+    int64 array that `dense` builds for that read alone."""
 
     shape: tuple[int, int]
-    at: list[int]
+    row: list[int]
+    col: list[int]
     values: list[int]
 
     def rows(self) -> list[dict[int, int]]:
         """One {column: value} dict per row, as `glin.echelon` takes them."""
         out: list[dict[int, int]] = [{} for _ in range(self.shape[0])]
-        for f, v in zip(self.at, self.values):
-            i, j = divmod(f, self.shape[1])
+        for i, j, v in zip(self.row, self.col, self.values):
             out[i][j] = v
         return out
 
     def kills(self, other: SparseBlock, cols: list[int], p: int) -> bool:
         """Whether self @ other[:, cols] = 0 over F_p, multiplied out on
         the nonzero entries alone."""
-        n, width = self.shape[1], other.shape[1]
         by_col = defaultdict(list)
-        for f, v in zip(self.at, self.values):
-            k, i = divmod(f, n)
+        for k, i, v in zip(self.row, self.col, self.values):
             by_col[i].append((k, v))
         want = set(cols)
         out: dict[tuple[int, int], int] = defaultdict(int)
-        for f, w in zip(other.at, other.values):
-            i, j = divmod(f, width)
+        for i, j, w in zip(other.row, other.col, other.values):
             if j in want:
                 for k, v in by_col.get(i, ()):
                     out[k, j] += v * w
@@ -182,7 +180,7 @@ class SparseBlock(NamedTuple):
 
     def dense(self) -> np.ndarray:
         M = np.zeros(self.shape, dtype=np.int64)
-        M.flat[self.at] = self.values
+        M[self.row, self.col] = self.values
         return M
 
 
@@ -507,9 +505,11 @@ class Contraction:
     homology labels those of `homology`.  The homotopy identity is
     certified on the `trusted` bidegrees: every block read so far except
     those at the range's floor whose block below is nonzero (there d
-    leaves the range and G d is unknown).  A renamed copy shares all of
-    this state, so no block is split twice.  Of pass 0 it keeps d by its
-    nonzero entries and each block's pivot columns, nothing per row.
+    leaves the range and G d is unknown).  A copy made by
+    `dataclasses.replace`, such as the pipeline's with its published
+    classes renamed, shares all of this state, so no block is split
+    twice.  Of pass 0 it keeps d by its nonzero entries and each block's
+    pivot columns, nothing per row.
     """
 
     dga: DGAlgebra
@@ -652,18 +652,6 @@ class Contraction:
         self._certified.add(bd)
         return sp
 
-    def renamed(self, mapping: dict[str, str]) -> "Contraction":
-        """Same retraction with homology basis labels renamed bijectively;
-        the copy shares the splits and certifications made so far and to
-        come."""
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("renaming must be injective")
-        blocks = {bd: [mapping.get(lab, lab) for lab in labs]
-                  for bd, labs in self.homology.blocks.items()}
-        hom = GradedVectorSpace(prime=self.homology.prime,
-                                window=self.homology.window, blocks=blocks)
-        return replace(self, homology=hom)
-
 
 def contraction(dga: DGAlgebra) -> Contraction:
     """Eliminate d on every block, certify d^2 = 0, and return the
@@ -799,8 +787,6 @@ def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
     """The letters of the cobar algebra of `model`, its non-unit labels
     whatever they spell, with their bidegrees, and the sign of their
     degrees; raises the ValueError of any input that `cobar` rejects."""
-    from .ainf import AInfinityAlgebra  # deferred: avoid import cycle
-
     if not isinstance(model, AInfinityAlgebra):
         raise TypeError(f"cobar needs an AInfinityAlgebra, got {type(model)}")
     if model.unit is None:

@@ -13,15 +13,15 @@ Conventions:
     internal degree w.
 
 All elimination runs through one kernel, `_eliminate`, which reduces a
-matrix held as sparse rows ({column: value} dicts) in place; `_reduce`
-runs it on an int64 array and writes the rows back.  Only `row_reduce`
-builds a transform (it reduces [M | I]); `invert` and `solve` read that
-transform, while `rank_nullspace` and `greedy_extend` reduce M alone.
-The kernel's forward half, which skips back substitution, picks the same
-pivot columns: `echelon` runs it and keeps the pivot rows, from which
-`back_substitute` reads just the nullspace rows asked for.
-`dga.contraction` keeps only the pivot columns of d's sparse rows; a
-split with homology reruns `echelon` for that pair.  Block
+matrix held as sparse rows ({column: value} dicts, as `_rows` reads them
+off an int64 array) in place.  Its forward half, which skips back
+substitution, gives every pivot set and nullspace: `echelon` runs it and
+keeps the pivot rows, from which `back_substitute` reads the nullspace
+rows asked for; `rank_nullspace` reads all of them and `greedy_extend`
+the pivots alone.  Only `row_reduce` runs the back half too, since it
+builds a transform (it reduces [M | I]) for `invert`, `solve` and
+`dga`'s splits.  `dga.contraction` keeps only the pivot columns of d's
+sparse rows; a split with homology reruns `echelon` for that pair.  Block
 products run through `matmul_mod`: in float64 BLAS while every partial
 sum is an integer below 2^53 (Dumas, Giorgi & Pernet, "Dense linear
 algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
@@ -129,7 +129,7 @@ class PivotData:
 
 
 def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
-               back: bool = True) -> tuple[int, ...]:
+               back: bool) -> tuple[int, ...]:
     """Row-reduce a matrix in place on its first ncols columns; returns
     the pivot columns.
 
@@ -174,20 +174,14 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
     return tuple(pivots)
 
 
-def _reduce(A: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
-    """Reduce the int64 array A (entries in [0, p)) in place to reduced row
-    echelon form on its first ncols columns through `_eliminate`; returns
-    the pivot columns."""
+def _rows(A: np.ndarray) -> list[dict[int, int]]:
+    """The nonzero entries of an int64 array as `_eliminate` takes them,
+    one {column: value} dict of Python ints per row."""
     at, cols = np.nonzero(A)
     rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
     for i, j, v in zip(at.tolist(), cols.tolist(), A[at, cols].tolist()):
         rows[i][j] = v
-    pivots = _eliminate(rows, p, ncols)
-    if pivots:  # with no pivot no row operation ran and A is reduced
-        A[...] = 0
-        A.flat[[i * A.shape[1] + j for i, row in enumerate(rows)
-                for j in row]] = [v for row in rows for v in row.values()]
-    return pivots
+    return rows
 
 
 def row_reduce(M, p: int) -> PivotData:
@@ -197,10 +191,13 @@ def row_reduce(M, p: int) -> PivotData:
     and the pivot columns; T is read off the right half of [M | I].
     """
     A = _as_matrix(M, p)
-    rows, cols = A.shape
-    A = np.hstack([A, np.eye(rows, dtype=np.int64)])
-    pivots = _reduce(A, p, cols)
-    return PivotData(rref=A[:, :cols], transform=A[:, cols:],
+    n, cols = A.shape
+    rows = _rows(np.hstack([A, np.eye(n, dtype=np.int64)]))
+    pivots = _eliminate(rows, p, cols, back=True)
+    R = np.zeros((n, cols + n), dtype=np.int64)
+    R.flat[[i * (cols + n) + j for i, row in enumerate(rows) for j in row]] = \
+        [v for row in rows for v in row.values()]
+    return PivotData(rref=R[:, :cols], transform=R[:, cols:],
                      pivot_cols=pivots, prime=p)
 
 
@@ -214,31 +211,26 @@ def rank_nullspace(M, p: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     input.
     """
     A = _as_matrix(M, p)
-    cols = A.shape[1]
-    pivots = _reduce(A, p, cols)
-    free = sorted(set(range(cols)).difference(pivots))
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    if pivots:
-        basis[:, pivots] = (-A[:len(pivots), free].T) % p
-    return len(pivots), basis, pivots
+    n = A.shape[1]
+    pivots, rows = echelon(_rows(A), p, n)
+    free = sorted(set(range(n)).difference(pivots))
+    return len(pivots), back_substitute(pivots, rows, free, n, p), pivots
 
 
 def echelon(rows: list[dict[int, int]], p: int, ncols: int
             ) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     """The forward half of the elimination on the rows of a matrix of
     ncols columns, given as for `_eliminate` and reduced in place: the
-    pivot columns of `rank_nullspace`, and the pivot rows of a row echelon
-    form, from which `back_substitute` reads nullspace rows."""
+    pivot columns, and the pivot rows of a row echelon form, from which
+    `back_substitute` reads nullspace rows."""
     pivots = _eliminate(rows, p, ncols, back=False)
     return pivots, rows[:len(pivots)]
 
 
 def back_substitute(pivots: tuple[int, ...], rows: list[dict[int, int]],
                     free: list[int], n: int, p: int) -> np.ndarray:
-    """The rows of `rank_nullspace`'s nullspace basis at the free columns
-    `free`, from the pivot columns and rows that `echelon` gives for the
-    same matrix of n columns.
+    """The nullspace basis rows at the free columns `free`, from the pivot
+    columns and rows that `echelon` gives for a matrix of n columns.
 
     The row at free column f has a 1 at f, zeros at the other free
     columns, and at each pivot column c < f the value that the pivot row
@@ -293,7 +285,7 @@ def greedy_extend(basis: np.ndarray, candidates: np.ndarray, p: int) -> list[int
     candidates = _as_matrix(candidates, p)
     basis = np.array(basis, dtype=np.int64).reshape(-1, candidates.shape[1])
     A = _as_matrix(np.vstack([basis, candidates]).T, p)
-    pivots = _reduce(A, p, A.shape[1])
+    pivots = echelon(_rows(A), p, A.shape[1])[0]
     return [c - len(basis) for c in pivots if c >= len(basis)]
 
 
@@ -356,13 +348,10 @@ class GradedVectorSpace:
                 f"homological degree {s} outside window {self.window}")
 
     def dim(self, bd) -> int:
-        bd = Bidegree(*bd)
-        self.require_in_window(bd.s)
-        return len(self.blocks.get(bd, ()))
+        return len(self.labels(bd))
 
     def labels(self, bd) -> list[Hashable]:
-        bd = Bidegree(*bd)
-        self.require_in_window(bd.s)
+        self.require_in_window(bd[0])
         return self.blocks.get(bd, [])
 
     def bidegree_of(self, label: Hashable) -> Bidegree:
@@ -380,7 +369,6 @@ class GradedVectorSpace:
     # -- converters between sparse dict vectors and dense block arrays ----
 
     def to_array(self, bd, vec: dict[Hashable, int]) -> np.ndarray:
-        bd = Bidegree(*bd)
         arr = np.zeros(self.dim(bd), dtype=np.int64)
         for lab, c in vec.items():
             where, i = self._index[lab]
@@ -390,7 +378,6 @@ class GradedVectorSpace:
         return arr
 
     def to_dict(self, bd, arr: np.ndarray) -> dict[Hashable, int]:
-        bd = Bidegree(*bd)
         labels = self.labels(bd)
         return {labels[i]: int(c % self.prime)
                 for i, c in enumerate(arr) if c % self.prime}

@@ -255,17 +255,14 @@ def build_end_dga(params: GroupParams, *,
 
     blocks: dict[Bidegree, list[tuple[int, int, int]]] = {}
     for i in range(L + 1):          # target stage
-        for src in range(L + 1):    # source stage
+        # source stages whose degree s = i - src lies in the window
+        for src in range(max(0, i - hi), min(L, i - lo) + 1):
             d = src - i
-            s = -d
-            if not lo <= s <= hi:
-                continue
             wdiff = stage_weight(src, pn) - stage_weight(i, pn)
-            for a in range(pn):
-                w = wdiff - a
-                if w < 0 or w % q:
-                    continue
-                blocks.setdefault(Bidegree(s, w), []).append((i, d, a))
+            # the powers that leave a weight w = wdiff - a >= 0 in q Z
+            for a in range(wdiff % q, min(pn, wdiff + 1), q):
+                blocks.setdefault(Bidegree(-d, wdiff - a), []).append(
+                    (i, d, a))
 
     space = GradedVectorSpace(prime=p, window=window, blocks=blocks)
 

@@ -186,11 +186,12 @@ class PatternMismatch(Exception):
 
 
 def check_pattern(hom: GradedVectorSpace,
-                  expected: GradedVectorSpace) -> dict[str, str]:
+                  expected: GradedVectorSpace) -> GradedVectorSpace:
     """Require dim-by-dim equality of two bigraded spaces on expected's
     window, which must lie in hom's (else TruncationExceeded), and return
-    the renaming of hom's labels onto expected's there: bidegree by
-    bidegree, in basis order, so bijective.
+    hom with its classes there renamed to expected's labels: bidegree by
+    bidegree, in basis order, so bijectively.  Elsewhere hom keeps its own
+    labels.
 
     This is the gate between the truncated computation and everything
     downstream: inside the compared range the computed homology must be
@@ -203,20 +204,17 @@ def check_pattern(hom: GradedVectorSpace,
     if not hom.window[0] <= lo <= hi <= hom.window[1]:
         raise TruncationExceeded(f"published window {expected.window} leaves "
                                  f"the contracted range {hom.window}")
-    problems = []
-    mapping: dict[str, str] = {}
     bds = {bd for bd in hom.blocks if lo <= bd.s <= hi}
     bds |= {bd for bd in expected.blocks if lo <= bd.s <= hi}
-    for bd in sorted(bds):
-        got = hom.blocks.get(bd, [])
-        want = expected.blocks.get(bd, [])
-        if len(got) != len(want):
-            problems.append(
-                f"at {tuple(bd)}: dim {len(got)}, expected {len(want)}")
-        mapping.update(zip(got, want))
+    problems = [f"at {tuple(bd)}: dim {hom.dim(bd)}, expected "
+                f"{expected.dim(bd)}" for bd in sorted(bds)
+                if hom.dim(bd) != expected.dim(bd)]
     if problems:
         raise PatternMismatch("; ".join(problems))
-    return mapping
+    return GradedVectorSpace(
+        prime=hom.prime, window=hom.window,
+        blocks={bd: expected.blocks[bd] if lo <= bd.s <= hi else labs
+                for bd, labs in hom.blocks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +263,13 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     1, x, t or x^h of shape hp (under `names`); so its arity bound
     reaches the family arity hp.ell and its tables can state the family.
     The homology of `dga` must match the expected pattern on the
-    published window, where its classes are renamed to the expected
-    monomials and the operation tables are read off up to
+    published window, where the operation tables are read off up to
     `expected.arity_bound`; the gate reads only homology dimensions, so
     the retraction splits only the blocks the unit check and the
-    transfer read.  The caller's chain window must leave enough
+    transfer read.  It hands back the homology with its published
+    classes renamed to the expected monomials, and the pipeline goes on
+    with a copy of the retraction that carries it and shares its
+    splits.  The caller's chain window must leave enough
     slack around the published one that no published word leaves the
     retraction's trusted range; a word that does raises
     TruncationExceeded (enlarge the window).
@@ -278,7 +278,7 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     if reorder is not None:
         dga = reorder_blocks(dga, reorder)
     con = contraction(dga)
-    con = con.renamed(check_pattern(con.homology, space))
+    con = replace(con, homology=check_pattern(con.homology, space))
     if con.include({expected.unit: 1}) != dga.unit:
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "

@@ -64,7 +64,7 @@ from ainfbg.koszul import (
 )
 from ainfbg.transfer import group_minimal_model, massey_versus_transfer
 
-from test_glin import reference_eliminate
+from test_glin import reference_eliminate, rows_of
 from test_grp import model_end_dga
 from toymodels import build_toy_model
 
@@ -393,6 +393,56 @@ def test_contraction_matches_the_reference_on_the_pipeline_algebras(
     if order_seed:
         dga = shuffled_blocks(dga, order_seed)
     assert_matches_reference(dga)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_complex(3, 5, [3, 5, 4, 6, 3, 2])[0],
+    lambda: cobar(build_toy_model(), 12),
+    lambda: model_end_dga(GroupParams(3, 1, 2)),
+    lambda: _loop_cobar((3, 1, 2))],
+    ids=["random complex", "toy cobar", "end(3,1,2)", "cobar(3,1,2)"])
+def test_diff_block_is_d_on_its_block(build):
+    """On every block below which d is defined, the dense matrix of
+    `diff_block` has d of label j as its column j, `rows` are its rows,
+    and `kills` says what the dense product says: of d on the block above,
+    and of that d with one entry changed where the product must show it,
+    on all of its columns and on a random subset."""
+    dga = build()
+    space, p = dga.space, dga.prime
+    rng = np.random.default_rng(0)
+    refuted = 0
+    for bd in sorted(space.blocks):
+        if bd.s == space.window[0]:
+            continue
+        out, above = Bidegree(bd.s - 1, bd.w), Bidegree(bd.s + 1, bd.w)
+        block = dga.diff_block(bd)
+        M = block.dense()
+        assert M.dtype == np.int64
+        assert M.shape == (space.dim(out), space.dim(bd))
+        for j, lab in enumerate(space.labels(bd)):
+            assert np.array_equal(M[:, j], space.to_array(out, dga.diff(lab)))
+        assert block.rows() == rows_of(M)
+        if not space.in_window(above.s) or not space.dim(above):
+            continue
+        up = dga.diff_block(above)
+        others = [up]
+        # an entry in a row i of d above, with column i of M nonzero
+        seen = [k for k, i in enumerate(up.row) if M[:, i].any()]
+        if seen:
+            k = seen[int(rng.integers(len(seen)))]
+            others.append(up._replace(values=[
+                v % (p - 1) + 1 if i == k else v
+                for i, v in enumerate(up.values)]))
+        for other in others:
+            N = other.dense()
+            width = N.shape[1]
+            subset = sorted(rng.choice(width, int(rng.integers(width + 1)),
+                                       replace=False).tolist())
+            for cols in (list(range(width)), subset):
+                want = not np.any((M @ N[:, cols]) % p)
+                assert block.kills(other, cols, p) == want
+                refuted += not want
+    assert refuted
 
 
 @pytest.mark.parametrize("pnq, shared", [((5, 1, 2), 19), ((3, 2, 2), 55)])

@@ -105,6 +105,23 @@ def reference_eliminate(rows, p, ncols, *, back=True):
     return tuple(pivots)
 
 
+def reference_nullspace(M, p):
+    """The pivot columns of M over F_p and its nullspace basis in echelon
+    form, read off `reference_eliminate`'s reduced rows: one basis row per
+    free column f, with a 1 at f, zeros at the other free columns and
+    minus column f of the reduced form on the pivot columns."""
+    rows = rows_of(M)
+    pivots = reference_eliminate(rows, p, M.shape[1], back=True)
+    R = np.zeros(M.shape, dtype=np.int64)
+    for i, row in enumerate(rows):
+        R[i, list(row)] = list(row.values())
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    null = np.zeros((len(free), M.shape[1]), dtype=np.int64)
+    null[np.arange(len(free)), free] = 1
+    null[:, list(pivots)] = -R[:len(pivots)][:, free].T % p
+    return pivots, null
+
+
 def random_matrix(rng, p, rows, cols, kind):
     """A rows x cols matrix mod p: zero, rank 1, full rank (permuted upper
     triangular with a unit diagonal), about 5 % nonzero, or uniform."""
@@ -238,8 +255,8 @@ def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
     prefix of its columns only, on [M | I] as `row_reduce` reduces it,
     where the transform's rows below the rank record the row operations
     themselves, not only the rref, and on a column-major M^T as
-    `greedy_extend` reduces it; in both halves.  With back substitution,
-    the array that `_reduce` writes back holds those rows."""
+    `greedy_extend` reduces it; in both halves.  With back substitution on
+    [M | I], `row_reduce` of M gives those rows as its rref and transform."""
     rng = np.random.default_rng(seed)
     A = random_matrix(rng, p, rows, cols, kind).astype(np.int64) % p
     ncols = cols
@@ -253,11 +270,10 @@ def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
     assert ainfbg.glin._eliminate(got, p, ncols, back=back) == \
         reference_eliminate(want, p, ncols, back=back)
     assert got == want
-    if back:
-        reduced = A.copy()
-        ainfbg.glin._reduce(reduced, p, ncols)
-        assert reduced.dtype == np.int64
-        assert rows_of(reduced) == got
+    if back and layout == "[M | I]":
+        pd = row_reduce(A[:, :cols], p)
+        assert pd.rref.dtype == pd.transform.dtype == np.int64
+        assert rows_of(np.hstack([pd.rref, pd.transform])) == got
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,15 +283,20 @@ def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
        st.integers(0, 2**32 - 1))
 def test_forward_elimination_reads_the_nullspace_back(seed, p, rows, cols,
                                                       kind, pick):
-    """`echelon` picks the pivot columns of `rank_nullspace` and the pivot
-    rows of the numpy reference's forward half, and `back_substitute`
-    gives, for any subset of the free columns in any order, the matching
-    rows of `rank_nullspace`'s basis: the pivot columns that `contraction`
-    keeps of a block, and the representatives that `_split` reads back
-    from a rerun of its elimination."""
+    """`echelon` picks the pivot columns of the numpy reference's reduced
+    echelon form and the pivot rows of its forward half, and
+    `back_substitute` gives, for any subset of the free columns in any
+    order, the matching rows of the nullspace basis read off that reduced
+    form, which `rank_nullspace` gives whole: the pivot columns that
+    `contraction` keeps of a block, and the representatives that `_split`
+    reads back from a rerun of its elimination."""
     rng = np.random.default_rng(seed)
     M = random_matrix(rng, p, rows, cols, kind).astype(np.int64) % p
-    rank, null, pivots = rank_nullspace(M, p)
+    pivots, null = reference_nullspace(M, p)
+    rank = len(pivots)
+    got_rank, got_null, got_pivots = rank_nullspace(M, p)
+    assert (got_rank, got_pivots) == (rank, pivots)
+    assert got_null.dtype == np.int64 and np.array_equal(got_null, null)
     got_pivots, pivot_rows = echelon(rows_of(M), p, cols)
     assert got_pivots == pivots and len(pivot_rows) == rank
     want = rows_of(M)

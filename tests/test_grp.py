@@ -263,6 +263,45 @@ def test_stage_weight_closed_form():
             assert stage_weight(2 * j + 1, pn) == j * pn + 1
 
 
+def scanned_end_dga_blocks(gp, window):
+    """The labels of `build_end_dga` by a scan of every (target, source)
+    stage pair and every power a < p^n, keeping the maps of a degree in the
+    window and of a weight w >= 0 in q Z: the reference for the ranges it
+    runs over."""
+    pn, q = gp.pn, gp.q
+    lo, hi = window
+    L = -lo + 6
+    blocks = {}
+    for i in range(L + 1):
+        for src in range(L + 1):
+            d = src - i
+            s = -d
+            if not lo <= s <= hi:
+                continue
+            wdiff = stage_weight(src, pn) - stage_weight(i, pn)
+            for a in range(pn):
+                w = wdiff - a
+                if w < 0 or w % q:
+                    continue
+                blocks.setdefault((s, w), []).append((i, d, a))
+    return blocks
+
+
+def test_end_dga_labels_are_those_of_the_scan():
+    """Block by block and in the same order, on every group with
+    p^n <= 49 at two windows, one of them with maps that raise the stage."""
+    groups = [GroupParams(p, n, q) for p in range(3, 48) if is_prime(p)
+              for n in range(1, 4) if p ** n <= 49
+              for q in range(1, p) if (p - 1) % q == 0]
+    assert len(groups) == 88
+    for gp in groups:
+        for window in ((-7, 1), (-10, 3)):
+            space = build_end_dga(gp, window=window).space
+            want = scanned_end_dga_blocks(gp, window)
+            assert list(space.blocks) == list(want), (gp, window)
+            assert space.blocks == want, (gp, window)
+
+
 def test_end_dga_small_exhaustive():
     gp = GroupParams(3, 1, 2)
     dga = build_end_dga(gp, window=(-8, 1))

@@ -665,31 +665,28 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
                 f"cannot rescale coefficient {raw_coeff} to {want} mod {p}")
         lam, mu = scales[0]
 
-    def rebased_tables(lam: int, mu: int) -> dict[int, MultiOp]:
-        # generator rescale x -> lam*x, t -> mu*t carries nu(j,eps) to
-        # lam^j mu^eps nu(j,eps); conjugate every table by that diagonal
-        new = {lab: (monomial_label(j, eps, names),
-                     c * pow(lam, j, p) * pow(mu, eps, p) % p)
-               for (j, eps), (lab, c) in nu.items()}
-        new_ops: dict[int, MultiOp] = {}
-        for n, table in model.ops.items():
-            new_table: MultiOp = {}
-            for word, vec in table.items():
-                out_lab, coeff = _single(vec, f"m_{n}{word}")
-                out_mono, out_c = new[out_lab]
-                for lab in word:
-                    coeff = coeff * new[lab][1] % p
-                new_table[tuple(new[lab][0] for lab in word)] = {
-                    out_mono: coeff * inv[out_c] % p}
-            if new_table:
-                new_ops[n] = new_table
-        return new_ops
+    # generator rescale x -> lam*x, t -> mu*t carries nu(j,eps) to
+    # lam^j mu^eps nu(j,eps); conjugate every table by that diagonal
+    new = {lab: (monomial_label(j, eps, names),
+                 c * pow(lam, j, p) * pow(mu, eps, p) % p)
+           for (j, eps), (lab, c) in nu.items()}
+    new_ops: dict[int, MultiOp] = {}
+    for n, table in model.ops.items():
+        new_table: MultiOp = {}
+        for word, vec in table.items():
+            out_lab, coeff = _single(vec, f"m_{n}{word}")
+            out_mono, out_c = new[out_lab]
+            for lab in word:
+                coeff = coeff * new[lab][1] % p
+            new_table[tuple(new[lab][0] for lab in word)] = {
+                out_mono: coeff * inv[out_c] % p}
+        if new_table:
+            new_ops[n] = new_table
 
     mono_space = GradedVectorSpace(
         prime=p, window=model.space.window,
         blocks={bd: [monomial_label(j, eps, names)] for j, eps, bd in monos})
-    normalized = AInfinityAlgebra(space=mono_space,
-                                  ops=rebased_tables(lam, mu),
+    normalized = AInfinityAlgebra(space=mono_space, ops=new_ops,
                                   arity_bound=model.arity_bound,
                                   unit=monomial_label(0, 0, names),
                                   internal_scale=scale)

@@ -497,19 +497,17 @@ class Contraction:
 
     `contraction` certifies d^2 = 0 on every block of the contracted
     range, the window of `homology`, whose block dimensions it reads off
-    the same eliminations.  A block is split, and its retraction
-    identities certified, on its first read: before any value leaves it,
-    its neighbours s +- 1 in range are split too, since the identities
-    read them.  `splits` holds the three block matrices of every block
+    the same eliminations.  The three maps read through `_block_map`,
+    which refuses a block outside that range, or at its floor over a
+    nonzero block (where d leaves the range and G d is unknown), with
+    TruncationExceeded before any split.  Any other block is split, and
+    its retraction identities certified, on its first read, with its
+    neighbours s +- 1 in range split too, since the identities read
+    them.  `trusted` records the certified blocks: every block a value
+    has left.  `splits` holds the three block matrices of every block
     split so far; the block's labels are those of `dga.space` and its
-    homology labels those of `homology`.  The homotopy identity is
-    certified on the `trusted` bidegrees: every block read so far except
-    those at the range's floor whose block below is nonzero (there d
-    leaves the range and G d is unknown).  A copy made by
-    `dataclasses.replace`, such as the pipeline's with its published
-    classes renamed, shares all of this state, so no block is split
-    twice.  Of pass 0 it keeps d by its nonzero entries and each block's
-    pivot columns, nothing per row.
+    homology labels those of `homology`.  Of pass 0 it keeps d by its
+    nonzero entries and each block's pivot columns, nothing per row.
     """
 
     dga: DGAlgebra
@@ -521,7 +519,6 @@ class Contraction:
     _d: dict[Bidegree, SparseBlock] = field(default_factory=dict, repr=False)
     _pivots: dict[Bidegree, tuple[int, ...]] = field(default_factory=dict,
                                                      repr=False)
-    _certified: set[Bidegree] = field(default_factory=set, repr=False)
 
     def include(self, hvec: Vector) -> Vector:
         return self._block_map("f1", self.homology, self.dga.space, hvec)
@@ -537,14 +534,17 @@ class Contraction:
                    target: GradedVectorSpace, vec: Vector, *,
                    shift: int = 0) -> Vector:
         """The block matrix `name` applied to a homogeneous vector of
-        `source`, landing `shift` degrees up in `target`."""
+        `source`, landing `shift` degrees up in `target`; the product is
+        int64 `@`, exact under the bound that `contraction` checks."""
         if not vec:
             return {}
         bd = source.bidegree_of(next(iter(vec)))
         lo, hi = self.homology.window
-        if not lo <= bd.s <= hi:
+        floor = bd.s == lo and self.dga.space.dim(Bidegree(lo - 1, bd.w))
+        if floor or not lo <= bd.s <= hi:
             raise TruncationExceeded(
-                f"bidegree {bd} outside contracted range {(lo, hi)}")
+                f"bidegree {bd} {'at the floor of' if floor else 'outside'} "
+                f"contracted range {(lo, hi)}")
         arr = source.to_array(bd, vec)
         split = self._certified_split(bd)
         out = (getattr(split, name) @ arr) % self.dga.prime
@@ -612,10 +612,12 @@ class Contraction:
         on the first call; a failure raises CertificationError, and the
         block stays unread.
 
-        Every block product runs through `matmul_mod`, and products with
-        G read only its rows P_{s+1}, where it can be nonzero.
+        pi f1 = id, G f1 = 0 and d G + G d = id - f1 pi hold on every
+        block it certifies, pi G = 0 and G G = 0 where the block above is
+        in range.  Its products run through `matmul_mod`, and products
+        with G read only its rows P_{s+1}, where it can be nonzero.
         """
-        if bd in self._certified:
+        if bd in self.trusted:
             return self.splits[bd]
         p = self.dga.prime
         below, above = Bidegree(bd.s - 1, bd.w), Bidegree(bd.s + 1, bd.w)
@@ -638,18 +640,15 @@ class Contraction:
             if np.any(matmul_mod(sp_up.g[np.ix_(rows(bd.s + 2), up)],
                                  g_up, p)):
                 raise CertificationError(f"G G != 0 at {bd}")
-        if bd.s > self.homology.window[0] or not self.dga.space.dim(below):
-            ident = matmul_mod(sp.f1, sp.pi, p)
-            if sp_dn is not None:
-                here = rows(bd.s)
-                ident[here] += matmul_mod(sp_dn.g[here], self._d[bd].dense(),
-                                          p)
-            if up:
-                ident += matmul_mod(self._d[above].dense()[:, up], g_up, p)
-            if np.any(ident % p != np.eye(n, dtype=np.int64)):
-                raise CertificationError(f"homotopy identity fails at {bd}")
-            self.trusted.add(bd)
-        self._certified.add(bd)
+        ident = matmul_mod(sp.f1, sp.pi, p)
+        if sp_dn is not None:
+            here = rows(bd.s)
+            ident[here] += matmul_mod(sp_dn.g[here], self._d[bd].dense(), p)
+        if up:
+            ident += matmul_mod(self._d[above].dense()[:, up], g_up, p)
+        if np.any(ident % p != np.eye(n, dtype=np.int64)):
+            raise CertificationError(f"homotopy identity fails at {bd}")
+        self.trusted.add(bd)
         return sp
 
 
@@ -666,13 +665,14 @@ def contraction(dga: DGAlgebra) -> Contraction:
     checks on the nonzero entries of d that d kills them (d^2 = 0) before
     this returns.  The homology of block s then has dimension
     n - |P_s| - |P_{s+1}|.  The contraction keeps d sparse and the pivot
-    columns; no dense array outlives the read that builds it.  The
-    retraction identities of a block are checked exactly on its first
-    read (see `Contraction`); every failure raises CertificationError.
+    columns; no dense array outlives the read that builds it.  A block's
+    retraction identities are checked exactly on its first read, and no
+    floor block over a nonzero block is read (see `Contraction`); every
+    failure raises CertificationError.
 
-    Every block product runs through `matmul_mod`.  They assume
-    n (p-1)^2 + 2p < 2^63 for the largest block n; a DGA past that bound
-    is a ParameterError.
+    The certification's products run through `matmul_mod` and a read's
+    through int64 `@`.  Both assume n (p-1)^2 + 2p < 2^63 for the
+    largest block n; a DGA past that bound is a ParameterError.
     """
     space = dga.space
     p = dga.prime

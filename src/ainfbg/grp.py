@@ -17,7 +17,7 @@ powers of U, and that single presentation drives everything here:
     generator and the power of U that each differential multiplies by;
   * build_end_dga -- the invariant, weight >= 0 part of the endomorphism
     algebra of the truncated resolution, built from those two numbers: a
-    finite DGA whose cohomology in the trusted range is H*(BG; k);
+    finite DGA whose cohomology on the published window is H*(BG; k);
   * expected_minimal_model / expected_loop_model -- the closed-form
     answers the computed structures are compared against.
 

@@ -43,6 +43,7 @@ from .dga import (
     Contraction,
     DGAlgebra,
     MasseyReport,
+    Vector,
     contraction,
     massey_power,
     reorder_blocks,
@@ -62,8 +63,6 @@ __all__ = [
     "MasseyComparison",
     "massey_versus_transfer",
 ]
-
-Vector = dict[str, int]
 
 # The split sign (-1)^(st+s), together with the operator-degree factor
 # (-1)^((t-1)|prefix|) applied when the suffix map crosses the prefix
@@ -96,13 +95,14 @@ class MerkulovTransfer:
     zero space, so the tables only evaluate words whose output bidegree
     carries a block.  On the cochain side the retraction should extend
     arity_bound - 2 degrees below it so every inner evaluation of a
-    published word stays in the trusted range (unit letters spend arity
-    without spending degree); loop classes sit in degrees >= 0, so there
-    no inner value climbs above its word's output.  An evaluation that
-    leaves the contracted range raises TruncationExceeded; nothing here
-    reads it as zero.  Each block the evaluations read is split and
-    certified by the retraction on its first read, so the tables cost
-    the blocks they touch, not the whole range.
+    published word stays in the range the retraction reads, above its
+    floor (unit letters spend arity without spending degree); loop
+    classes sit in degrees >= 0, so there no inner value climbs above
+    its word's output.  An evaluation that leaves the contracted range
+    raises TruncationExceeded; nothing here reads it as zero.  Each block
+    the evaluations read is split and certified by the retraction on its
+    first read, so the tables cost the blocks they touch, not the whole
+    range.
     """
 
     def __init__(self, con: Contraction, closed_form: AInfinityAlgebra) -> None:
@@ -267,18 +267,17 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     `expected.arity_bound`; the gate reads only homology dimensions, so
     the retraction splits only the blocks the unit check and the
     transfer read.  It hands back the homology with its published
-    classes renamed to the expected monomials, and the pipeline goes on
-    with a copy of the retraction that carries it and shares its
-    splits.  The caller's chain window must leave enough
-    slack around the published one that no published word leaves the
-    retraction's trusted range; a word that does raises
+    classes renamed to the expected monomials, which the pipeline sets
+    on its one retraction.  The caller's chain window must leave enough
+    slack around the published one that no published word reads the
+    retraction's floor or leaves its range; a word that does raises
     TruncationExceeded (enlarge the window).
     """
     space = expected.space
     if reorder is not None:
         dga = reorder_blocks(dga, reorder)
     con = contraction(dga)
-    con = replace(con, homology=check_pattern(con.homology, space))
+    con.homology = check_pattern(con.homology, space)
     if con.include({expected.unit: 1}) != dga.unit:
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "
@@ -300,7 +299,7 @@ def group_minimal_model(params: GroupParams, *,
     arity_bound - 1 degrees above the chain-level window floor
     (`GroupParams.cochain_run`): inner evaluations of a published word
     reach at most arity_bound - 2 degrees below it, so everything they
-    touch is in the retraction's trusted range.  Below the published
+    touch lies in the range the retraction reads.  Below the published
     floor the homology may contain truncation junk; it is never renamed,
     enumerated, or read.
     """

@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ainfbg.cli import (
     main,
     model_document,
 )
-from ainfbg.glin import Bidegree, GradedVectorSpace
+from ainfbg.glin import Bidegree, GradedVectorSpace, ParameterError
 from ainfbg.grp import GroupParams, expected_minimal_model
 
 
@@ -490,6 +491,41 @@ def test_verify_11_1_2_content_hash_is_pinned(capsys):
     doc = json.loads(out)
     assert doc["overall"] == "pass"
     assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
+
+
+# The census: the content hash of `verify --json --no-cache` on each of the
+# 41 valid (p, n, q) with p^n <= 27 (GroupParams refuses p = 2).  CI runs
+# all 41; tier-1 runs the 21 that verify in under a second in process on a
+# 2-core x86_64 machine, about 7 s together.
+CENSUS_HASHES = json.loads(
+    Path(__file__).with_name("census_hashes.json").read_text())
+FAST_CENSUS = ["3 1 1", "3 1 2", "3 2 1", "3 2 2", "5 1 1", "5 1 2", "5 1 4",
+               "7 1 1", "7 1 2", "7 1 3", "7 1 6", "11 1 1", "11 1 5",
+               "13 1 1", "13 1 2", "13 1 3", "13 1 4", "13 1 6", "17 1 2",
+               "17 1 4", "19 1 3"]
+
+
+def test_the_census_lists_every_valid_group_up_to_27():
+    valid = []
+    for p, n, q in itertools.product(range(2, 28), range(1, 5), range(1, 27)):
+        if p ** n <= 27:
+            try:
+                GroupParams(p, n, q)
+            except ParameterError:
+                continue
+            valid.append(f"{p} {n} {q}")
+    assert len(valid) == 41
+    assert sorted(valid) == sorted(CENSUS_HASHES)
+
+
+@pytest.mark.parametrize("pnq", FAST_CENSUS)
+def test_census_content_hash(capsys, pnq):
+    code, out, _ = run_cli(capsys, "verify", *pnq.split(), "--json",
+                           "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["overall"] == "pass"
+    assert doc["provenance"]["content_hash"] == CENSUS_HASHES[pnq]
 
 
 def test_verify_skips_a_loop_stage_over_the_word_budget(capsys, monkeypatch):

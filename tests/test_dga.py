@@ -324,10 +324,13 @@ def reference_contraction(dga):
 
 def read_every_block(con):
     """Put every block of the contracted range through the split and
-    certification that its first read runs; returns con."""
+    certification that its first read runs, and split the floor blocks
+    whose block below is nonzero, which no read reaches; returns con."""
     lo, hi = con.homology.window
     for bd in sorted(con.dga.space.blocks):
-        if lo <= bd.s <= hi:
+        if bd.s == lo and con.dga.space.dim(Bidegree(lo - 1, bd.w)):
+            con._split(bd)
+        elif lo <= bd.s <= hi:
             con._certified_split(bd)
     return con
 
@@ -524,10 +527,9 @@ def test_a_contraction_keeps_no_dense_array_but_its_splits(build):
     dga = build()
     con = contraction(dga)
     assert {f.name for f in fields(con)} == {
-        "dga", "homology", "splits", "trusted", "_d", "_pivots",
-        "_certified"}
+        "dga", "homology", "splits", "trusted", "_d", "_pivots"}
     assert con._d and set(con._d) == set(con._pivots)
-    assert not con.splits and not con.trusted and not con._certified
+    assert not con.splits and not con.trusted
     assert reachable_arrays(con, [dga]) == []
     read_every_block(con)
     held = {id(a) for a in reachable_arrays(con, [dga])}
@@ -638,17 +640,30 @@ def test_the_blocks_split_are_those_read_and_their_neighbours(
         assert not made[1].splits
 
 
+def recorded_splits(monkeypatch):
+    """The bidegrees that `Contraction._split` is called on, from now."""
+    calls = []
+    split = Contraction._split
+
+    def recorded(self, bd):
+        calls.append(bd)
+        return split(self, bd)
+
+    monkeypatch.setattr(Contraction, "_split", recorded)
+    return calls
+
+
 def test_the_round_trip_runs_no_split(monkeypatch):
     """The round trip gates homology dimensions only, and those come from
-    the eliminations of d: its contraction reduces no boundary basis."""
-    import ainfbg.dga
-
+    the eliminations of d: its contraction splits no block, while a read
+    of the unit class of the same cobar does."""
     comp = loop_minimal_model(GroupParams(3, 1, 2))
-    calls = []
-    monkeypatch.setattr(ainfbg.dga, "row_reduce",
-                        lambda *args: calls.append(args))
+    calls = recorded_splits(monkeypatch)
     assert poincare_roundtrip(comp).blocks_checked
     assert calls == []
+    con = contraction(comp.con.dga)
+    assert con.include({con.homology.labels(Bidegree(0, 0))[0]: 1})
+    assert Bidegree(0, 0) in calls
 
 
 def _chain(p, blocks, diff):
@@ -660,18 +675,17 @@ def _chain(p, blocks, diff):
 
 def test_d_squared_is_certified_on_blocks_never_read(monkeypatch):
     """d^2 != 0 at internal degree 1 fails `contraction` itself, before
-    any block is read or split."""
-    import ainfbg.dga
-
-    calls = []
-    monkeypatch.setattr(ainfbg.dga, "row_reduce",
-                        lambda *args: calls.append(args))
+    any block is read or split; without the fault, a read splits."""
+    calls = recorded_splits(monkeypatch)
     blocks = {Bidegree(s, w): [f"a{s}_{w}"] for s in range(4) for w in (0, 1)}
     diff = {"a2_0": {"a1_0": 1}, "a3_1": {"a2_1": 1}, "a2_1": {"a1_1": 2}}
     with pytest.raises(CertificationError,
                        match=r"boundaries at Bidegree\(s=2, w=1\)"):
         contraction(_chain(5, blocks, diff))
     assert calls == []
+    del diff["a2_1"]
+    assert contraction(_chain(5, blocks, diff)).homotopy({"a1_0": 1})
+    assert Bidegree(1, 0) in calls
 
 
 def test_a_corrupted_split_never_leaves_its_block(monkeypatch):

@@ -9,6 +9,7 @@ coefficient through a ratio that no basis or scaling choice can move.
 """
 
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ import ainfbg.transfer
 from ainfbg.ainf import stasheff_sweep
 from ainfbg.cli import main
 from ainfbg.dga import Contraction, contraction, massey_power
-from ainfbg.glin import TruncationExceeded
+from ainfbg.glin import Bidegree, TruncationExceeded
 from ainfbg.grp import GroupParams, build_end_dga, expected_minimal_model
 from ainfbg.koszul import loop_minimal_model
 from ainfbg.transfer import (
@@ -320,6 +321,59 @@ def test_a_lost_word_is_never_read_as_zero(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "truncation-window error" in captured.err
+
+
+def test_a_floor_block_over_a_nonzero_block_is_never_read(monkeypatch,
+                                                         capsys):
+    """At the floor of the contracted range, over a nonzero block, d
+    leaves the range and the homotopy identity cannot be checked: include,
+    project and homotopy refuse such a block with TruncationExceeded before
+    any split, and a transfer whose published window reaches down to that
+    floor exits 3."""
+    params = GroupParams(3, 1, 2)
+    con = contraction(build_end_dga(params, window=params.cochain_run()[0]))
+    space, lo = con.dga.space, con.homology.window[0]
+    (bd,) = [bd for bd in space.blocks
+             if bd.s == lo and space.dim(Bidegree(lo - 1, bd.w))]
+    (cls,) = con.homology.labels(bd)
+    lab = space.labels(bd)[0]
+    for read, vec in [(con.include, {cls: 1}), (con.project, {lab: 1}),
+                      (con.homotopy, {lab: 1})]:
+        with pytest.raises(TruncationExceeded,
+                           match=re.escape(f"{bd} at the floor")):
+            read(vec)
+    assert not con.splits and not con.trusted
+
+    run = GroupParams.cochain_run
+
+    def published_from_the_floor(self, window=None, arity=None):
+        window, pub, arity = run(self, window, arity)
+        return window, (window[0] + 1, pub[1]), arity
+
+    monkeypatch.setattr(GroupParams, "cochain_run", published_from_the_floor)
+    assert main(["transfer", "3", "1", "2", "--no-cache"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"truncation-window error: bidegree {bd} at the floor" \
+        in captured.err
+
+
+def test_the_pipeline_keeps_one_contraction(monkeypatch):
+    """The gate renames the published classes on the pipeline's one
+    retraction: a run makes one Contraction, which its computation and
+    its transfer hold."""
+    made = []
+    init = Contraction.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Contraction, "__init__", counted)
+    comp = group_minimal_model(GroupParams(3, 1, 2))
+    assert len(made) == 1
+    assert made[0] is comp.con is comp.transfer.con
+    assert comp.con.homology.labels(Bidegree(0, 0)) == [comp.model.unit]
 
 
 @pytest.mark.parametrize("pipeline", [group_minimal_model, loop_minimal_model],

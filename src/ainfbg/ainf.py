@@ -179,10 +179,12 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
     word is truncated (TruncationExceeded) when m on a contiguous subword
     leaves the window, the _q_leaves_window rule that stasheff_sweep's
     counted pass uses; past it, inner operations are table reads.
-    Every term lands in the identity output bidegree (input sum shifted
-    by n - 3 in s): in the window without a block that gives zero by
-    grading, and outside it an unknown value is read, so the word is
-    truncated, only when some inner operation is nonzero.
+    Every term lands in the identity output bidegree (Q_n - 3, the sum of
+    the letters' w), where Q_n is the truncation rule's running sum: in
+    the window without a block that gives zero by grading, and outside it
+    an unknown value is read, so the word is truncated, only when some
+    inner operation is nonzero.  Each letter's (s, w) is read once off the
+    space's label index; most swept words stop at the block test.
     """
     n = len(word)
     if n > model.arity_bound:
@@ -190,21 +192,24 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
             f"identity at arity {n} needs operations beyond bound "
             f"{model.arity_bound}")
     space = model.space
-    degrees = [space.bidegree_of(lab) for lab in word]
-    q = qmin = qmax = 0
-    for bd in degrees:
-        q += bd.s + 1
-        if _q_leaves_window(space.window, q, qmin, qmax):
+    window = space.window
+    degrees = [space._index[lab][0] for lab in word]
+    q = qmin = qmax = w = 0
+    for s, dw in degrees:
+        q += s + 1
+        w += dw
+        if _q_leaves_window(window, q, qmin, qmax):
             raise TruncationExceeded(
                 f"an operation on a subword of {word} leaves the window "
-                f"{space.window}")
-        qmin, qmax = min(qmin, q), max(qmax, q)
-    out = Bidegree(sum(bd.s for bd in degrees) + n - 3,
-                   sum(bd.w for bd in degrees))
-    in_window = space.in_window(out.s)
-    if in_window and out not in space.blocks:
+                f"{window}")
+        if q < qmin:
+            qmin = q
+        elif q > qmax:
+            qmax = q
+    in_window = window[0] <= q - 3 <= window[1]
+    if in_window and (q - 3, w) not in space.blocks:
         return {}
-    passed = list(itertools.accumulate((bd.s for bd in degrees), initial=0))
+    passed = list(itertools.accumulate((s for s, _ in degrees), initial=0))
     p = model.prime
     total: dict[str, int] = {}
     for s in range(1, n + 1):
@@ -215,8 +220,8 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
                 continue
             if not in_window:
                 raise TruncationExceeded(
-                    f"identity output degree {out.s} of {word} outside "
-                    f"window {space.window}")
+                    f"identity output degree {q - 3} of {word} outside "
+                    f"window {window}")
             t = n - s - r
             sign = -1 if (r + s * t + s * passed[r]) % 2 else 1
             outer_table = model.ops.get(r + 1 + t, {})

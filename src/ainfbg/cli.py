@@ -153,7 +153,7 @@ def _base_document(kind: str, command: str, params: GroupParams,
 
 
 def model_document(command: str, params: GroupParams, parameters: dict,
-                   model: AInfinityAlgebra, *, extra: dict | None = None) -> dict:
+                   model: AInfinityAlgebra, *, extra: dict) -> dict:
     doc = _base_document("ainfinity-model", command, params, parameters)
     doc.update({
         "window": list(model.space.window),
@@ -162,9 +162,8 @@ def model_document(command: str, params: GroupParams, parameters: dict,
         "internal_scale": model.internal_scale,
         "spaces": space_records(model.space),
         "operations": operation_records(model),
+        **extra,
     })
-    if extra:
-        doc.update(extra)
     return finalize_document(doc)
 
 

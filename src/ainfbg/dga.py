@@ -38,13 +38,15 @@ from .glin import (
     GradedVectorSpace,
     ParameterError,
     TruncationExceeded,
+    _array,
+    _eliminate,
     back_substitute,
     echelon,
     matmul_mod,
-    row_reduce,
 )
 # unused here, but the benchmark's tracer rebinds these names in this module
-from .glin import greedy_extend, invert, rank_nullspace, solve  # noqa: F401
+from .glin import (  # noqa: F401
+    greedy_extend, invert, rank_nullspace, row_reduce, solve)
 
 __all__ = [
     "CertificationError",
@@ -149,8 +151,8 @@ class DGAlgebra:
 
 class SparseBlock(NamedTuple):
     """A block matrix by its nonzero entries: entry k is values[k] at
-    (row[k], col[k]).  The elimination reads its rows; a product reads an
-    int64 array that `dense` builds for that read alone."""
+    (row[k], col[k]).  The eliminations read its entries; a product reads
+    an int64 array that `dense` builds for that read alone."""
 
     shape: tuple[int, int]
     row: list[int]
@@ -561,7 +563,8 @@ class Contraction:
         free column, so the unit vectors e_j, j in P_s, span the
         complement C of Z that a greedy scan of the unit vectors would
         pick.  The columns d(e_j), j in P_{s+1}, are a basis B of the
-        boundaries, and B = B[:, F] Z.  One `row_reduce` of B[:, F], with
+        boundaries, and B = B[:, F] Z.  One elimination of [B[:, F] | I],
+        B's rows read off the entries of d above at the columns P_{s+1} and
         F scanned right to left, splits F into its pivot columns T and the
         rest S: a greedy scan of Z extends B by exactly the rows on S,
         which are the homology representatives H.  Only where S is
@@ -569,9 +572,9 @@ class Contraction:
         is deterministic, and back-substitute those rows through its pivot
         rows.  The transform X is B[:, T]^-1, T in pivot order, so a
         vector v has B coordinates X^T v[T] and H coordinates
-        v[S] - rref[:, S]^T v[T].  pi reads the H coordinates; the
-        homotopy is G(d e_j) = e_j for j in P_{s+1} and zero on H + C, so
-        G is X^T on the rows P_{s+1} and the columns T.
+        v[S] - R[:, S]^T v[T] for the reduced rows R.  pi reads the H
+        coordinates; the homotopy is G(d e_j) = e_j for j in P_{s+1} and
+        zero on H + C, so G is X^T on the rows P_{s+1} and the columns T.
         """
         if (sp := self.splits.get(bd)) is not None or bd not in self._d \
                 or bd.s > self.homology.window[1]:
@@ -580,28 +583,36 @@ class Contraction:
         p = self.dga.prime
         n = space.dim(bd)
         above = Bidegree(bd.s + 1, bd.w)
-        up = list(self._pivots.get(above, ()))
-        b_rows = self._d[above].dense()[:, up].T if up else \
-            np.zeros((0, n), dtype=np.int64)
+        up = self._pivots.get(above, ())
         pivot_set = set(self._pivots[bd])
         free = [c for c in range(n) if c not in pivot_set]
         nb, nz = len(up), len(free)
-        red = row_reduce(b_rows[:, free[::-1]], p)
-        if red.rank < nb:
+        # row k: row k of I, then d(e_j), j = up[k], on F reversed
+        rows = [{nz + k: 1} for k in range(nb)]
+        if up:
+            at = {j: k for k, j in enumerate(up)}
+            rev = {c: nz - 1 - k for k, c in enumerate(free)}
+            d_up = self._d[above]
+            for i, j, v in zip(d_up.row, d_up.col, d_up.values):
+                if j in at and i in rev:
+                    rows[at[j]][rev[i]] = v
+        t_rev = _eliminate(rows, p, nz, back=True)
+        if len(t_rev) < nb:
             raise CertificationError(
-                f"splitting basis at {bd}: boundaries of rank {red.rank} "
+                f"splitting basis at {bd}: boundaries of rank {len(t_rev)} "
                 f"< {nb} on the free columns are not invertible")
+        red = _array(rows, nz + nb)
         # positions in `free`: T in pivot order, S = the rest, ascending
-        t_pos = [nz - 1 - c for c in red.pivot_cols]
+        t_pos = [nz - 1 - c for c in t_rev]
         s_pos = sorted(set(range(nz)) - set(t_pos))
         t_cols = [free[k] for k in t_pos]
         s_cols = [free[k] for k in s_pos]
         nh = len(s_pos)
         g = np.zeros((space.dim(above), n), dtype=np.int64)
-        g[np.ix_(up, t_cols)] = red.transform.T
+        g[np.ix_(up, t_cols)] = red[:, nz:].T
         pi = np.zeros((nh, n), dtype=np.int64)
         pi[np.arange(nh), s_cols] = 1
-        pi[:, t_cols] = -red.rref[:, [nz - 1 - k for k in s_pos]].T % p
+        pi[:, t_cols] = -red[:, [nz - 1 - k for k in s_pos]].T % p
         f1 = back_substitute(*echelon(self._d[bd].rows(), p, n), s_cols,
                              n, p) if s_cols else np.zeros((0, n), np.int64)
         sp = self.splits[bd] = _BlockSplit(f1=f1.T.copy(), pi=pi, g=g)

@@ -18,9 +18,10 @@ off an int64 array) in place.  Its forward half, which skips back
 substitution, gives every pivot set and nullspace: `echelon` runs it and
 keeps the pivot rows, from which `back_substitute` reads the nullspace
 rows asked for; `rank_nullspace` reads all of them and `greedy_extend`
-the pivots alone.  Only `row_reduce` runs the back half too, since it
-builds a transform (it reduces [M | I]) for `invert`, `solve` and
-`dga`'s splits.  `dga.contraction` keeps only the pivot columns of d's
+the pivots alone.  The back half, run after the forward half, builds a
+transform where [M | I] is reduced: `row_reduce` does so for `invert`
+and `solve`, and `dga`'s splits on the sparse rows of [B | I] that they
+read off d.  `dga.contraction` keeps only the pivot columns of d's
 sparse rows; a split with homology reruns `echelon` for that pair.  Block
 products run through `matmul_mod`: in float64 BLAS while every partial
 sum is an integer below 2^53 (Dumas, Giorgi & Pernet, "Dense linear
@@ -141,12 +142,15 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
     is what keeps splittings deterministic.  Each pivot is inverted as
     a^(p-2).
 
-    With `back`, each pivot also clears its column above it, and the rows
-    end in reduced row echelon form.  Without it, the forward half, only
-    the rows below a pivot are cleared: the first rank rows end as those
-    of a row echelon form, each with a 1 at its pivot and nothing to its
-    left.  Both halves do the same operations on the rows at and below the
-    current one, so they pick the same pivot columns.
+    The forward half clears each pivot's column below it: the first rank
+    rows end as those of a row echelon form, each with a 1 at its pivot
+    and nothing to its left.  With `back`, the back half then runs from
+    the last pivot row up, clearing each row at the later pivot columns it
+    holds with rows already reduced, so the rows end in reduced row
+    echelon form.  The rows below the rank get only forward operations, as
+    they would with each pivot clearing its column both ways, and the
+    reduced pivot rows are unique, so the order of the halves changes no
+    entry.
     """
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
@@ -161,17 +165,31 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = pow(rows[r][c], p - 2, p)
         piv = rows[r] = {j: v * inv % p for j, v in rows[r].items()}
-        for row in rows if back else rows[r + 1:]:
-            if (f := row.get(c)) and row is not piv:
-                for j, v in piv.items():
-                    # row[j] is present whenever this is zero: f v != 0
-                    if x := (row.get(j, 0) - f * v) % p:
-                        row[j] = x
-                    else:
-                        del row[j]
+        for row in rows[r + 1:]:
+            if f := row.get(c):
+                _subtract(row, f, piv, p)
         pivots.append(c)
         r += 1
+    if back:
+        at = {c: k for k, c in enumerate(pivots)}
+        for k in reversed(range(r)):
+            row = rows[k]
+            # the rows after k hold no pivot column but their own, so
+            # clearing one later pivot column brings in no other
+            for c in [j for j in row if at.get(j, k) > k]:
+                _subtract(row, row[c], rows[at[c]], p)
     return tuple(pivots)
+
+
+def _subtract(row: dict[int, int], f: int, piv: dict[int, int],
+              p: int) -> None:
+    """row -= f * piv over F_p, in place, keeping only nonzero entries."""
+    for j, v in piv.items():
+        # row[j] is present whenever this is zero: f v != 0
+        if x := (row.get(j, 0) - f * v) % p:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def _rows(A: np.ndarray) -> list[dict[int, int]]:
@@ -184,6 +202,15 @@ def _rows(A: np.ndarray) -> list[dict[int, int]]:
     return rows
 
 
+def _array(rows: list[dict[int, int]], ncols: int) -> np.ndarray:
+    """The int64 array of ncols columns whose nonzero entries are the
+    rows, given as `_eliminate` takes them: the inverse of `_rows`."""
+    A = np.zeros((len(rows), ncols), dtype=np.int64)
+    A.flat[[i * ncols + j for i, row in enumerate(rows) for j in row]] = \
+        [v for row in rows for v in row.values()]
+    return A
+
+
 def row_reduce(M, p: int) -> PivotData:
     """Reduced row echelon form with greedy left-to-right pivoting.
 
@@ -194,9 +221,7 @@ def row_reduce(M, p: int) -> PivotData:
     n, cols = A.shape
     rows = _rows(np.hstack([A, np.eye(n, dtype=np.int64)]))
     pivots = _eliminate(rows, p, cols, back=True)
-    R = np.zeros((n, cols + n), dtype=np.int64)
-    R.flat[[i * (cols + n) + j for i, row in enumerate(rows) for j in row]] = \
-        [v for row in rows for v in row.values()]
+    R = _array(rows, cols + n)
     return PivotData(rref=R[:, :cols], transform=R[:, cols:],
                      pivot_cols=pivots, prime=p)
 

@@ -112,7 +112,6 @@ def loop_minimal_model(params: GroupParams, *,
 class RoundTrip:
     """Outcome of the double-dual dimension check."""
 
-    window: tuple[int, int]
     blocks_checked: int
 
 
@@ -134,5 +133,4 @@ def poincare_roundtrip(comp: Computation) -> RoundTrip:
     con = contraction(back)
     expected = expected_minimal_model(params, window=con.homology.window)
     check_pattern(con.homology, expected.space)
-    return RoundTrip(window=con.homology.window,
-                     blocks_checked=len(expected.space.blocks))
+    return RoundTrip(blocks_checked=len(expected.space.blocks))

@@ -14,7 +14,6 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ainfbg.ainf import AdmissibleOp, AInfinityAlgebra, classify_admissible
@@ -420,15 +419,16 @@ def test_singular_block_in_contraction_is_a_certification_failure(
     basis; inside contraction that is a failed certification (exit 1),
     not a parameter error."""
     from ainfbg import dga
-    from ainfbg.glin import PivotData
 
-    def rank_deficient(M, p):
-        rows, cols = np.shape(M)
-        return PivotData(rref=np.zeros((rows, cols), dtype=np.int64),
-                         transform=np.eye(rows, dtype=np.int64),
-                         pivot_cols=(), prime=p)
+    eliminate = dga._eliminate
 
-    monkeypatch.setattr(dga, "row_reduce", rank_deficient)
+    def rank_deficient(rows, p, ncols, *, back):
+        # the split reduces [B | I]: B's last row loses its entries
+        if rows:
+            rows[-1] = {j: v for j, v in rows[-1].items() if j >= ncols}
+        return eliminate(rows, p, ncols, back=back)
+
+    monkeypatch.setattr(dga, "_eliminate", rank_deficient)
     code, _, err = run_cli(capsys, "transfer", 3, 1, 2, "--no-cache")
     assert code == 1
     assert "verification failure" in err

@@ -694,13 +694,16 @@ def test_a_corrupted_split_never_leaves_its_block(monkeypatch):
     CertificationError, while the blocks below it still answer."""
     import ainfbg.dga
 
-    reduce = ainfbg.dga.row_reduce
+    eliminate = ainfbg.dga._eliminate
 
-    def doubled(M, p):
-        red = reduce(M, p)
-        return replace(red, transform=red.transform * 2 % p)
+    def doubled(rows, p, ncols, *, back):
+        # the split reduces [B | I]: the transform is past column ncols
+        pivots = eliminate(rows, p, ncols, back=back)
+        for row in rows:
+            row.update({j: v * 2 % p for j, v in row.items() if j >= ncols})
+        return pivots
 
-    monkeypatch.setattr(ainfbg.dga, "row_reduce", doubled)
+    monkeypatch.setattr(ainfbg.dga, "_eliminate", doubled)
     blocks = {Bidegree(s, 0): [f"a{s}", f"b{s}"] for s in range(5)}
     con = contraction(_chain(5, blocks, {"a3": {"a2": 1}}))
     for _ in range(2):

@@ -276,6 +276,48 @@ def test_eliminate_matches_the_numpy_reference(seed, p, rows, cols, kind,
         assert rows_of(np.hstack([pd.rref, pd.transform])) == got
 
 
+def split_matrix(rng, p, rows, extra, kind):
+    """B[:, F reversed] as a split reduces it, rows x (rows + extra): row
+    k holds two entries, at columns width - 1 - k and width - 2 - k (the
+    boundaries of a chain of blocks, read right to left).  "deficient"
+    replaces a row by a combination of two others, "wide" adds an entry
+    per row at a random column."""
+    width = rows + extra
+    B = np.zeros((rows, width), dtype=np.int64)
+    for k in range(rows):
+        cols = [j for j in (width - 1 - k, width - 2 - k) if j >= 0]
+        B[k, cols] = rng.integers(1, p, size=len(cols))
+    if kind == "deficient" and rows >= 3:
+        i, j, k = rng.choice(rows, size=3, replace=False)
+        B[k] = (rng.integers(1, p) * B[i] + rng.integers(1, p) * B[j]) % p
+    elif kind == "wide" and width:
+        B[np.arange(rows), rng.integers(0, width, size=rows)] = \
+            rng.integers(1, p, size=rows)
+    return B
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 7, 2**31 - 1]),
+       st.integers(0, 110), st.integers(0, 12),
+       st.sampled_from(["anti-bidiagonal", "deficient", "wide"]))
+def test_eliminate_matches_the_numpy_reference_on_split_shapes(
+        seed, p, rows, extra, kind):
+    """On [B | I] as `dga`'s splits reduce it, with B of up to about 110
+    anti-bidiagonal rows, rank-deficient or with more columns than rows,
+    the kernel's back half, run after its forward half, leaves the rows
+    of the reference, which clears each pivot's column both ways at once:
+    the reduced rows, the pivots and the transform."""
+    rng = np.random.default_rng(seed)
+    B = split_matrix(rng, p, rows, extra, kind)
+    A = np.hstack([B, np.eye(rows, dtype=np.int64)])
+    got, want = rows_of(A), rows_of(A)
+    pivots = ainfbg.glin._eliminate(got, p, B.shape[1], back=True)
+    assert pivots == reference_eliminate(want, p, B.shape[1], back=True)
+    assert got == want
+    if kind == "deficient" and rows >= 3:
+        assert len(pivots) < rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 7, 2**31 - 1]),
        st.integers(0, 14), st.integers(0, 14),

@@ -11,19 +11,24 @@ import copy
 import itertools
 import json
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfbg.ainf import AdmissibleOp, AInfinityAlgebra, classify_admissible
 from ainfbg.cli import (
     COMMANDS,
     FORMAT_VERSION,
+    _cache_load,
     _sweep_records,
     build_parser,
     canonical_json,
     document_hash_ok,
+    finalize_document,
     main,
     model_document,
 )
@@ -50,6 +55,20 @@ CACHING = ("model", "transfer", "loops", "verify")
 def uncached(command: str) -> list[str]:
     """--no-cache for a command that caches; the others refuse it."""
     return ["--no-cache"] if command in CACHING else []
+
+
+def reference_canonical_json(doc) -> str:
+    """The stdlib's rendering of canonical JSON, the reference that
+    `canonical_json` must match byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def parse_canonical(out: str) -> dict:
+    """A command's --json output parsed, after checking that it is the
+    reference rendering of what it parses to."""
+    doc = json.loads(out)
+    assert out == reference_canonical_json(doc)
+    return doc
 
 
 def model_from_document(doc: dict) -> AInfinityAlgebra:
@@ -445,9 +464,35 @@ def test_json_output_is_byte_deterministic(capsys):
     assert runs[0] == runs[1]
     code, out, _ = runs[0]
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_canonical(out)
     assert doc["format_version"] == FORMAT_VERSION
     assert document_hash_ok(doc)
+
+
+# keys and strings with what JSON must escape (quotes, backslashes,
+# control characters) and what ensure_ascii escapes (non-ASCII, astral)
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aZ~é€\U0001f600')
+                    | st.characters(), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_matches_the_reference(doc):
+    assert canonical_json(doc) == reference_canonical_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1.0}, {"a": [1, {"b": 0.5}]}, {1: "a"}, {"a": {2: []}},
+    {"a": np.int64(1)}, [np.bool_(True)], {"a": {1, 2}}])
+def test_canonical_json_refuses_what_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
 
 
 # The full content hashes of the acceptance documents on the two smallest
@@ -474,7 +519,7 @@ def test_acceptance_content_hashes_are_pinned(capsys):
     for command, pnq in ACCEPTANCE_HASHES:
         code, out, _ = run_cli(capsys, command, *pnq, "--json", "--no-cache")
         assert code == 0, (command, pnq)
-        got[command, pnq] = json.loads(out)["provenance"]["content_hash"]
+        got[command, pnq] = parse_canonical(out)["provenance"]["content_hash"]
     assert got == ACCEPTANCE_HASHES
 
 
@@ -488,7 +533,7 @@ VERIFY_11_1_2_HASH = (
 def test_verify_11_1_2_content_hash_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify", 11, 1, 2, "--json", "--no-cache")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_canonical(out)
     assert doc["overall"] == "pass"
     assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
 
@@ -523,7 +568,7 @@ def test_census_content_hash(capsys, pnq):
     code, out, _ = run_cli(capsys, "verify", *pnq.split(), "--json",
                            "--no-cache")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_canonical(out)
     assert doc["overall"] == "pass"
     assert doc["provenance"]["content_hash"] == CENSUS_HASHES[pnq]
 
@@ -556,7 +601,7 @@ LOOPS_3_2_2_HASH = (
 def test_loops_3_2_2_content_hash_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "loops", 3, 2, 2, "--json", "--no-cache")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_canonical(out)
     assert doc["provenance"]["parameters"]["window"] == [0, 26]
     assert doc["provenance"]["content_hash"] == LOOPS_3_2_2_HASH
 
@@ -571,7 +616,7 @@ def test_transfer_5_2_2_content_hash_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "transfer", 5, 2, 2, "--json",
                            "--no-cache")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_canonical(out)
     assert doc["provenance"]["content_hash"] == TRANSFER_5_2_2_HASH
 
 
@@ -595,7 +640,7 @@ def test_report_content_hashes_are_pinned(capsys):
     for argv in REPORT_HASHES:
         code, out, _ = run_cli(capsys, *argv, "--json", *uncached(argv[0]))
         assert code == 0, argv
-        got[argv] = json.loads(out)["provenance"]["content_hash"]
+        got[argv] = parse_canonical(out)["provenance"]["content_hash"]
     assert got == REPORT_HASHES
 
 
@@ -670,6 +715,65 @@ def test_a_cache_entry_that_is_not_an_object_is_rebuilt(capsys, tmp_path,
     entry.write_text(content)
     assert run_cli(capsys, *args) == first
     assert entry.read_text() == cached_bytes
+
+
+def test_a_cache_entry_nested_too_deep_to_parse_is_rebuilt(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ("transfer", 3, 1, 2, "--json", "--cache-dir", cache)
+    first = run_cli(capsys, *args)
+    assert first[0] == 0
+    (entry,) = cache.glob("transfer-*.json")
+    cached_bytes = entry.read_text()
+    entry.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert (json.loads(out)["provenance"]["content_hash"]
+            == ACCEPTANCE_HASHES["transfer", (3, 1, 2)])
+    assert entry.read_text() == cached_bytes
+
+
+@pytest.mark.parametrize("value", [2.0, float("nan")])
+def test_a_cache_entry_holding_a_float_is_rebuilt(capsys, tmp_path, value):
+    """A float in a cached document is corruption even under a valid
+    content hash: no document holds one, and canonical_json refuses it."""
+    cache = tmp_path / "cache"
+    args = ("transfer", 3, 1, 2, "--json", "--cache-dir", cache)
+    first = run_cli(capsys, *args)
+    (entry,) = cache.glob("transfer-*.json")
+    cached_bytes = entry.read_text()
+    doc = json.loads(cached_bytes)
+    doc["internal_scale"] = value
+    entry.write_text(json.dumps(finalize_document(doc)))
+    assert document_hash_ok(json.loads(entry.read_text()))
+    assert run_cli(capsys, *args) == first
+    assert entry.read_text() == cached_bytes
+
+
+def test_no_nesting_depth_escapes_the_cache_check(tmp_path):
+    """Between the depths the parser refuses and those the hash check
+    takes lie depths that parse and are too deep to hash: every depth up
+    to the recursion limit is a corrupted entry."""
+    path = tmp_path / "entry.json"
+    for depth in range(1, sys.getrecursionlimit() + 1):
+        path.write_text('{"provenance": {"content_hash": ""}, "a": '
+                        + "[" * depth + "]" * depth + "}")
+        assert _cache_load(str(path)) is None, depth
+
+
+def test_a_replayed_document_is_rendered_not_echoed(capsys, tmp_path):
+    """A cache hit prints the canonical bytes of the document, whatever
+    the layout of the cached file."""
+    cache = tmp_path / "cache"
+    args = ("verify", 3, 1, 2, "--json")
+    fresh = run_cli(capsys, *args, "--no-cache")
+    assert run_cli(capsys, *args, "--cache-dir", cache) == fresh
+    (entry,) = cache.glob("verify-*.json")
+    reindented = json.dumps(json.loads(entry.read_text()), indent=4)
+    entry.write_text(reindented)
+    assert document_hash_ok(json.loads(reindented))
+    assert run_cli(capsys, *args, "--cache-dir", cache) == fresh
+    # a hit, not a rebuild: the entry is left as it was
+    assert entry.read_text() == reindented
 
 
 def test_cache_misses_after_a_source_change(capsys, tmp_path, monkeypatch):

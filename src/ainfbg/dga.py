@@ -38,7 +38,6 @@ from .glin import (
     GradedVectorSpace,
     ParameterError,
     TruncationExceeded,
-    _array,
     _eliminate,
     back_substitute,
     echelon,
@@ -133,19 +132,20 @@ class DGAlgebra:
         out = Bidegree(bd[0] - 1, bd[1])
         space = self.space
         labels = space.labels(bd)
+        p, diff, index = self.prime, self.diff, space._index
         # each image is written into its column through the label index
         row: list[int] = []
         col: list[int] = []
         values: list[int] = []
         for j, lab in enumerate(labels):
-            for olab, c in self.diff(lab).items():
-                where, i = space._index[olab]
+            for olab, c in diff(lab).items():
+                where, i = index[olab]
                 if where != out:
                     raise ValueError(f"label {olab!r} not in bidegree {out}")
-                if c % self.prime:
+                if c := c % p:
                     row.append(i)
                     col.append(j)
-                    values.append(c % self.prime)
+                    values.append(c)
         return SparseBlock((space.dim(out), len(labels)), row, col, values)
 
 
@@ -557,9 +557,9 @@ class Contraction:
         on the first call; None where no block of the range sits.
 
         The forward elimination of d: A_s -> A_{s-1} in `contraction` gave
-        the pivot columns P_s.  The cycles Z are the rows of
-        `rank_nullspace`'s nullspace basis, one per free column with
-        Z[:, F] = I on the free columns F; every cycle row ends at its
+        the pivot columns P_s.  The cycles Z are the nullspace basis rows
+        that `echelon` and `back_substitute` give, one per free column
+        with Z[:, F] = I on the free columns F; every cycle row ends at its
         free column, so the unit vectors e_j, j in P_s, span the
         complement C of Z that a greedy scan of the unit vectors would
         pick.  The columns d(e_j), j in P_{s+1}, are a basis B of the
@@ -575,6 +575,8 @@ class Contraction:
         v[S] - R[:, S]^T v[T] for the reduced rows R.  pi reads the H
         coordinates; the homotopy is G(d e_j) = e_j for j in P_{s+1} and
         zero on H + C, so G is X^T on the rows P_{s+1} and the columns T.
+        Both are filled by one flat-index assignment each, straight from
+        the entries of the reduced rows.
         """
         if (sp := self.splits.get(bd)) is not None or bd not in self._d \
                 or bd.s > self.homology.window[1]:
@@ -601,18 +603,28 @@ class Contraction:
             raise CertificationError(
                 f"splitting basis at {bd}: boundaries of rank {len(t_rev)} "
                 f"< {nb} on the free columns are not invertible")
-        red = _array(rows, nz + nb)
-        # positions in `free`: T in pivot order, S = the rest, ascending
-        t_pos = [nz - 1 - c for c in t_rev]
-        s_pos = sorted(set(range(nz)) - set(t_pos))
-        t_cols = [free[k] for k in t_pos]
-        s_cols = [free[k] for k in s_pos]
-        nh = len(s_pos)
+        # column c of the rows is free[nz - 1 - c]; S ascending in `free`
+        t_set = set(t_rev)
+        s_rev = [c for c in reversed(range(nz)) if c not in t_set]
+        s_cols = [free[nz - 1 - c] for c in s_rev]
+        h_of = {c: h for h, c in enumerate(s_rev)}
+        g_at: list[int] = []
+        g_val: list[int] = []
+        pi_at = [h * n + j for h, j in enumerate(s_cols)]
+        pi_val = [1] * len(s_cols)
+        for row, c in zip(rows, t_rev):
+            col = free[nz - 1 - c]
+            for j, v in row.items():
+                if j >= nz:
+                    g_at.append(up[j - nz] * n + col)
+                    g_val.append(v)
+                elif j != c:
+                    pi_at.append(h_of[j] * n + col)
+                    pi_val.append(-v % p)
         g = np.zeros((space.dim(above), n), dtype=np.int64)
-        g[np.ix_(up, t_cols)] = red[:, nz:].T
-        pi = np.zeros((nh, n), dtype=np.int64)
-        pi[np.arange(nh), s_cols] = 1
-        pi[:, t_cols] = -red[:, [nz - 1 - k for k in s_pos]].T % p
+        g.flat[g_at] = g_val
+        pi = np.zeros((len(s_cols), n), dtype=np.int64)
+        pi.flat[pi_at] = pi_val
         f1 = back_substitute(*echelon(self._d[bd].rows(), p, n), s_cols,
                              n, p) if s_cols else np.zeros((0, n), np.int64)
         sp = self.splits[bd] = _BlockSplit(f1=f1.T.copy(), pi=pi, g=g)

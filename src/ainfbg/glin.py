@@ -144,7 +144,16 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
 
     The forward half clears each pivot's column below it: the first rank
     rows end as those of a row echelon form, each with a 1 at its pivot
-    and nothing to its left.  With `back`, the back half then runs from
+    and nothing to its left.  Before column c is pivoted at row r, no row
+    at or below r holds a column left of c, since each pivot cleared its
+    column below it and a pivot row holds nothing left of its pivot.  So
+    the rows at or below r that hold c are those whose first column is c,
+    and the forward half finds them in a bucket of row positions keyed by
+    first column, without a scan: the smallest position in the bucket is
+    the row a scan down from r would pick as pivot, every other row gets
+    the subtraction it would get, which reads only the pivot row, and is
+    filed again by its new first column; a row with none below ncols
+    leaves the buckets.  With `back`, the back half then runs from
     the last pivot row up, clearing each row at the later pivot columns it
     holds with rows already reduced, so the rows end in reduced row
     echelon form.  The rows below the rank get only forward operations, as
@@ -155,19 +164,30 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     pivots: list[int] = []
+    first: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if (m := min(row, default=ncols)) < ncols:
+            first.setdefault(m, set()).add(i)
     r = 0
     for c in range(ncols):
-        if r == len(rows):
+        if not first:
             break
-        pr = next((i for i in range(r, len(rows)) if c in rows[i]), None)
-        if pr is None:
+        if (bucket := first.pop(c, None)) is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        pr = min(bucket)
+        bucket.remove(pr)
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            if (m := min(rows[pr], default=ncols)) < ncols:
+                first[m].remove(r)
+                first[m].add(pr)
         inv = pow(rows[r][c], p - 2, p)
         piv = rows[r] = {j: v * inv % p for j, v in rows[r].items()}
-        for row in rows[r + 1:]:
-            if f := row.get(c):
-                _subtract(row, f, piv, p)
+        for i in bucket:
+            row = rows[i]
+            _subtract(row, row[c], piv, p)
+            if (m := min(row, default=ncols)) < ncols:
+                first.setdefault(m, set()).add(i)
         pivots.append(c)
         r += 1
     if back:

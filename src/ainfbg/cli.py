@@ -514,15 +514,18 @@ def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
     # the sweep polynomial in the window depth
     exclude = (model.unit,) if not unital and model.unit else ()
     for n, rep in stasheff_sweep(model, exclude=exclude).items():
+        lost = f", {rep.truncated} truncated" if rep.truncated else ""
         if not rep.checked:
             # a sweep of no word shows nothing, so it is not a pass
-            got, verdict = (f"no word of arity {n} fits the published "
-                            f"window {model.space.window}", "skip")
+            what = (f"{rep.truncated} words of arity {n} truncated by"
+                    if rep.truncated else f"no word of arity {n} fits")
+            got, verdict = (f"{what} the published window "
+                            f"{model.space.window}", "skip")
         elif rep.ok():
-            got, verdict = f"0 ({rep.checked} words)", "pass"
+            got, verdict = f"0 ({rep.checked} words{lost})", "pass"
         else:
             got, verdict = (f"{len(rep.nonzero)} defective words "
-                            f"({rep.checked} words)", "fail")
+                            f"({rep.checked} words{lost})", "fail")
         records.append(_record(f"{tag} identity defect, arity {n}",
                                "0", got, verdict))
     return records

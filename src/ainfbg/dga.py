@@ -505,17 +505,19 @@ class Contraction:
     TruncationExceeded before any split.  Any other block is split, and
     its retraction identities certified, on its first read, with its
     neighbours s +- 1 in range split too, since the identities read
-    them.  `trusted` records the certified blocks: every block a value
-    has left.  `splits` holds the three block matrices of every block
-    split so far; the block's labels are those of `dga.space` and its
-    homology labels those of `homology`.  Of pass 0 it keeps d by its
-    nonzero entries and each block's pivot columns, nothing per row.
+    them.  Only `_split` fills `splits`, the three block matrices of
+    every block split so far, and only `_certified_split` fills
+    `trusted`, the certified blocks: every block a value has left.  A
+    block's labels are those of `dga.space` and its homology labels
+    those of `homology`.  Of pass 0 it keeps d by its nonzero entries
+    and each block's pivot columns, nothing per row.
     """
 
     dga: DGAlgebra
     homology: GradedVectorSpace
-    splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict)
-    trusted: set[Bidegree] = field(default_factory=set)
+    splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict,
+                                                init=False)
+    trusted: set[Bidegree] = field(default_factory=set, init=False)
     # from the forward eliminations of d in `contraction`: the d blocks
     # and the pivot columns of each block
     _d: dict[Bidegree, SparseBlock] = field(default_factory=dict, repr=False)

@@ -361,7 +361,7 @@ class GradedVectorSpace:
     prime: int
     window: tuple[int, int]
     blocks: dict[Bidegree, list[Hashable]]
-    _index: dict[Hashable, tuple[Bidegree, int]] = field(default_factory=dict, repr=False)
+    _index: dict[Hashable, tuple[Bidegree, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.prime):

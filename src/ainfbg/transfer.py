@@ -233,9 +233,9 @@ class Computation:
     model: AInfinityAlgebra     # monomial labels, machine coefficients
     # words lost per arity: always empty, since a lost word raises
     # TruncationExceeded instead; kept for the benchmark's counters
-    truncated: dict[int, list]
-    _normalized: NormalizedModel | None = field(default=None, compare=False,
-                                                repr=False)
+    truncated: dict[int, list] = field(default_factory=dict, init=False)
+    _normalized: NormalizedModel | None = field(default=None, init=False,
+                                                compare=False, repr=False)
 
     def normalized(self) -> NormalizedModel:
         """The model normalized once, on the first call, and shared by
@@ -285,7 +285,7 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     transfer = MerkulovTransfer(con, expected)
     model = transfer.minimal_model()
     return Computation(params=params, hp=hp, names=names, con=con,
-                       transfer=transfer, model=model, truncated={})
+                       transfer=transfer, model=model)
 
 
 def group_minimal_model(params: GroupParams, *,

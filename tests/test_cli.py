@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfbg.ainf import AdmissibleOp, AInfinityAlgebra, classify_admissible
+from ainfbg.ainf import (
+    AdmissibleOp,
+    AInfinityAlgebra,
+    DefectReport,
+    classify_admissible,
+)
 from ainfbg.cli import (
     COMMANDS,
     FORMAT_VERSION,
@@ -416,6 +421,29 @@ def test_a_defective_sweep_is_a_fail_record():
     assert verdicts["test identity defect, arity 3"] == "fail"
 
 
+def test_a_sweep_record_reports_its_truncated_words(monkeypatch):
+    """A truncated word is counted, never read as zero: a record names
+    the truncated words beside the checked ones, and a sweep that only
+    truncates is a skip that says so."""
+    from ainfbg import cli
+
+    model = expected_minimal_model(GroupParams(3, 1, 2))
+    sweep = {3: DefectReport(3, 7, 2, {}), 4: DefectReport(4, 5, 0, {}),
+             5: DefectReport(5, 6, 1, {("t", "t"): {"x": 1}}),
+             6: DefectReport(6, 0, 4, {}), 7: DefectReport(7, 0, 0, {})}
+    monkeypatch.setattr(cli, "stasheff_sweep", lambda *a, **k: sweep)
+    window = model.space.window
+    got = {r["name"]: (r["got"], r["verdict"])
+           for r in _sweep_records(model, "test")}
+    assert [got[f"test identity defect, arity {n}"] for n in sweep] == [
+        ("0 (7 words, 2 truncated)", "pass"),
+        ("0 (5 words)", "pass"),
+        ("1 defective words (6 words, 1 truncated)", "fail"),
+        (f"4 words of arity 6 truncated by the published window {window}",
+         "skip"),
+        (f"no word of arity 7 fits the published window {window}", "skip")]
+
+
 def test_internal_value_error_is_not_a_parameter_error(capsys, monkeypatch):
     """Only ParameterError means exit 2: a ValueError raised inside a
     pipeline is an internal error and escapes `main` as itself."""
@@ -500,13 +528,13 @@ def test_canonical_json_refuses_what_no_document_holds(doc):
 # format moves them; a change that must move them says so and updates this.
 ACCEPTANCE_HASHES = {
     ("verify", (3, 1, 2)):
-        "9e342b17b50e025e4aa53178961e1d215c5ee51f57fe580218e845043b31c2cb",
+        "a3fa8b59d131af89ab5dcf7be85062ca4a7636f184f1afedfed4810418a6b90f",
     ("transfer", (3, 1, 2)):
         "7a468841ca224bf1e7b964da737d35b609b3ccbca3de3a27b99039d5edefcfb8",
     ("loops", (3, 1, 2)):
         "91bd79625df7e805e8fb058c77d916957a74fd7db1a252479ae08423b2bdde5d",
     ("verify", (5, 1, 2)):
-        "44af29135411a6632d5eac344e87ae8193fb4a599158c094be91eaeba2e9d6e0",
+        "956781abd01bcef08dd85fd002f5d16e0aab4c5f619dc16fe8919b3977be950a",
     ("transfer", (5, 1, 2)):
         "c7a6d5e6c553a01cd102d29a80be1f97df63c163fc1a0b6120defc4fbc32c260",
     ("loops", (5, 1, 2)):
@@ -521,21 +549,6 @@ def test_acceptance_content_hashes_are_pinned(capsys):
         assert code == 0, (command, pnq)
         got[command, pnq] = parse_canonical(out)["provenance"]["content_hash"]
     assert got == ACCEPTANCE_HASHES
-
-
-# verify on a p^n = 11 tuple: the counted identity sweeps over 84,285
-# words, and the loop stage on 85,626 cobar words, within
-# VERIFY_LOOP_WORD_BUDGET.
-VERIFY_11_1_2_HASH = (
-    "841813420cffc54596ed1599861b25351c8b7fae6d41555dbbfb4821fca40b37")
-
-
-def test_verify_11_1_2_content_hash_is_pinned(capsys):
-    code, out, _ = run_cli(capsys, "verify", 11, 1, 2, "--json", "--no-cache")
-    assert code == 0
-    doc = parse_canonical(out)
-    assert doc["overall"] == "pass"
-    assert doc["provenance"]["content_hash"] == VERIFY_11_1_2_HASH
 
 
 # The census: the content hash of `verify --json --no-cache` on each of the
@@ -571,6 +584,17 @@ def test_census_content_hash(capsys, pnq):
     doc = parse_canonical(out)
     assert doc["overall"] == "pass"
     assert doc["provenance"]["content_hash"] == CENSUS_HASHES[pnq]
+
+
+def test_verify_11_1_2_content_hash_is_pinned(capsys):
+    """A p^n = 11 tuple outside the fast census: the counted identity
+    sweeps over 84,285 words, and the loop stage on 85,626 cobar words,
+    within VERIFY_LOOP_WORD_BUDGET."""
+    code, out, _ = run_cli(capsys, "verify", 11, 1, 2, "--json", "--no-cache")
+    assert code == 0
+    doc = parse_canonical(out)
+    assert doc["overall"] == "pass"
+    assert doc["provenance"]["content_hash"] == CENSUS_HASHES["11 1 2"]
 
 
 def test_verify_skips_a_loop_stage_over_the_word_budget(capsys, monkeypatch):
@@ -752,9 +776,11 @@ def test_a_cache_entry_holding_a_float_is_rebuilt(capsys, tmp_path, value):
 def test_no_nesting_depth_escapes_the_cache_check(tmp_path):
     """Between the depths the parser refuses and those the hash check
     takes lie depths that parse and are too deep to hash: every depth up
-    to the recursion limit is a corrupted entry."""
-    path = tmp_path / "entry.json"
+    to the recursion limit is a corrupted entry.  Each depth gets a file
+    of its own: overwriting one file costs far more than writing a new
+    one on some filesystems."""
     for depth in range(1, sys.getrecursionlimit() + 1):
+        path = tmp_path / f"entry{depth}.json"
         path.write_text('{"provenance": {"content_hash": ""}, "a": '
                         + "[" * depth + "]" * depth + "}")
         assert _cache_load(str(path)) is None, depth

@@ -62,7 +62,11 @@ from ainfbg.koszul import (
     massey_versus_loop_transfer,
     poincare_roundtrip,
 )
-from ainfbg.transfer import group_minimal_model, massey_versus_transfer
+from ainfbg.transfer import (
+    Computation,
+    group_minimal_model,
+    massey_versus_transfer,
+)
 
 from test_glin import reference_eliminate, rows_of
 from test_grp import model_end_dga
@@ -535,6 +539,31 @@ def test_a_contraction_keeps_no_dense_array_but_its_splits(build):
     held = {id(a) for a in reachable_arrays(con, [dga])}
     assert held == {id(getattr(sp, name)) for sp in con.splits.values()
                     for name in ("f1", "pi", "g")}
+
+
+def test_no_constructor_takes_derived_state():
+    """A contraction serves only the blocks it split and certified
+    itself, a space builds its own label index, and a computation its
+    memo: none of them is a constructor argument."""
+    con = contraction(_loop_cobar((3, 1, 2)))
+    assert [f.name for f in fields(Contraction) if f.init] == [
+        "dga", "homology", "_d", "_pivots"]
+    parts = {f.name: getattr(con, f.name) for f in fields(con) if f.init}
+    for name, value in (("splits", {}), ("trusted", set())):
+        with pytest.raises(TypeError, match=name):
+            Contraction(**parts, **{name: value})
+    space = con.homology
+    with pytest.raises(TypeError, match="_index"):
+        GradedVectorSpace(space.prime, space.window, space.blocks, _index={})
+    args = dict.fromkeys(["params", "hp", "names", "con", "transfer", "model"])
+    for name in ("truncated", "_normalized"):
+        with pytest.raises(TypeError, match=name):
+            Computation(**args, **{name: None})
+    # rebuilt from its parts, it starts from nothing and certifies every
+    # block it serves itself
+    rebuilt = Contraction(**parts)
+    assert not rebuilt.splits and not rebuilt.trusted
+    assert read_every_block(rebuilt).trusted == read_every_block(con).trusted
 
 
 @pytest.mark.parametrize("build", [

@@ -92,7 +92,7 @@ class AInfinityAlgebra:
     space: GradedVectorSpace
     ops: dict[int, MultiOp]
     arity_bound: int
-    unit: str | None = None
+    unit: str
     internal_scale: int = 1
 
     def __post_init__(self) -> None:
@@ -118,7 +118,7 @@ class AInfinityAlgebra:
                     table[word] = clean
                 else:
                     del table[word]
-        if self.unit is not None and not self.space.has_label(self.unit):
+        if not self.space.has_label(self.unit):
             raise ValueError(f"unit label {self.unit!r} not in the space")
 
     @property
@@ -420,8 +420,6 @@ def strict_unitality_defects(model: AInfinityAlgebra) -> list[str]:
     the smallest generator degree.
     """
     unit = model.unit
-    if unit is None:
-        return ["model has no unit label"]
     p = model.space.prime
     bad: list[str] = []
     for bd in sorted(model.space.bidegrees()):
@@ -623,8 +621,6 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
     """
     p = model.prime
     scale = model.internal_scale
-    if model.unit is None:
-        raise ShapeMismatch("model has no unit label")
     if hp.a == 0:
         raise ValueError("normalization needs a nonzero polynomial degree")
     ell = hp.ell
@@ -696,7 +692,7 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
                                   unit=monomial_label(0, 0, names),
                                   internal_scale=scale)
     return NormalizedModel(model=normalized, raw_coefficient=raw_coeff,
-                           formal=not raw_coeff, x_scale=lam, t_scale=mu)
+                           x_scale=lam, t_scale=mu)
 
 
 @dataclass
@@ -706,11 +702,14 @@ class NormalizedModel:
     raw_coefficient is the arity-ell coefficient before rescaling; the
     normalized table carries epsilon(ell) instead, but the raw value is
     kept because the rescaling that removes it is a change of basis, not
-    new information.
+    new information.  The model is formal when it is zero.
     """
 
     model: AInfinityAlgebra
     raw_coefficient: int
-    formal: bool
     x_scale: int
     t_scale: int
+
+    @property
+    def formal(self) -> bool:
+        return not self.raw_coefficient

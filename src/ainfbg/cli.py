@@ -360,17 +360,19 @@ def render_text(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+    """Write through a temporary file; an OSError is a ParameterError."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
+        if directory := os.path.dirname(path):
+            os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ParameterError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -512,7 +514,7 @@ def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
     # with strict unitality certified, identities on unit-containing
     # words are formal consequences; excluding the degree-0 unit keeps
     # the sweep polynomial in the window depth
-    exclude = (model.unit,) if not unital and model.unit else ()
+    exclude = (model.unit,) if not unital else ()
     for n, rep in stasheff_sweep(model, exclude=exclude).items():
         lost = f", {rep.truncated} truncated" if rep.truncated else ""
         if not rep.checked:
@@ -792,6 +794,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.fn(args)
+        rendering = canonical_json(doc) if args.json else render_text(doc)
+        if args.out:
+            _atomic_write(args.out, rendering)
     except ParameterError as exc:
         print(f"ainfbg: parameter error: {exc}", file=sys.stderr)
         return 2
@@ -801,12 +806,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PatternMismatch, ShapeMismatch, CertificationError) as exc:
         print(f"ainfbg: verification failure: {exc}", file=sys.stderr)
         return 1
-    rendering = canonical_json(doc) if args.json else render_text(doc)
-    if args.out:
-        _atomic_write(args.out, rendering)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(rendering)
+    sys.stdout.write(f"wrote {args.out}\n" if args.out else rendering)
     return 1 if doc.get("overall") == "fail" else 0
 
 

@@ -5,7 +5,7 @@ Three things live here:
   * DGAlgebra -- a bigraded associative algebra over F_p with a square-zero
     differential of bidegree (-1, 0), presented through basis-level
     callables so large complexes never materialize dense product tables;
-  * contraction() -- a per-bidegree strong deformation retraction of such
+  * Contraction -- a per-bidegree strong deformation retraction of such
     an algebra onto its homology, with d^2 = 0 checked exactly on every
     block and the retraction identities on each block's first read;
   * massey_power() and cobar() -- the two constructions that consume a
@@ -489,7 +489,8 @@ class _BlockSplit:
 
 @dataclass
 class Contraction:
-    """Strong deformation retraction of a DGA onto its homology.
+    """Strong deformation retraction of a DGA onto its homology, built
+    from the DGA alone.
 
     include/project/homotopy are the three structure maps (often written
     f1, pi, G).  They satisfy, exactly and per bidegree:
@@ -497,32 +498,75 @@ class Contraction:
         pi f1 = id,   d G + G d = id - f1 pi,
         pi G = 0,     G f1 = 0,   G G = 0.
 
-    `contraction` certifies d^2 = 0 on every block of the contracted
-    range, the window of `homology`, whose block dimensions it reads off
-    the same eliminations.  The three maps read through `_block_map`,
-    which refuses a block outside that range, or at its floor over a
-    nonzero block (where d leaves the range and G d is unknown), with
-    TruncationExceeded before any split.  Any other block is split, and
-    its retraction identities certified, on its first read, with its
-    neighbours s +- 1 in range split too, since the identities read
-    them.  Only `_split` fills `splits`, the three block matrices of
-    every block split so far, and only `_certified_split` fills
-    `trusted`, the certified blocks: every block a value has left.  A
-    block's labels are those of `dga.space` and its homology labels
-    those of `homology`.  Of pass 0 it keeps d by its nonzero entries
-    and each block's pivot columns, nothing per row.
+    The contracted range, the window of `homology`, sits one degree
+    inside the DGA's window at the floor (where d is not representable)
+    and one at the ceiling (where incoming boundaries are unknown).  Pass
+    0, in the constructor, runs the forward half of the elimination
+    (`glin.echelon`) on the sparse rows of d of every block of the range
+    and of the ceiling + 1, which gives its pivot columns P_s; the
+    columns d(e_j), j in P_{s+1}, span the boundaries, and each block
+    checks on the nonzero entries of d that d kills them (d^2 = 0).  The
+    homology of block s then has dimension n - |P_s| - |P_{s+1}|.  Of
+    pass 0 it keeps d by its nonzero entries and each block's pivot
+    columns, nothing per row and no dense array.
+
+    The three maps read through `_block_map`, which refuses a block
+    outside the range, or at its floor over a nonzero block (where d
+    leaves the range and G d is unknown), with TruncationExceeded before
+    any split.  Any other block is split, and its retraction identities
+    certified, on its first read, with its neighbours s +- 1 in range
+    split too, since the identities read them.  Only `_split` fills
+    `splits`, the three block matrices of every block split so far, and
+    only `_certified_split` fills `trusted`, the certified blocks: every
+    block a value has left.  A block's labels are those of `dga.space`
+    and its homology labels those of `homology`.  Every failure of
+    certification raises CertificationError.
+
+    The certification's products run through `matmul_mod` and a read's
+    through int64 `@`.  Both assume n (p-1)^2 + 2p < 2^63 for the largest
+    block n; a DGA past that bound is a ParameterError before pass 0.
     """
 
     dga: DGAlgebra
-    homology: GradedVectorSpace
+    homology: GradedVectorSpace = field(init=False)
     splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict,
                                                 init=False)
     trusted: set[Bidegree] = field(default_factory=set, init=False)
-    # from the forward eliminations of d in `contraction`: the d blocks
-    # and the pivot columns of each block
-    _d: dict[Bidegree, SparseBlock] = field(default_factory=dict, repr=False)
-    _pivots: dict[Bidegree, tuple[int, ...]] = field(default_factory=dict,
-                                                     repr=False)
+    # from pass 0: the d blocks and the pivot columns of each block
+    _d: dict[Bidegree, SparseBlock] = field(init=False, repr=False)
+    _pivots: dict[Bidegree, tuple[int, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        space = self.dga.space
+        p = self.dga.prime
+        lo, hi = space.window[0] + 1, space.window[1] - 1
+        largest = max(map(len, space.blocks.values()), default=0)
+        if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
+            raise ParameterError(
+                f"p = {p} with a block of dimension {largest} leaves int64: "
+                f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
+
+        # at ceiling + 1 only the pivot columns are trustworthy, and they
+        # are all the ceiling's homotopy needs
+        blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
+        self._d, self._pivots = {}, {}
+        for bd in blocks + sorted(bd for bd in space.blocks
+                                  if bd.s == hi + 1):
+            self._d[bd] = self.dga.diff_block(bd)
+            self._pivots[bd] = echelon(self._d[bd].rows(), p,
+                                       space.dim(bd))[0]
+
+        hom_blocks: dict[Bidegree, list[str]] = {}
+        for bd in blocks:
+            above = Bidegree(bd.s + 1, bd.w)
+            up = list(self._pivots.get(above, ()))
+            if up and not self._d[bd].kills(self._d[above], up, p):
+                raise CertificationError(
+                    f"boundaries at {bd} are not cycles (d^2 != 0?)")
+            nh = space.dim(bd) - len(self._pivots[bd]) - len(up)
+            hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
+        self.homology = GradedVectorSpace(prime=p, window=(lo, hi),
+                                          blocks=hom_blocks)
 
     def include(self, hvec: Vector) -> Vector:
         return self._block_map("f1", self.homology, self.dga.space, hvec)
@@ -539,7 +583,7 @@ class Contraction:
                    shift: int = 0) -> Vector:
         """The block matrix `name` applied to a homogeneous vector of
         `source`, landing `shift` degrees up in `target`; the product is
-        int64 `@`, exact under the bound that `contraction` checks."""
+        int64 `@`, exact under the bound that pass 0 checks."""
         if not vec:
             return {}
         bd = source.bidegree_of(next(iter(vec)))
@@ -558,7 +602,7 @@ class Contraction:
         """The splitting A = B + H + C of block bd and its homotopy, made
         on the first call; None where no block of the range sits.
 
-        The forward elimination of d: A_s -> A_{s-1} in `contraction` gave
+        The forward elimination of d: A_s -> A_{s-1} in pass 0 gave
         the pivot columns P_s.  The cycles Z are the nullspace basis rows
         that `echelon` and `back_substitute` give, one per free column
         with Z[:, F] = I on the free columns F; every cycle row ends at its
@@ -678,57 +722,8 @@ class Contraction:
 
 
 def contraction(dga: DGAlgebra) -> Contraction:
-    """Eliminate d on every block, certify d^2 = 0, and return the
-    retraction, whose blocks are split and certified on first read.
-
-    The usable range is one degree inside the window at the floor (where
-    d is not representable) and one at the ceiling (where incoming
-    boundaries are unknown).  Pass 0 runs the forward half of the
-    elimination (`glin.echelon`) on the sparse rows of d of every block of
-    the range and of the ceiling + 1, which gives its pivot columns P_s;
-    the columns d(e_j), j in P_{s+1}, span the boundaries, and each block
-    checks on the nonzero entries of d that d kills them (d^2 = 0) before
-    this returns.  The homology of block s then has dimension
-    n - |P_s| - |P_{s+1}|.  The contraction keeps d sparse and the pivot
-    columns; no dense array outlives the read that builds it.  A block's
-    retraction identities are checked exactly on its first read, and no
-    floor block over a nonzero block is read (see `Contraction`); every
-    failure raises CertificationError.
-
-    The certification's products run through `matmul_mod` and a read's
-    through int64 `@`.  Both assume n (p-1)^2 + 2p < 2^63 for the
-    largest block n; a DGA past that bound is a ParameterError.
-    """
-    space = dga.space
-    p = dga.prime
-    lo, hi = space.window[0] + 1, space.window[1] - 1
-    largest = max(map(len, space.blocks.values()), default=0)
-    if largest * (p - 1) ** 2 + 2 * p >= 2 ** 63:
-        raise ParameterError(
-            f"p = {p} with a block of dimension {largest} leaves int64: "
-            f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
-
-    # at ceiling + 1 only the pivot columns are trustworthy, and they are
-    # all the ceiling's homotopy needs
-    blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
-    d_blocks: dict[Bidegree, SparseBlock] = {}
-    pivots: dict[Bidegree, tuple[int, ...]] = {}
-    for bd in blocks + sorted(bd for bd in space.blocks if bd.s == hi + 1):
-        d_blocks[bd] = dga.diff_block(bd)
-        pivots[bd] = echelon(d_blocks[bd].rows(), p, space.dim(bd))[0]
-
-    hom_blocks: dict[Bidegree, list[str]] = {}
-    for bd in blocks:
-        above = Bidegree(bd.s + 1, bd.w)
-        up = list(pivots.get(above, ()))
-        if up and not d_blocks[bd].kills(d_blocks[above], up, p):
-            raise CertificationError(
-                f"boundaries at {bd} are not cycles (d^2 != 0?)")
-        nh = space.dim(bd) - len(pivots[bd]) - len(up)
-        hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
-
-    hom = GradedVectorSpace(prime=p, window=(lo, hi), blocks=hom_blocks)
-    return Contraction(dga=dga, homology=hom, _d=d_blocks, _pivots=pivots)
+    """The certified retraction of `dga` (see `Contraction`)."""
+    return Contraction(dga)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +809,6 @@ def cobar_letters(model, s_bound: int) -> tuple[dict[str, Bidegree], int]:
     degrees; raises the ValueError of any input that `cobar` rejects."""
     if not isinstance(model, AInfinityAlgebra):
         raise TypeError(f"cobar needs an AInfinityAlgebra, got {type(model)}")
-    if model.unit is None:
-        raise ValueError("cobar needs a unital model")
     space = model.space
     letters: dict[str, Bidegree] = {}
     for bd in space.bidegrees():

@@ -334,7 +334,8 @@ def _monomial_model(hp: HypothesisParams, scale: int, prime: int,
                 m2[label[j1, e1], label[j2, e2]] = {prod: 1}
     ops: dict[int, MultiOp] = {2: m2}
 
-    skeleton = AInfinityAlgebra(space=space, ops={}, arity_bound=arity_bound)
+    skeleton = AInfinityAlgebra(space=space, ops={}, arity_bound=arity_bound,
+                                unit=monomial_label(0, 0, names))
     power = {lab: j for (j, _), lab in label.items()}
     sign = epsilon_sign(hp.ell) % prime
     family = {word: {label[hp.h + sum(map(power.get, word)), 0]: sign}

@@ -228,14 +228,22 @@ class Computation:
     params: GroupParams
     hp: HypothesisParams        # the shape the model is normalized to
     names: tuple[str, str]      # polynomial and exterior generator names
-    con: Contraction            # homology labels renamed to monomials
+    # its retraction `con` has its classes renamed to monomials
     transfer: MerkulovTransfer
-    model: AInfinityAlgebra     # monomial labels, machine coefficients
+    # monomial labels, machine coefficients
+    model: AInfinityAlgebra = field(init=False)
     # words lost per arity: always empty, since a lost word raises
     # TruncationExceeded instead; kept for the benchmark's counters
     truncated: dict[int, list] = field(default_factory=dict, init=False)
     _normalized: NormalizedModel | None = field(default=None, init=False,
                                                 compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.model = self.transfer.minimal_model()
+
+    @property
+    def con(self) -> Contraction:
+        return self.transfer.con
 
     def normalized(self) -> NormalizedModel:
         """The model normalized once, on the first call, and shared by
@@ -282,10 +290,8 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "
             f"unit of {dga.name}")
-    transfer = MerkulovTransfer(con, expected)
-    model = transfer.minimal_model()
-    return Computation(params=params, hp=hp, names=names, con=con,
-                       transfer=transfer, model=model)
+    return Computation(params=params, hp=hp, names=names,
+                       transfer=MerkulovTransfer(con, expected))
 
 
 def group_minimal_model(params: GroupParams, *,

@@ -846,10 +846,29 @@ def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path,
         raise OSError("replace refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="replace refused"):
-        main(["verify", "3", "1", "1", "--json", "--cache-dir", str(cache)])
+    code, out, err = run_cli(capsys, "verify", 3, 1, 1, "--json",
+                             "--cache-dir", cache)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ainfbg: parameter error: cannot write {cache}")
+    assert err.endswith(": replace refused\n")
     assert cache.is_dir()
     assert not list(cache.glob("*.tmp*"))
+
+
+@pytest.mark.parametrize("where", ["--out", "--cache-dir"])
+def test_a_path_under_a_regular_file_is_a_parameter_error(capsys, tmp_path,
+                                                          where):
+    """A report or a cache entry whose parent is a regular file fails at
+    that parent: exit 2 with the path, no traceback, nothing written."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    flags = ["--no-cache", "--out", afile / "x.txt"] if where == "--out" \
+        else ["--cache-dir", afile / "sub"]
+    code, out, err = run_cli(capsys, "transfer", 3, 1, 2, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ainfbg: parameter error: cannot write {afile}/")
+    assert afile.read_text() == ""
+    assert os.listdir(tmp_path) == ["afile"]
 
 
 # ---------------------------------------------------------------------------

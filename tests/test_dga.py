@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import ainfbg
+from ainfbg.ainf import NormalizedModel
 from ainfbg.dga import (
     CertificationError,
     Contraction,
@@ -542,28 +543,36 @@ def test_a_contraction_keeps_no_dense_array_but_its_splits(build):
 
 
 def test_no_constructor_takes_derived_state():
-    """A contraction serves only the blocks it split and certified
-    itself, a space builds its own label index, and a computation its
-    memo: none of them is a constructor argument."""
+    """A contraction runs pass 0 on its own DGA and serves only the
+    blocks it split and certified itself, a space builds its own label
+    index, a computation reads its retraction and model off its transfer,
+    and a normalized model its formality off its raw coefficient: none of
+    them is a constructor argument."""
     con = contraction(_loop_cobar((3, 1, 2)))
-    assert [f.name for f in fields(Contraction) if f.init] == [
-        "dga", "homology", "_d", "_pivots"]
-    parts = {f.name: getattr(con, f.name) for f in fields(con) if f.init}
-    for name, value in (("splits", {}), ("trusted", set())):
+    assert [f.name for f in fields(Contraction) if f.init] == ["dga"]
+    for name in ("homology", "splits", "trusted", "_d", "_pivots"):
         with pytest.raises(TypeError, match=name):
-            Contraction(**parts, **{name: value})
+            Contraction(con.dga, **{name: getattr(con, name)})
     space = con.homology
     with pytest.raises(TypeError, match="_index"):
         GradedVectorSpace(space.prime, space.window, space.blocks, _index={})
-    args = dict.fromkeys(["params", "hp", "names", "con", "transfer", "model"])
-    for name in ("truncated", "_normalized"):
+    args = dict.fromkeys(["params", "hp", "names", "transfer"])
+    assert [f.name for f in fields(Computation) if f.init] == list(args)
+    for name in ("con", "model", "truncated", "_normalized"):
         with pytest.raises(TypeError, match=name):
             Computation(**args, **{name: None})
-    # rebuilt from its parts, it starts from nothing and certifies every
-    # block it serves itself
-    rebuilt = Contraction(**parts)
+    with pytest.raises(TypeError, match="formal"):
+        NormalizedModel(model=None, raw_coefficient=0, x_scale=1, t_scale=1,
+                        formal=True)
+    # rebuilt from its DGA, it starts from nothing and certifies every
+    # block it serves itself; on another DGA it eliminates that one's d
+    rebuilt = Contraction(con.dga)
     assert not rebuilt.splits and not rebuilt.trusted
     assert read_every_block(rebuilt).trusted == read_every_block(con).trusted
+    other = reorder_blocks(con.dga, lambda bd, labs: labs[::-1])
+    moved = replace(con, dga=other)
+    assert moved._d == contraction(other)._d != con._d
+    assert not moved.splits and moved.homology == con.homology
 
 
 @pytest.mark.parametrize("build", [

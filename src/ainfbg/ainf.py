@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .glin import Bidegree, GradedVectorSpace, TruncationExceeded
@@ -604,8 +604,8 @@ def _single(vec: dict[str, int], what: str) -> tuple[str, int]:
     return lab, c
 
 
-def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
-                         names: tuple[str, str] = ("x", "t")) -> "NormalizedModel":
+def normalize_generators(model: AInfinityAlgebra,
+                         hp: HypothesisParams) -> "NormalizedModel":
     """Rescale x and t so the arity-ell family has coefficient epsilon(ell).
 
     The monomials of the window are rebuilt as literal m_2-products of the
@@ -617,7 +617,9 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
     TruncationExceeded rather than reading zero.  Every table is then
     conjugated once into the monomial basis, with x and t rescaled to put
     the family in normal form, or unscaled and flagged formal when the
-    family vanishes.
+    family vanishes.  Each new basis vector is a multiple of the one label
+    at its bidegree, so the labels and the space are kept: only the tables
+    change.
     """
     p = model.prime
     scale = model.internal_scale
@@ -626,8 +628,8 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
     ell = hp.ell
 
     monos = monomials(hp, scale, model.space.window)
-    x_lab = _unique_label(model, hp.monomial_bidegree(1, 0, scale), names[0])
-    t_lab = _unique_label(model, hp.monomial_bidegree(0, 1, scale), names[1])
+    x_lab = _unique_label(model, hp.monomial_bidegree(1, 0, scale), "x")
+    t_lab = _unique_label(model, hp.monomial_bidegree(0, 1, scale), "t")
 
     # nu[(j, eps)] = (old label, coefficient): the m_2-monomial basis
     nu: dict[tuple[int, int], tuple[str, int]] = {}
@@ -636,7 +638,7 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
             nu[(0, eps)] = (t_lab, 1) if eps else (model.unit, 1)
             continue
         base, c_base = nu[(j, 0) if eps else (j - 1, 0)]
-        what = monomial_label(j, eps, names)
+        what = monomial_label(j, eps)
         word = (base, t_lab) if eps else (x_lab, base)
         lab, c = _single(model.op_value(2, word), what)
         if model.space.bidegree_of(lab) != bd:
@@ -667,32 +669,22 @@ def normalize_generators(model: AInfinityAlgebra, hp: HypothesisParams,
         lam, mu = scales[0]
 
     # generator rescale x -> lam*x, t -> mu*t carries nu(j,eps) to
-    # lam^j mu^eps nu(j,eps); conjugate every table by that diagonal
-    new = {lab: (monomial_label(j, eps, names),
-                 c * pow(lam, j, p) * pow(mu, eps, p) % p)
-           for (j, eps), (lab, c) in nu.items()}
-    new_ops: dict[int, MultiOp] = {}
+    # lam^j mu^eps nu(j,eps), a factor times its label; conjugate every
+    # table by that diagonal
+    factor = {lab: c * pow(lam, j, p) * pow(mu, eps, p) % p
+              for (j, eps), (lab, c) in nu.items()}
+    ops: dict[int, MultiOp] = {}
     for n, table in model.ops.items():
         new_table: MultiOp = {}
         for word, vec in table.items():
             out_lab, coeff = _single(vec, f"m_{n}{word}")
-            out_mono, out_c = new[out_lab]
             for lab in word:
-                coeff = coeff * new[lab][1] % p
-            new_table[tuple(new[lab][0] for lab in word)] = {
-                out_mono: coeff * inv[out_c] % p}
+                coeff = coeff * factor[lab] % p
+            new_table[word] = {out_lab: coeff * inv[factor[out_lab]] % p}
         if new_table:
-            new_ops[n] = new_table
-
-    mono_space = GradedVectorSpace(
-        prime=p, window=model.space.window,
-        blocks={bd: [monomial_label(j, eps, names)] for j, eps, bd in monos})
-    normalized = AInfinityAlgebra(space=mono_space, ops=new_ops,
-                                  arity_bound=model.arity_bound,
-                                  unit=monomial_label(0, 0, names),
-                                  internal_scale=scale)
-    return NormalizedModel(model=normalized, raw_coefficient=raw_coeff,
-                           x_scale=lam, t_scale=mu)
+            ops[n] = new_table
+    return NormalizedModel(model=replace(model, ops=ops),
+                           raw_coefficient=raw_coeff, x_scale=lam, t_scale=mu)
 
 
 @dataclass

@@ -5,8 +5,9 @@ the options it reads.  Every subcommand takes the group as the
 positional `p n q`; an option outside its entry is a usage error from
 the parser (exit 2), never silently dropped.
 
-The side is data read off the computation (`hp`, `names`), not a code
-path: `transfer` and `loops` share one model-document path,
+The side is data read off the computation (`hp`, and the generator
+names the pattern gate gave its model, `Computation.monomial`), not a
+code path: `transfer` and `loops` share one model-document path,
 `check-stasheff` and `massey` one report path, and the two stages of
 `verify` one gate-and-compare head and family record.
 
@@ -55,7 +56,6 @@ from .ainf import (
     ShapeMismatch,
     admissible_shapes,
     epsilon_sign,
-    monomial_label,
     stasheff_sweep,
     strict_unitality_defects,
 )
@@ -377,9 +377,9 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _cache_dir(args) -> str:
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("AINF_CACHE_DIR", ".cache")
+    # an empty --cache-dir or AINF_CACHE_DIR is unset, not the working
+    # directory
+    return args.cache_dir or os.environ.get("AINF_CACHE_DIR") or ".cache"
 
 
 @functools.cache
@@ -434,12 +434,7 @@ def run_with_cache(command: str, args, parameters: dict,
 # ---------------------------------------------------------------------------
 
 def _window(args) -> tuple[int, int] | None:
-    if args.window is None:
-        return None
-    lo, hi = args.window
-    if lo > hi:
-        raise ParameterError(f"empty window ({lo}, {hi})")
-    return (lo, hi)
+    return None if args.window is None else tuple(args.window)
 
 
 def _record(name: str, expected: str, got: str,
@@ -491,7 +486,7 @@ def cmd_minimal_model(args) -> dict:
         comp = compute()
         norm = comp.normalized()
         p = params.p
-        x, t = comp.names
+        x, t = comp.monomial(1, 0), comp.monomial(0, 1)
         extra = {"normalization": {
             "raw_coefficient": norm.raw_coefficient % p,
             f"{x}_scale": norm.x_scale % p,
@@ -536,8 +531,7 @@ def _sweep_records(model: AInfinityAlgebra, tag: str) -> list[dict]:
 def _massey_records(comp: Computation, tag: str) -> list[dict]:
     """Below-order vanishing plus the ell-fold ratio cross-check."""
     p, ell = comp.params.p, comp.hp.ell
-    cls = monomial_label(0, 1, comp.names)
-    target = monomial_label(comp.hp.h, 0, comp.names)
+    cls, target = comp.monomial(0, 1), comp.monomial(comp.hp.h, 0)
     result = massey_versus_transfer(comp)
     # the lower powers are stages of the ell-fold defining system
     powers = result.report.powers
@@ -636,8 +630,7 @@ def _family_record(comp: Computation, norm: AInfinityAlgebra) -> dict:
     the side's polynomial generator x and exterior generator e; at
     ell = 2 (the exceptional loop ring) that is the product e * e."""
     p, ell = comp.params.p, comp.hp.ell
-    e = monomial_label(0, 1, comp.names)
-    target = monomial_label(comp.hp.h, 0, comp.names)
+    e, target = comp.monomial(0, 1), comp.monomial(comp.hp.h, 0)
     name = (f"{e} * {e} (exceptional ring)" if ell == 2
             else f"m_{ell}({e},...,{e}) normalized")
     return _record(name, f"{epsilon_sign(ell) % p}*{target}",
@@ -650,7 +643,7 @@ def _verify_cochain(params: GroupParams,
     if comp is None:
         return records
     for i in range(3, params.pn):
-        word = (monomial_label(0, 1),) * i
+        word = (comp.monomial(0, 1),) * i
         got = format_vector(norm.op_value(i, word), params.p)
         records.append(_record(f"m_{i}(t,...,t)", "0", got))
     records.append(_family_record(comp, norm))

@@ -247,10 +247,14 @@ def build_end_dga(params: GroupParams, *,
 
     Cohomology of the result equals H*(B(Z/p^n x| Z/q); k) in bidegrees
     far enough from the window floor; the retraction pipeline checks that
-    pattern explicitly before using it.
+    pattern explicitly before using it.  A window that misses degree 0,
+    where the unit sits, is a ParameterError.
     """
     pn, q, p = params.pn, params.q, params.p
     lo, hi = window
+    if not lo <= 0 <= hi:
+        raise ParameterError(f"window ({lo}, {hi}) misses degree 0, where "
+                             f"the unit sits")
     L = -lo + 6  # top stage: six past the longest map the window holds
 
     blocks: dict[Bidegree, list[tuple[int, int, int]]] = {}

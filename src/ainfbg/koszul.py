@@ -29,12 +29,7 @@ from .dga import cobar, cobar_letters, contraction
 # unused here, but the benchmark's tracer rebinds these names in this module
 from .ainf import normalize_generators  # noqa: F401
 from .dga import massey_power  # noqa: F401
-from .grp import (
-    LOOP_GENERATORS,
-    GroupParams,
-    expected_loop_model,
-    expected_minimal_model,
-)
+from .grp import GroupParams, expected_loop_model, expected_minimal_model
 from .transfer import (
     Computation,
     check_pattern,
@@ -105,7 +100,7 @@ def loop_minimal_model(params: GroupParams, *,
     expected = expected_loop_model(params, window=pub,
                                    arity_bound=arity_bound)
     return transfer_pipeline(params, dga, expected, params.hp.loop_dual(),
-                             LOOP_GENERATORS, reorder=reorder)
+                             reorder=reorder)
 
 
 @dataclass

@@ -35,7 +35,6 @@ from .ainf import (
     NormalizedModel,
     enumerate_words,
     epsilon_sign,
-    monomial_label,
     normalize_generators,
 )
 from .dga import (
@@ -227,7 +226,6 @@ class Computation:
 
     params: GroupParams
     hp: HypothesisParams        # the shape the model is normalized to
-    names: tuple[str, str]      # polynomial and exterior generator names
     # its retraction `con` has its classes renamed to monomials
     transfer: MerkulovTransfer
     # monomial labels, machine coefficients
@@ -245,12 +243,19 @@ class Computation:
     def con(self) -> Contraction:
         return self.transfer.con
 
+    def monomial(self, j: int, eps: int) -> str:
+        """The label of P^j E^eps, P the polynomial and E the exterior
+        generator of shape hp: the closed form's name, which the gate gave
+        the one class at its bidegree."""
+        (label,) = self.model.space.labels(
+            self.hp.monomial_bidegree(j, eps, self.model.internal_scale))
+        return label
+
     def normalized(self) -> NormalizedModel:
         """The model normalized once, on the first call, and shared by
         every later caller; they only read it."""
         if self._normalized is None:
-            self._normalized = normalize_generators(self.model, self.hp,
-                                                    names=self.names)
+            self._normalized = normalize_generators(self.model, self.hp)
         return self._normalized
 
     def expected(self) -> AInfinityAlgebra:
@@ -259,8 +264,7 @@ class Computation:
 
 
 def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
-                      expected: AInfinityAlgebra, hp: HypothesisParams,
-                      names: tuple[str, str], *,
+                      expected: AInfinityAlgebra, hp: HypothesisParams, *,
                       reorder: Callable | None = None) -> Computation:
     """Retraction -> pattern gate and renaming -> transferred minimal
     model.
@@ -268,18 +272,19 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
     Precondition: `expected` is the closed-form model over the published
     window and arity bound of a run that `GroupParams.cochain_run` or
     `loop_run` resolved, which has already refused every window missing
-    1, x, t or x^h of shape hp (under `names`); so its arity bound
-    reaches the family arity hp.ell and its tables can state the family.
-    The homology of `dga` must match the expected pattern on the
-    published window, where the operation tables are read off up to
-    `expected.arity_bound`; the gate reads only homology dimensions, so
-    the retraction splits only the blocks the unit check and the
-    transfer read.  It hands back the homology with its published
-    classes renamed to the expected monomials, which the pipeline sets
-    on its one retraction.  The caller's chain window must leave enough
-    slack around the published one that no published word reads the
-    retraction's floor or leaves its range; a word that does raises
-    TruncationExceeded (enlarge the window).
+    1, x, t or x^h of shape hp; so its arity bound reaches the family
+    arity hp.ell and its tables can state the family.  The homology of
+    `dga` must match the expected pattern on the published window, where
+    the operation tables are read off up to `expected.arity_bound`; the
+    gate reads only homology dimensions, so the retraction splits only
+    the blocks the unit check and the transfer read.  It hands back the
+    homology with its published classes renamed to the expected
+    monomials, which the pipeline sets on its one retraction: this is
+    the one place a computed model gets its generator names, which
+    `Computation.monomial` reads back.  The caller's chain window must
+    leave enough slack around the published one that no published word
+    reads the retraction's floor or leaves its range; a word that does
+    raises TruncationExceeded (enlarge the window).
     """
     space = expected.space
     if reorder is not None:
@@ -290,7 +295,7 @@ def transfer_pipeline(params: GroupParams, dga: DGAlgebra,
         raise PatternMismatch(
             "the class at bidegree (0, 0) is not represented by the strict "
             f"unit of {dga.name}")
-    return Computation(params=params, hp=hp, names=names,
+    return Computation(params=params, hp=hp,
                        transfer=MerkulovTransfer(con, expected))
 
 
@@ -313,8 +318,7 @@ def group_minimal_model(params: GroupParams, *,
     expected = expected_minimal_model(params, window=pub,
                                       arity_bound=arity_bound)
     return transfer_pipeline(params, build_end_dga(params, window=window),
-                             expected, params.hp, ("x", "t"),
-                             reorder=reorder)
+                             expected, params.hp, reorder=reorder)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +367,15 @@ def massey_versus_transfer(comp: Computation) -> MasseyComparison:
     ell.  In the exceptional loop-side case ell = 2 the 2-fold power is
     the plain square and the relation still holds with epsilon(2) = -1."""
     p, ell = comp.params.p, comp.hp.ell
-    cls = monomial_label(0, 1, comp.names)
-    target = monomial_label(comp.hp.h, 0, comp.names)
+    cls, target = comp.monomial(0, 1), comp.monomial(comp.hp.h, 0)
 
     report = massey_power(comp.con, cls, ell)
     c_massey = report.value.get(target, 0) if report.defined else 0
     extra = set(report.value) - {target}
     if extra:
         raise CertificationError(
-            f"Massey power has parts off the {comp.names[0]}-line: {extra}")
+            f"Massey power has parts off the {comp.monomial(1, 0)}-line: "
+            f"{extra}")
 
     word = (cls,) * ell
     c_transfer = comp.model.op_value(ell, word).get(target, 0)

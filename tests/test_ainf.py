@@ -260,13 +260,22 @@ def test_normalize_is_identity_on_canonical():
 
 
 def test_normalize_recovers_canonical_from_scaled():
+    """Normalization rescales the tables to the canonical coefficients
+    and keeps the labels: the machine model's own, one per monomial."""
     canonical = build_toy_model()
+    machine_label = {monomial_label(j, eps): f"h{bd.s}_{bd.w}"
+                     for j, eps, bd in toy_monomials()}
+    want = {n: {tuple(map(machine_label.get, word)):
+                {machine_label[lab]: c for lab, c in vec.items()}
+                for word, vec in table.items()}
+            for n, table in canonical.ops.items()}
     for xs, ts, c in [(2, 1, 1), (1, 2, 2), (2, 2, 1)]:
         machine = scaled_machine_model(xs, ts, c)
         norm = normalize_generators(machine, HP)
         assert not norm.formal
-        assert norm.model.ops == canonical.ops, (xs, ts, c)
-        assert norm.model.space.blocks == canonical.space.blocks
+        assert norm.model.ops == want, (xs, ts, c)
+        assert norm.model.space is machine.space
+        assert norm.model.unit == machine.unit == machine_label["1"]
 
 
 def test_normalize_formal_model():

@@ -288,6 +288,29 @@ def test_window_without_the_unit_is_refused_by_name(capsys, command, window):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("window", [(-30, -1), (5, 10)])
+def test_a_model_window_without_degree_0_is_refused_by_name(capsys, window):
+    """`model` publishes its whole window, so it takes any window that
+    holds the unit's degree 0, and refuses every other with a parameter
+    error that names it, before any algebra is built."""
+    code, out, err = run_cli(capsys, "model", 3, 1, 2, "--window", *window,
+                             "--json", "--no-cache")
+    assert (code, out) == (2, "")
+    assert f"window ({window[0]}, {window[1]})" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", COCHAIN_COMMANDS + ("loops", "model"))
+def test_a_reversed_window_is_a_parameter_error(capsys, command):
+    """A window whose floor is above its ceiling is refused by each run's
+    own window checks, with exit 2 and the window named."""
+    low = 0 if command == "loops" else 1
+    code, out, err = run_cli(capsys, command, 3, 1, 2, "--window", low, -1,
+                             *uncached(command))
+    assert (code, out) == (2, "")
+    assert f"window ({low}, -1)" in err
+
+
 def sweep_exit_codes(capsys, command, pnq, windows):
     """Exit codes of one command over windows; a passing `transfer` or
     `loops` document must not call a model formal, a passing
@@ -705,6 +728,16 @@ def test_report_written_to_file_matches_stdout(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # caching
 # ---------------------------------------------------------------------------
+
+def test_an_empty_cache_dir_setting_is_unset(capsys, tmp_path, monkeypatch):
+    """An empty AINF_CACHE_DIR means the default .cache, not the working
+    directory."""
+    monkeypatch.setenv("AINF_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "model", 3, 1, 1, "--window", -3, 1)[0] == 0
+    assert [path.name for path in tmp_path.iterdir()] == [".cache"]
+    assert len(list((tmp_path / ".cache").glob("model-*.json"))) == 1
+
 
 def test_cache_hit_and_corruption_rebuild(capsys, tmp_path):
     cache = tmp_path / "cache"

@@ -556,7 +556,7 @@ def test_no_constructor_takes_derived_state():
     space = con.homology
     with pytest.raises(TypeError, match="_index"):
         GradedVectorSpace(space.prime, space.window, space.blocks, _index={})
-    args = dict.fromkeys(["params", "hp", "names", "transfer"])
+    args = dict.fromkeys(["params", "hp", "transfer"])
     assert [f.name for f in fields(Computation) if f.init] == list(args)
     for name in ("con", "model", "truncated", "_normalized"):
         with pytest.raises(TypeError, match=name):

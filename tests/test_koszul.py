@@ -73,6 +73,23 @@ def test_generator_bidegrees(computations, pnq):
     assert space.bidegree_of("xi") == Bidegree(2 * q - 1, q * pn)
 
 
+@pytest.mark.parametrize("pnq, want", [
+    ((3, 1, 2), ("1", "tau", "xi", "tau*xi", "tau^3")),
+    ((5, 1, 2), ("1", "tau", "xi", "tau*xi", "tau^5"))])
+def test_a_loop_computation_reads_its_monomials_off_its_model(
+        computations, pnq, want):
+    """On the loop side tau is polynomial, xi exterior, and the family
+    target is tau^(p^n), also in the exceptional ring of (3, 1, 2), where
+    xi * xi lands on it; the normalized model keeps the transferred one's
+    space."""
+    comp = computations[pnq]
+    got = tuple(comp.monomial(j, eps)
+                for j, eps in [(0, 0), (1, 0), (0, 1), (1, 1), (comp.hp.h, 0)])
+    assert got == want
+    assert comp.hp.h == comp.params.pn
+    assert comp.normalized().model.space is comp.model.space
+
+
 def test_exceptional_square(computations):
     # p^n = 3, q = 2 is the one case where the exterior generator's square
     # is forced to be nonzero: the loop ring is k[tau, xi]/(xi^2 + tau^3)
@@ -248,7 +265,7 @@ def test_a_word_ceiling_at_the_published_ceiling_is_refused(pnq):
     expected = expected_loop_model(params, window=pub, arity_bound=arity)
     with pytest.raises(TruncationExceeded):
         transfer_pipeline(params, cobar(cochain, pub[1]), expected,
-                          params.hp.loop_dual(), LOOP_GENERATORS)
+                          params.hp.loop_dual())
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +285,7 @@ def test_transferred_cochain_model_feeds_the_loop_pipeline(computations):
         params, window=(floor - (bound - 1), 1))
     assert cochain.model.space.window[0] <= floor
     comp = transfer_pipeline(params, cobar(cochain.model, s_hi),
-                             default.expected(), default.hp, default.names)
+                             default.expected(), default.hp)
     assert compare_models(comp.normalized().model, comp.expected()) == []
 
 

@@ -52,6 +52,33 @@ def test_normalized_model_matches_closed_form(computations, pnq):
     assert compare_models(norm.model, comp.expected()) == []
 
 
+@pytest.mark.parametrize("pnq, want", [
+    ((3, 1, 2), ("1", "x", "t", "x*t", "x^2")),
+    ((5, 1, 2), ("1", "x", "t", "x*t", "x^3")),
+    ((3, 1, 1), ("1", "x", "t", "x*t", "x"))])
+def test_a_computation_reads_its_monomials_off_its_model(computations, pnq,
+                                                         want):
+    """1, x, t, x*t and x^h are the labels the gate gave the classes at
+    their bidegrees: the closed form's names (x^h is x when h = 1)."""
+    comp = computations[pnq]
+    got = tuple(comp.monomial(j, eps)
+                for j, eps in [(0, 0), (1, 0), (0, 1), (1, 1), (comp.hp.h, 0)])
+    assert got == want
+    assert got[0] == comp.model.unit
+
+
+@pytest.mark.parametrize("pnq", CASES)
+def test_normalization_keeps_the_model_space(computations, pnq):
+    """Normalization only rescales the tables: the normalized model is
+    the transferred one on the same space, with the same unit."""
+    comp = computations[pnq]
+    norm = comp.normalized().model
+    assert norm.space is comp.model.space
+    assert norm.unit == comp.model.unit
+    assert {n: set(table) for n, table in norm.ops.items()} == \
+        {n: set(table) for n, table in comp.model.ops.items()}
+
+
 @pytest.mark.parametrize("pnq", CASES)
 def test_no_words_lost_to_truncation(computations, pnq):
     assert computations[pnq].truncated == {}
@@ -292,7 +319,7 @@ def test_a_unit_the_class_does_not_represent_fails_the_gate():
     expected = expected_minimal_model(params, window=pub, arity_bound=arity)
     with pytest.raises(PatternMismatch, match=r"the class at bidegree "
                        r"\(0, 0\) is not represented by the strict unit"):
-        transfer_pipeline(params, scaled, expected, params.hp, ("x", "t"))
+        transfer_pipeline(params, scaled, expected, params.hp)
 
 
 def test_window_too_small_for_arity_bound_is_rejected():

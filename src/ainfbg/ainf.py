@@ -25,9 +25,10 @@ word and where one pass counts every arity's words without listing them.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .glin import Bidegree, GradedVectorSpace, TruncationExceeded
 
@@ -232,6 +233,27 @@ def stasheff_word_defect(model: AInfinityAlgebra, word: tuple[str, ...]) -> dict
     return {k: v for k, v in total.items() if v}
 
 
+def _lattice(vectors: list[tuple[int, int]]) -> Callable[[int, int], bool]:
+    """Membership in the Z-span of integer pairs.  Euclid's row
+    operations bring the span to a basis (a, b), (0, c), and (x, y) lies
+    in it iff a divides x and c divides y - (x / a) b."""
+    a = b = c = 0
+    for x, y in vectors:
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        c = math.gcd(c, y)
+
+    def divides(m: int, v: int) -> bool:
+        return v % m == 0 if m else v == 0
+
+    def spans(x: int, y: int) -> bool:
+        if not divides(a, x):
+            return False
+        return divides(c, y - x // a * b if a else y)
+    return spans
+
+
 def enumerate_words(model: AInfinityAlgebra, n: int,
                     exclude: Iterable[str] = (),
                     level: str = "identity",
@@ -252,7 +274,12 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
     sums that prefixes of each length can reach, so the work scales with
     the words yielded, not with the full tuple count.  Those sums are
     kept only inside the box that the remaining letters can still carry
-    into the goal's bounding box, so their sets do not grow with n.
+    into the goal's bounding box, so their sets do not grow with n.  A
+    target that no n letters can sum to is dropped first, by a lattice
+    test; on a sparse model that leaves no target at most arities, and
+    no sums are built there.  The words grow level by level: each live
+    prefix of length k, in order, extended by each letter, in order,
+    gives the live prefixes of length k + 1.
     """
     shift = {"identity": n - 3, "operation": n - 2}[level]
     lo, hi = model.space.window
@@ -274,7 +301,12 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
         goal = None
         s_box, w_box = (lo - shift, hi - shift), (n * dw_lo, n * dw_hi)
     else:
-        goal = {(s - shift, w) for s, w in targets if lo <= s <= hi}
+        # a sum of n letters is n times the first letter's (s, w) plus a
+        # vector of the lattice that the letters' differences span
+        s1, w1 = letters[0][1:]
+        spans = _lattice([(s - s1, w - w1) for s, w in steps])
+        goal = {(s - shift, w) for s, w in targets if lo <= s <= hi
+                and spans(s - shift - n * s1, w - n * w1)}
         if not goal:
             return
         s_box = (min(s for s, _ in goal), max(s for s, _ in goal))
@@ -299,22 +331,22 @@ def enumerate_words(model: AInfinityAlgebra, n: int,
 
     # the letters come in decreasing s, so a scan stops at the first one
     # that takes the prefix below every live sum of the next length
-    floor = [min((s for s, _ in sums), default=0) for sums in live]
-
-    def rec(prefix: list[str], s0: int, w0: int) -> Iterator[tuple[str, ...]]:
-        k = len(prefix)
-        if k == n:
-            yield tuple(prefix)
-            return
-        ahead = live[k + 1]
-        for lab, s, w in letters:
-            if s0 + s < floor[k + 1]:
-                break
-            if (s0 + s, w0 + w) in ahead:
-                yield from rec(prefix + [lab], s0 + s, w0 + w)
-
-    if (0, 0) in live[0]:
-        yield from rec([], 0, 0)
+    if (0, 0) not in live[0]:
+        return
+    prefixes = [((), 0, 0)]
+    for k in range(1, n + 1):
+        ahead = live[k]
+        floor = min(s for s, _ in ahead)
+        grown = []
+        for prefix, s0, w0 in prefixes:
+            for lab, s, w in letters:
+                if s0 + s < floor:
+                    break
+                if (s0 + s, w0 + w) in ahead:
+                    grown.append((prefix + (lab,), s0 + s, w0 + w))
+        prefixes = grown
+    for word, _, _ in prefixes:
+        yield word
 
 
 def _count_sweep(model: AInfinityAlgebra, bound: int,
@@ -633,7 +665,7 @@ def normalize_generators(model: AInfinityAlgebra,
 
     # nu[(j, eps)] = (old label, coefficient): the m_2-monomial basis
     nu: dict[tuple[int, int], tuple[str, int]] = {}
-    for j, eps, bd in monos:
+    for j, eps, _ in monos:
         if j == 0:
             nu[(0, eps)] = (t_lab, 1) if eps else (model.unit, 1)
             continue
@@ -641,8 +673,6 @@ def normalize_generators(model: AInfinityAlgebra,
         what = monomial_label(j, eps)
         word = (base, t_lab) if eps else (x_lab, base)
         lab, c = _single(model.op_value(2, word), what)
-        if model.space.bidegree_of(lab) != bd:
-            raise ShapeMismatch(f"{what} landed in the wrong bidegree")
         nu[(j, eps)] = (lab, c_base * c % p)
 
     labels = [lab for bd in model.space.bidegrees()

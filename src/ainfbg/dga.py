@@ -20,7 +20,9 @@ Products obey one composability rule: every label has a `source` and a
 `target` key, and products(a, b) is {} and never raises unless
 source(a) == target(b).  `mult` calls `products` only on such pairs, and
 `validate_dga` certifies the rule on every pair it multiplies.  By
-default every label has the same key, so every pair composes.
+default every label has the same key, so every pair composes.  `mult`
+finds the partners of a left label in a per-block index of the labels
+by target key, built once per block of the algebra's space.
 """
 
 from __future__ import annotations
@@ -92,6 +94,13 @@ class DGAlgebra:
     {} and never raises unless source(a) == target(b).  `mult` multiplies
     only those pairs, and `validate_dga` checks the contract.  The default
     keys are constant, so every pair composes.
+
+    `mult(u, v)` reads the target keys of a right factor that lies in one
+    block of `space` from that block's index (its labels by target key,
+    built on the first such product and kept), so a right factor used
+    again costs no `target` call; a right factor that spans several
+    blocks, or holds a label outside the space, is grouped by target on
+    its own, in its order.  A `replace` starts with no index.
     """
 
     space: GradedVectorSpace
@@ -101,6 +110,11 @@ class DGAlgebra:
     name: str = ""
     source: Callable[[Hashable], object] = _same_key
     target: Callable[[Hashable], object] = _same_key
+    # bidegree -> (its labels, its labels by target key), built by `mult`
+    # on first use; derived from space and target, so a `replace` starts
+    # with none
+    _targets: dict[Bidegree, tuple[frozenset, dict[object, list[Hashable]]]] \
+        = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def prime(self) -> int:
@@ -115,16 +129,35 @@ class DGAlgebra:
         return {k: v for k, v in out.items() if v}
 
     def mult(self, u: Vector, v: Vector) -> Vector:
-        p = self.prime
-        by_target: dict[object, list[tuple[Hashable, int]]] = {}
-        for lb, cb in v.items():
-            by_target.setdefault(self.target(lb), []).append((lb, cb))
+        p, source, products = self.prime, self.source, self.products
+        get = v.get
+        partners = self._by_target(v).get
         out: Vector = {}
         for la, ca in u.items():
-            for lb, cb in by_target.get(self.source(la), ()):
-                for olab, oc in self.products(la, lb).items():
-                    out[olab] = (out.get(olab, 0) + ca * cb * oc) % p
-        return {k: v for k, v in out.items() if v}
+            for lb in partners(source(la), ()):
+                if (cb := get(lb)) is not None:
+                    for olab, oc in products(la, lb).items():
+                        out[olab] = out.get(olab, 0) + ca * cb * oc
+        return {k: r for k, c in out.items() if (r := c % p)}
+
+    def _by_target(self, v: Vector) -> dict[object, list[Hashable]]:
+        """Target key -> labels with that key, among them every label of v:
+        the kept index of the block of v's first label when v lies in that
+        block, else v's own labels in v's order."""
+        where = self.space._index.get(next(iter(v), None))
+        if where is not None:
+            kept = self._targets.get(where[0])
+            if kept is None:
+                labels, index = self.space.blocks[where[0]], {}
+                for lab in labels:
+                    index.setdefault(self.target(lab), []).append(lab)
+                kept = self._targets[where[0]] = (frozenset(labels), index)
+            if v.keys() <= kept[0]:
+                return kept[1]
+        buckets: dict[object, list[Hashable]] = {}
+        for lab in v:
+            buckets.setdefault(self.target(lab), []).append(lab)
+        return buckets
 
     def diff_block(self, bd) -> SparseBlock:
         """Matrix of d on the block at bd, mapping into bd + (-1, 0), by

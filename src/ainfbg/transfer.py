@@ -102,6 +102,13 @@ class MerkulovTransfer:
     the evaluations read is split and certified by the retraction on its
     first read, so the tables cost the blocks they touch, not the whole
     range.
+
+    lam(word) sums sign(s, t) ghat(word[:s]) * ghat(word[s:]) over the
+    splits, one `DGAlgebra.mult` each, carrying the degree parity of the
+    prefix from one split to the next.  Every ghat value is homogeneous,
+    so each right factor lies in one block of the end-DGA and `mult`
+    finds its partners in that block's kept target index.  Both memos
+    keep every value they compute.
     """
 
     def __init__(self, con: Contraction, closed_form: AInfinityAlgebra) -> None:
@@ -128,19 +135,21 @@ class MerkulovTransfer:
         if hit is not None:
             return hit
         p = self.dga.prime
+        bidegree_of = self.con.homology.bidegree_of
         total: Vector = {}
         n = len(word)
+        parity = 0      # of |a_1| + .. + |a_s|
         for s in range(1, n):
-            t = n - s
+            parity ^= bidegree_of(word[s - 1]).s & 1
             left = self.ghat(word[:s])
             if not left:
                 continue
             right = self.ghat(word[s:])
             if not right:
                 continue
+            t = n - s
             sign = split_sign(s, t)
-            if (t - 1) % 2 and sum(self.con.homology.bidegree_of(a).s
-                                   for a in word[:s]) % 2:
+            if parity and (t - 1) % 2:
                 sign = -sign
             prod = self.dga.mult(left, right)
             for lab, c in prod.items():

@@ -9,7 +9,8 @@ Criteria covered, in order:
 
 1. Transferred minimal models on the cohomology side match the closed
    form for all six parameter tuples (plus the larger p^n = 9 stretch
-   case): m_i(t, ..., t) = 0 for 2 < i < p^n, m_{p^n}(t, ..., t) is a
+   case, and p^n = 25 and 27 on (5, 2, 2), (5, 2, 4) and (3, 3, 2)):
+   m_i(t, ..., t) = 0 for 2 < i < p^n, m_{p^n}(t, ..., t) is a
    nonzero multiple of x^h, and the normalized table equals the expected
    model entry for entry.
 2. Massey powers cross-check the transfer: lower powers vanish and the
@@ -64,6 +65,7 @@ from ainfbg.transfer import (
 ACCEPTANCE_TUPLES = [(3, 1, 2), (5, 1, 2), (5, 1, 4),
                      (7, 1, 2), (7, 1, 3), (7, 1, 6)]
 STRETCH_TUPLE = (3, 2, 2)
+LARGER_TUPLES = [(5, 2, 2), (5, 2, 4), (3, 3, 2)]     # p^n = 25, 25, 27
 LOOP_TUPLES = [(3, 1, 2), (5, 1, 2), (7, 1, 3)]
 MASSEY_TUPLES = [(3, 1, 2), (5, 1, 2)]
 
@@ -140,6 +142,19 @@ def test_criterion_1_stretch_prime_power_nine():
         f"{STRETCH_TUPLE} took {seconds:.1f}s (budget {STRETCH_TIME_BUDGET:.0f}s)"
     print(f"criterion 1 stretch {STRETCH_TUPLE}: PASS  m_9(t,...,t) = "
           f"{coefficient}*x^5, {entries} oracle entries matched, {seconds:.1f}s")
+
+
+@pytest.mark.parametrize("pnq", LARGER_TUPLES)
+def test_criterion_1_prime_powers_25_and_27(pnq):
+    start = time.perf_counter()
+    comp = group_minimal_model(GroupParams(*pnq))
+    seconds = time.perf_counter() - start
+    coefficient, entries = _check_cochain_case(comp)
+    assert seconds < COCHAIN_TIME_BUDGET, \
+        f"{pnq} took {seconds:.1f}s (budget {COCHAIN_TIME_BUDGET:.0f}s)"
+    print(f"criterion 1 {pnq}: PASS  m_{comp.params.pn}(t,...,t) = "
+          f"{coefficient}*x^{comp.params.h}, {entries} oracle entries "
+          f"matched, {seconds:.1f}s")
 
 
 def test_criterion_2_massey_powers_cross_check(cochain_runs):

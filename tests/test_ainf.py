@@ -27,6 +27,7 @@ from ainfbg.ainf import (
     epsilon_sign,
     monomial_label,
     monomials,
+    _lattice,
     _q_leaves_window,
     normalize_generators,
     stasheff_defect,
@@ -313,6 +314,14 @@ def test_normalize_rejects_wrong_shape():
         normalize_generators(model, HP)
 
 
+def test_a_table_entry_off_its_output_bidegree_is_refused():
+    model = build_toy_model()
+    ops = {n: dict(table) for n, table in model.ops.items()}
+    ops[2][("x", "x")] = {"x^3": 1}
+    with pytest.raises(ValueError, match="outside bidegree"):
+        replace(model, ops=ops)
+
+
 def test_monomial_labels():
     assert monomial_label(0, 0) == "1"
     assert monomial_label(0, 1) == "t"
@@ -441,6 +450,113 @@ def test_targets_filter_the_default_enumeration(data):
     got = list(enumerate_words(model, n, level=level, targets=targets))
     assert got == [w for w in words
                    if output_bidegree(model, w, level) in targets]
+
+
+def recursive_words(model, n, exclude=(), level="identity", targets=None):
+    """Reference: the enumerator as it was before it grew its words level
+    by level, a depth-first recursion of nested generators over the same
+    `reach` and `live` sums."""
+    shift = n - LEVEL_SHIFT[level]
+    lo, hi = model.space.window
+    letters = sorted(((lab, bd.s, bd.w) for bd in model.space.bidegrees()
+                      for lab in model.space.labels(bd) if lab not in exclude),
+                     key=lambda ls: (-ls[1], ls[0]))
+    if not letters:
+        return
+    steps = {(s, w) for _, s, w in letters}
+    ds_lo, ds_hi = min(s for s, _ in steps), max(s for s, _ in steps)
+    dw_lo, dw_hi = min(w for _, w in steps), max(w for _, w in steps)
+    if targets is None:
+        goal = None
+        s_box, w_box = (lo - shift, hi - shift), (n * dw_lo, n * dw_hi)
+    else:
+        goal = {(s - shift, w) for s, w in targets if lo <= s <= hi}
+        if not goal:
+            return
+        s_box = (min(s for s, _ in goal), max(s for s, _ in goal))
+        w_box = (min(w for _, w in goal), max(w for _, w in goal))
+    reach = [{(0, 0)}]
+    for k in range(1, n + 1):
+        r = n - k
+        s_min, s_max = s_box[0] - r * ds_hi, s_box[1] - r * ds_lo
+        w_min, w_max = w_box[0] - r * dw_hi, w_box[1] - r * dw_lo
+        reach.append({(s + ds, w + dw) for s, w in reach[-1]
+                      for ds, dw in steps
+                      if s_min <= s + ds <= s_max
+                      and w_min <= w + dw <= w_max})
+    live = [set() for _ in range(n + 1)]
+    live[n] = reach[n] if goal is None else reach[n] & goal
+    for k in range(n - 1, -1, -1):
+        live[k] = reach[k] & {(s - ds, w - dw) for s, w in live[k + 1]
+                              for ds, dw in steps}
+    floor = [min((s for s, _ in sums), default=0) for sums in live]
+
+    def rec(prefix, s0, w0):
+        k = len(prefix)
+        if k == n:
+            yield tuple(prefix)
+            return
+        for lab, s, w in letters:
+            if s0 + s < floor[k + 1]:
+                break
+            if (s0 + s, w0 + w) in live[k + 1]:
+                yield from rec(prefix + [lab], s0 + s, w0 + w)
+
+    if (0, 0) in live[0]:
+        yield from rec([], 0, 0)
+
+
+def benchmark_models():
+    """The closed forms the benchmark's transfers read: the published
+    cochain model of each cochain tuple and loop model of each loop tuple,
+    on the windows and arity bounds their pipelines resolve."""
+    for pnq in [(3, 1, 2), (5, 1, 2), (5, 1, 4), (7, 1, 2), (7, 1, 3),
+                (7, 1, 6)]:
+        params = GroupParams(*pnq)
+        _, pub, arity = params.cochain_run()
+        yield expected_minimal_model(params, window=pub, arity_bound=arity)
+    for pnq in [(3, 1, 2), (5, 1, 2), (5, 1, 4)]:
+        params = GroupParams(*pnq)
+        _, pub, arity = params.loop_run()
+        yield expected_loop_model(params, window=pub, arity_bound=arity)
+
+
+@pytest.mark.parametrize("level", ["identity", "operation"])
+def test_level_by_level_words_match_the_recursion(level):
+    compared = 0
+    for model in benchmark_models():
+        blocks = set(model.space.blocks)
+        for n in range(1, model.arity_bound + 1):
+            for targets in (None, blocks):
+                want = list(recursive_words(model, n, level=level,
+                                            targets=targets))
+                assert list(enumerate_words(model, n, level=level,
+                                            targets=targets)) == want
+                compared += len(want)
+    assert compared
+
+
+def test_lattice_membership_matches_a_walk():
+    """`_lattice` against the points that steps of plus or minus a
+    generator reach from 0 inside a box wide enough for every short
+    combination to stay in it."""
+    import random
+    rng = random.Random(38)
+    for _ in range(60):
+        vectors = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                   for _ in range(rng.randint(1, 3))]
+        spans = _lattice(vectors)
+        seen, todo = {(0, 0)}, [(0, 0)]
+        while todo:
+            x, y = todo.pop()
+            for a, b in vectors:
+                for q in ((x + a, y + b), (x - a, y - b)):
+                    if max(map(abs, q)) <= 20 and q not in seen:
+                        seen.add(q)
+                        todo.append(q)
+        assert [(x, y) for x in range(-6, 7) for y in range(-6, 7)
+                if spans(x, y)] == sorted(q for q in seen
+                                          if max(map(abs, q)) <= 6)
 
 
 # ---------------------------------------------------------------------------

@@ -667,6 +667,12 @@ def test_transfer_5_2_2_content_hash_is_pinned(capsys):
     assert doc["provenance"]["content_hash"] == TRANSFER_5_2_2_HASH
 
 
+# transfer on the p^n = 49 tuple: too slow for tier 1, so the CI workflow
+# runs it once and compares its content hash with this one.
+TRANSFER_7_2_2_HASH = (
+    "a9f22635456a553a63e13b566b01fe39b4035581b6b795a39923a2a0e4992c0c")
+
+
 # The full content hashes of the two cochain reports, a DG-algebra
 # document and the classification shapes.  Any change to a record, a
 # table or the document format moves them.

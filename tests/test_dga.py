@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import types
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -1431,6 +1432,27 @@ def test_mult_calls_products_only_on_composable_pairs():
                   if dga.source(a) == dga.target(b)]
     assert calls == composable
     assert len(composable) < len(labels) ** 2 // 4
+
+
+def test_mult_reads_each_target_key_of_a_block_once():
+    dga = mult_algebra((3, 1, 2))
+    keys = Counter()
+
+    def counting(lab):
+        keys[lab] += 1
+        return dga.target(lab)
+
+    counted = replace(dga, target=counting)
+    u = dict.fromkeys(_labels(dga), 1)
+    bd = max(dga.space.blocks, key=lambda bd: dga.space.dim(bd))
+    block = dga.space.labels(bd)
+    assert len(block) > 1
+    for v in [dict.fromkeys(block, 1), {block[0]: 2}, {block[-1]: 1}] * 3:
+        assert counted.mult(u, v) == dga.mult(u, v)
+    assert set(keys) <= set(block)
+    assert max(keys.values()) == 1
+    # the index derives from space and target: a replace starts without it
+    assert counted._targets and not replace(counted, name="copy")._targets
 
 
 def test_reorder_keeps_the_composability_keys():

@@ -418,6 +418,10 @@ def _cache_load(path: str) -> dict | None:
 
 def run_with_cache(command: str, args, parameters: dict,
                    build: Callable[[], dict]) -> dict:
+    """The document `build` makes, replayed from the cache when it holds
+    it; a document built here is cached from its canonical rendering,
+    which is left as `args.canonical` for `main` to print under --json
+    rather than render it again."""
     if args.no_cache:
         return build()
     path = os.path.join(_cache_dir(args),
@@ -425,7 +429,8 @@ def run_with_cache(command: str, args, parameters: dict,
     doc = _cache_load(path)
     if doc is None:
         doc = build()
-        _atomic_write(path, canonical_json(doc))
+        args.canonical = canonical_json(doc)
+        _atomic_write(path, args.canonical)
     return doc
 
 
@@ -787,7 +792,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.fn(args)
-        rendering = canonical_json(doc) if args.json else render_text(doc)
+        rendering = (getattr(args, "canonical", None) or canonical_json(doc)
+                     if args.json else render_text(doc))
         if args.out:
             _atomic_write(args.out, rendering)
     except ParameterError as exc:

@@ -536,12 +536,14 @@ class Contraction:
     and one at the ceiling (where incoming boundaries are unknown).  Pass
     0, in the constructor, runs the forward half of the elimination
     (`glin.echelon`) on the sparse rows of d of every block of the range
-    and of the ceiling + 1, which gives its pivot columns P_s; the
-    columns d(e_j), j in P_{s+1}, span the boundaries, and each block
-    checks on the nonzero entries of d that d kills them (d^2 = 0).  The
-    homology of block s then has dimension n - |P_s| - |P_{s+1}|.  Of
+    and of the ceiling + 1, from the top down, which gives its pivot
+    columns P_s; the columns d(e_j), j in P_{s+1}, span the boundaries,
+    and each block checks on the nonzero entries of d that d kills them
+    (d^2 = 0).  The homology of block s then has dimension
+    n - |P_s| - |P_{s+1}|, known as soon as block s is eliminated.  Of
     pass 0 it keeps d by its nonzero entries and each block's pivot
-    columns, nothing per row and no dense array.
+    columns, and the sparse pivot rows of a block only where its homology
+    is nonzero, until its split reads them; no dense array.
 
     The three maps read through `_block_map`, which refuses a block
     outside the range, or at its floor over a nonzero block (where d
@@ -565,9 +567,12 @@ class Contraction:
     splits: dict[Bidegree, _BlockSplit] = field(default_factory=dict,
                                                 init=False)
     trusted: set[Bidegree] = field(default_factory=set, init=False)
-    # from pass 0: the d blocks and the pivot columns of each block
+    # from pass 0: the d blocks, the pivot columns of each block, and the
+    # pivot rows of each block with homology until its split reads them
     _d: dict[Bidegree, SparseBlock] = field(init=False, repr=False)
     _pivots: dict[Bidegree, tuple[int, ...]] = field(init=False, repr=False)
+    _rows: dict[Bidegree, list[dict[int, int]]] = field(init=False,
+                                                        repr=False)
 
     def __post_init__(self) -> None:
         space = self.dga.space
@@ -579,27 +584,28 @@ class Contraction:
                 f"p = {p} with a block of dimension {largest} leaves int64: "
                 f"contraction needs n*(p-1)^2 + 2p < 2^63 = {2 ** 63}")
 
-        # at ceiling + 1 only the pivot columns are trustworthy, and they
-        # are all the ceiling's homotopy needs
-        blocks = [bd for bd in sorted(space.blocks) if lo <= bd.s <= hi]
-        self._d, self._pivots = {}, {}
-        for bd in blocks + sorted(bd for bd in space.blocks
-                                  if bd.s == hi + 1):
-            self._d[bd] = self.dga.diff_block(bd)
-            self._pivots[bd] = echelon(self._d[bd].rows(), p,
-                                       space.dim(bd))[0]
-
-        hom_blocks: dict[Bidegree, list[str]] = {}
-        for bd in blocks:
+        # from the top down, so that P_{s+1} is known when block s is
+        # eliminated; at ceiling + 1 only the pivot columns are
+        # trustworthy, and they are all the ceiling's homotopy needs
+        self._d, self._pivots, self._rows, dims = {}, {}, {}, {}
+        for bd in sorted((bd for bd in space.blocks if lo <= bd.s <= hi + 1),
+                         reverse=True):
+            d = self._d[bd] = self.dga.diff_block(bd)
+            pivots, rows = echelon(d.rows(), p, space.dim(bd))
+            self._pivots[bd] = pivots
+            if bd.s > hi:
+                continue
             above = Bidegree(bd.s + 1, bd.w)
             up = list(self._pivots.get(above, ()))
-            if up and not self._d[bd].kills(self._d[above], up, p):
+            if up and not d.kills(self._d[above], up, p):
                 raise CertificationError(
                     f"boundaries at {bd} are not cycles (d^2 != 0?)")
-            nh = space.dim(bd) - len(self._pivots[bd]) - len(up)
-            hom_blocks[bd] = [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
-        self.homology = GradedVectorSpace(prime=p, window=(lo, hi),
-                                          blocks=hom_blocks)
+            if nh := space.dim(bd) - len(pivots) - len(up):
+                self._rows[bd] = rows
+            dims[bd] = nh
+        self.homology = GradedVectorSpace(prime=p, window=(lo, hi), blocks={
+            bd: [f"h{bd.s}_{bd.w}_{k}" for k in range(nh)]
+            for bd, nh in reversed(dims.items())})
 
     def include(self, hvec: Vector) -> Vector:
         return self._block_map("f1", self.homology, self.dga.space, hvec)
@@ -646,10 +652,10 @@ class Contraction:
         B's rows read off the entries of d above at the columns P_{s+1} and
         F scanned right to left, splits F into its pivot columns T and the
         rest S: a greedy scan of Z extends B by exactly the rows on S,
-        which are the homology representatives H.  Only where S is
-        nonempty does the split rerun the forward elimination of d, which
-        is deterministic, and back-substitute those rows through its pivot
-        rows.  The transform X is B[:, T]^-1, T in pivot order, so a
+        which are the homology representatives H.  Where S is nonempty,
+        the split back-substitutes those rows through the pivot rows that
+        pass 0 kept, and drops them; no block of d is eliminated twice.
+        The transform X is B[:, T]^-1, T in pivot order, so a
         vector v has B coordinates X^T v[T] and H coordinates
         v[S] - R[:, S]^T v[T] for the reduced rows R.  pi reads the H
         coordinates; the homotopy is G(d e_j) = e_j for j in P_{s+1} and
@@ -704,7 +710,7 @@ class Contraction:
         g.flat[g_at] = g_val
         pi = np.zeros((len(s_cols), n), dtype=np.int64)
         pi.flat[pi_at] = pi_val
-        f1 = back_substitute(*echelon(self._d[bd].rows(), p, n), s_cols,
+        f1 = back_substitute(self._pivots[bd], self._rows.pop(bd), s_cols,
                              n, p) if s_cols else np.zeros((0, n), np.int64)
         sp = self.splits[bd] = _BlockSplit(f1=f1.T.copy(), pi=pi, g=g)
         return sp

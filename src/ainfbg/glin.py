@@ -21,8 +21,9 @@ rows asked for; `rank_nullspace` reads all of them and `greedy_extend`
 the pivots alone.  The back half, run after the forward half, builds a
 transform where [M | I] is reduced: `row_reduce` does so for `invert`
 and `solve`, and `dga`'s splits on the sparse rows of [B | I] that they
-read off d.  `dga.contraction` keeps only the pivot columns of d's
-sparse rows; a split with homology reruns `echelon` for that pair.  Block
+read off d.  `dga.contraction` keeps the pivot columns that `echelon`
+gives on d's sparse rows, and the pivot rows of the blocks with homology
+alone, from which their splits read the representatives.  Block
 products run through `matmul_mod`: in float64 BLAS while every partial
 sum is an integer below 2^53 (Dumas, Giorgi & Pernet, "Dense linear
 algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
@@ -139,8 +140,8 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
     sparse, so no pivot makes an array call.  Row operations act on whole
     rows, so columns past ncols are carried along without pivoting in
     them.  The pivot rule (first nonzero entry in the first unused column)
-    is what keeps splittings deterministic.  Each pivot is inverted as
-    a^(p-2).
+    is what keeps splittings deterministic.  A pivot row is scaled by the
+    inverse a^(p-2) of its pivot a, and left as it is where a is 1.
 
     The forward half clears each pivot's column below it: the first rank
     rows end as those of a row echelon form, each with a 1 at its pivot
@@ -181,8 +182,10 @@ def _eliminate(rows: list[dict[int, int]], p: int, ncols: int, *,
             if (m := min(rows[pr], default=ncols)) < ncols:
                 first[m].remove(r)
                 first[m].add(pr)
-        inv = pow(rows[r][c], p - 2, p)
-        piv = rows[r] = {j: v * inv % p for j, v in rows[r].items()}
+        piv = rows[r]
+        if (a := piv[c]) != 1:
+            inv = pow(a, p - 2, p)
+            piv = rows[r] = {j: v * inv % p for j, v in piv.items()}
         for i in bucket:
             row = rows[i]
             _subtract(row, row[c], piv, p)
@@ -424,5 +427,6 @@ class GradedVectorSpace:
 
     def to_dict(self, bd, arr: np.ndarray) -> dict[Hashable, int]:
         labels = self.labels(bd)
-        return {labels[i]: int(c % self.prime)
-                for i, c in enumerate(arr) if c % self.prime}
+        arr = arr % self.prime
+        at = np.flatnonzero(arr)
+        return dict(zip([labels[i] for i in at.tolist()], arr[at].tolist()))

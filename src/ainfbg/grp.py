@@ -13,10 +13,12 @@ filtration and has order invertible in k.  Then k has a 2-periodic free
 resolution over k[U]/(U^m) whose differentials are multiplications by
 powers of U, and that single presentation drives everything here:
 
-  * stage_weight, diff_exponent -- the equivariance weight of each stage
-    generator and the power of U that each differential multiplies by;
+  * stage_weight -- the equivariance weight of each stage generator; the
+    differential into stage i-1 multiplies by U^e(i) for the weight step
+    e(i) = w_i - w_{i-1}, which is 1 out of an odd stage and p^n - 1 out
+    of an even one;
   * build_end_dga -- the invariant, weight >= 0 part of the endomorphism
-    algebra of the truncated resolution, built from those two numbers: a
+    algebra of the truncated resolution, built from those weights: a
     finite DGA whose cohomology on the published window is H*(BG; k);
   * expected_minimal_model / expected_loop_model -- the closed-form
     answers the computed structures are compared against.
@@ -41,14 +43,13 @@ from .ainf import (
     monomials,
 )
 from .dga import DGAlgebra
-from .glin import (Bidegree, GradedVectorSpace, ParameterError,
-                   TruncationExceeded, is_prime)
+from .glin import (GradedVectorSpace, ParameterError, TruncationExceeded,
+                   is_prime)
 
 __all__ = [
     "GroupParams",
     "default_gamma",
     "stage_weight",
-    "diff_exponent",
     "build_end_dga",
     "expected_minimal_model",
     "expected_loop_model",
@@ -222,13 +223,6 @@ def stage_weight(i: int, pn: int) -> int:
     return j * pn + r
 
 
-def diff_exponent(i: int, pn: int) -> int:
-    """The differential into stage i-1 is multiplication by U^this."""
-    if i < 1:
-        raise ValueError("no differential out of stage 0")
-    return 1 if i % 2 else pn - 1
-
-
 # ---------------------------------------------------------------------------
 # the endomorphism DGA
 # ---------------------------------------------------------------------------
@@ -257,7 +251,8 @@ def build_end_dga(params: GroupParams, *,
                              f"the unit sits")
     L = -lo + 6  # top stage: six past the longest map the window holds
 
-    blocks: dict[Bidegree, list[tuple[int, int, int]]] = {}
+    # keyed by (s, w): the space makes each key a Bidegree once
+    blocks: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for i in range(L + 1):          # target stage
         # source stages whose degree s = i - src lies in the window
         for src in range(max(0, i - hi), min(L, i - lo) + 1):
@@ -265,8 +260,7 @@ def build_end_dga(params: GroupParams, *,
             wdiff = stage_weight(src, pn) - stage_weight(i, pn)
             # the powers that leave a weight w = wdiff - a >= 0 in q Z
             for a in range(wdiff % q, min(pn, wdiff + 1), q):
-                blocks.setdefault(Bidegree(-d, wdiff - a), []).append(
-                    (i, d, a))
+                blocks.setdefault((-d, wdiff - a), []).append((i, d, a))
 
     space = GradedVectorSpace(prime=p, window=window, blocks=blocks)
 
@@ -282,23 +276,21 @@ def build_end_dga(params: GroupParams, *,
                 f"product {la} * {lb} in degree {s} leaves window {window}")
         return {(i1, d1 + d2, a1 + a2): 1}
 
+    # D(i, d, a) = (i-1, d+1, a+e(i)) - (-1)^d (i, d+1, a+e(i+d+1)), each
+    # term dropped where its power reaches p^n or its stage leaves 0..L:
+    # the two labels differ in i and both coefficients are units, so the
+    # terms never cancel or merge
     def diff(lab: tuple) -> dict[tuple, int]:
         i, d, a = lab
-        if -(d + 1) < lo:
+        if d + 1 > -lo:
             raise TruncationExceeded(
                 f"differential of {lab} leaves window {window}")
         out: dict[tuple, int] = {}
-        if i >= 1:
-            anew = a + diff_exponent(i, pn)
-            if anew < pn:
-                out[i - 1, d + 1, anew] = 1
-        src = i + d
-        if src + 1 <= L:
-            anew = a + diff_exponent(src + 1, pn)
-            if anew < pn:
-                lab2 = (i, d + 1, anew)
-                out[lab2] = (out.get(lab2, 0) - (-1) ** (d % 2)) % p
-        return {k: v for k, v in out.items() if v}
+        if i and (b := a + (1 if i % 2 else pn - 1)) < pn:
+            out[i - 1, d + 1, b] = 1
+        if i + d < L and (b := a + (pn - 1 if (i + d) % 2 else 1)) < pn:
+            out[i, d + 1, b] = 1 if d % 2 else p - 1
+        return out
 
     # (i, d, a) maps P_{i+d} -> P_i, so (i, d, a) * (j, e, b) needs j = i + d
     unit = {(i, 0, 0): 1 for i in range(L + 1)}

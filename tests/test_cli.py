@@ -745,7 +745,19 @@ def test_an_empty_cache_dir_setting_is_unset(capsys, tmp_path, monkeypatch):
     assert len(list((tmp_path / ".cache").glob("model-*.json"))) == 1
 
 
-def test_cache_hit_and_corruption_rebuild(capsys, tmp_path):
+def test_cache_hit_and_corruption_rebuild(capsys, tmp_path, monkeypatch):
+    """A miss, a hit and a rebuild print the same bytes, those of the
+    cache entry, and each renders the document once: a miss prints the
+    rendering it cached."""
+    from ainfbg import cli
+
+    renders = []
+
+    def counted(doc):
+        renders.append(doc)
+        return canonical_json(doc)
+
+    monkeypatch.setattr(cli, "canonical_json", counted)
     cache = tmp_path / "cache"
     args = ("verify", 3, 1, 1, "--json", "--cache-dir", cache)
     first = run_cli(capsys, *args)
@@ -753,14 +765,15 @@ def test_cache_hit_and_corruption_rebuild(capsys, tmp_path):
     (entry,) = cache.glob("verify-*.json")
     cached_bytes = entry.read_text()
     assert document_hash_ok(json.loads(cached_bytes))
+    assert first[1] == cached_bytes and len(renders) == 1
 
     second = run_cli(capsys, *args)
-    assert second == first
+    assert second == first and len(renders) == 2
 
     # a tampered cache file fails its content hash and is rebuilt
     entry.write_text(cached_bytes.replace('"pass"', '"fail"', 1))
     third = run_cli(capsys, *args)
-    assert third == first
+    assert third == first and len(renders) == 3
     assert entry.read_text() == cached_bytes
 
 

@@ -45,6 +45,7 @@ from ainfbg.glin import (
     GradedVectorSpace,
     ParameterError,
     TruncationExceeded,
+    back_substitute,
     echelon,
     greedy_extend,
     invert,
@@ -526,18 +527,21 @@ def reachable_arrays(root, skip):
                           window=GroupParams(5, 1, 2).cochain_run()[0]),
     lambda: _loop_cobar((3, 2, 2))], ids=["end(5,1,2)", "cobar(3,2,2)"])
 def test_a_contraction_keeps_no_dense_array_but_its_splits(build):
-    """Pass 0 keeps d sparse and each block's pivot columns, nothing else
-    per block: right after `contraction` no array is reachable from it
-    outside its DGA, and after every block is read the only arrays are
-    the f1, pi and G of its splits."""
+    """Pass 0 keeps d sparse, each block's pivot columns and the sparse
+    pivot rows of each block with homology, nothing else per block: right
+    after `contraction` no array is reachable from it outside its DGA,
+    and after every block is read the only arrays are the f1, pi and G of
+    its splits, and no pivot row is left."""
     dga = build()
     con = contraction(dga)
     assert {f.name for f in fields(con)} == {
-        "dga", "homology", "splits", "trusted", "_d", "_pivots"}
+        "dga", "homology", "splits", "trusted", "_d", "_pivots", "_rows"}
     assert con._d and set(con._d) == set(con._pivots)
+    assert con._rows and set(con._rows) < set(con._d)
     assert not con.splits and not con.trusted
     assert reachable_arrays(con, [dga]) == []
     read_every_block(con)
+    assert not con._rows
     held = {id(a) for a in reachable_arrays(con, [dga])}
     assert held == {id(getattr(sp, name)) for sp in con.splits.values()
                     for name in ("f1", "pi", "g")}
@@ -551,7 +555,7 @@ def test_no_constructor_takes_derived_state():
     them is a constructor argument."""
     con = contraction(_loop_cobar((3, 1, 2)))
     assert [f.name for f in fields(Contraction) if f.init] == ["dga"]
-    for name in ("homology", "splits", "trusted", "_d", "_pivots"):
+    for name in ("homology", "splits", "trusted", "_d", "_pivots", "_rows"):
         with pytest.raises(TypeError, match=name):
             Contraction(con.dga, **{name: getattr(con, name)})
     space = con.homology
@@ -581,9 +585,10 @@ def test_no_constructor_takes_derived_state():
                           window=GroupParams(5, 1, 2).cochain_run()[0]),
     lambda: _loop_cobar((3, 1, 2))], ids=["end(5,1,2)", "cobar(3,1,2)"])
 def test_a_split_eliminates_only_where_it_has_homology(build, monkeypatch):
-    """Pass 0 runs one forward elimination per block; a split reruns its
-    block's only to back-substitute homology representatives, so reading
-    every block adds one per split block of nonzero homology."""
+    """Pass 0 runs one forward elimination per block, and a split runs
+    none: it back-substitutes its homology representatives through the
+    pivot rows that pass 0 kept, so reading every block, some of them
+    with homology, adds no call."""
     import ainfbg.dga
     calls = []
 
@@ -597,7 +602,34 @@ def test_a_split_eliminates_only_where_it_has_homology(build, monkeypatch):
     read_every_block(con)
     with_h = [bd for bd in con.splits if con.homology.dim(bd)]
     assert with_h and len(with_h) < len(con.splits)
-    assert len(calls) == len(con._d) + len(with_h)
+    assert len(calls) == len(con._d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: model_end_dga(GroupParams(7, 1, 3)),
+    lambda: _loop_cobar((3, 2, 2))], ids=["end(7,1,3)", "cobar(3,2,2)"])
+def test_pass_0_keeps_the_rows_of_exactly_the_blocks_with_homology(build):
+    """Right after pass 0 the kept pivot rows are those of the blocks of
+    nonzero homology, and each split with homology has an f1 array-equal
+    to the one a fresh forward elimination of its d block and back
+    substitution give; a split takes its block's rows."""
+    con = contraction(build())
+    p = con.dga.prime
+    assert set(con._rows) == set(con.homology.blocks)
+    read_every_block(con)
+    assert not con._rows
+    checked = 0
+    for bd, sp in con.splits.items():
+        if not con.homology.dim(bd):
+            continue
+        n = con.dga.space.dim(bd)
+        pivots, rows = echelon(con.dga.diff_block(bd).rows(), p, n)
+        # f1's columns are the cycles that end at the homology columns S
+        s_cols = [int(np.flatnonzero(col).max()) for col in sp.f1.T]
+        want = back_substitute(pivots, rows, s_cols, n, p).T
+        assert want.dtype == sp.f1.dtype and np.array_equal(sp.f1, want), bd
+        checked += 1
+    assert checked == len(con.homology.blocks)
 
 
 def test_int64_headroom_is_checked_before_any_elimination(monkeypatch):

@@ -22,11 +22,18 @@ from ainfbg.grp import (
     GroupParams,
     build_end_dga,
     default_gamma,
-    diff_exponent,
     expected_loop_model,
     expected_minimal_model,
     stage_weight,
 )
+
+
+def diff_exponent(i: int, pn: int) -> int:
+    """The resolution's differential into stage i - 1 multiplies by
+    U^this: U out of an odd stage, whose kernel U^(p^n - 1) k[U] is the
+    image out of the next even stage, and the other way round."""
+    assert i >= 1, "no differential out of stage 0"
+    return 1 if i % 2 else pn - 1
 
 
 def model_end_dga(gp):
@@ -254,6 +261,33 @@ def test_end_dga_differential_is_the_hom_differential(pnq, checked):
                 assert dga.space.bidegree_of(out) == Bidegree(bd.s - 1, bd.w)
             count += 1
     assert count == checked
+
+
+@pytest.mark.parametrize("pnq, checked, floor", [
+    ((3, 1, 2), 503, 14), ((5, 1, 4), 2001, 7), ((7, 1, 6), 6153, 14),
+    ((3, 2, 2), 4299, 28)])
+def test_end_dga_differential_on_the_default_windows(pnq, checked, floor):
+    """On the chain window of a default cochain run, d of every label is
+    the Hom differential composed from the resolution's maps, term for
+    term and in its order, up to the top stage of the truncation (read
+    off the unit); at the window floor, where d leaves the window, it
+    raises TruncationExceeded."""
+    gp = GroupParams(*pnq)
+    window = gp.cochain_run()[0]
+    dga = build_end_dga(gp, window=window)
+    top = max(i for i, _, _ in dga.unit)
+    counts = {"checked": 0, "floor": 0}
+    for bd in dga.space.bidegrees():
+        for lab in dga.space.labels(bd):
+            if bd.s == window[0]:
+                with pytest.raises(TruncationExceeded, match="leaves window"):
+                    dga.diff(lab)
+                counts["floor"] += 1
+                continue
+            want = hom_differential(lab, gp.pn, gp.p, top)
+            assert list(dga.diff(lab).items()) == list(want.items()), lab
+            counts["checked"] += 1
+    assert counts == {"checked": checked, "floor": floor}
 
 
 def test_stage_weight_closed_form():
